@@ -35,7 +35,7 @@ from .corpus import (
 from .estimator import (
     EstimatorModel,
     HeadConfig,
-    load_estimator,
+    estimator_from_parts,
     save_estimator,
     train_estimator,
 )
@@ -54,17 +54,18 @@ from .reports import (
 )
 from .server import EstimateService, serve_forever
 from .static_embed import (
+    StaticEmbeddingModel,
     StaticTrainConfig,
     finetune_static,
-    load_static,
     save_static,
+    static_from_parts,
     train_static,
 )
 from .transformer import (
     TransformerConfig,
     TransformerModel,
-    load_transformer,
     save_transformer,
+    transformer_from_parts,
 )
 from .wordpiece import build_wordpiece_vocab
 
@@ -225,23 +226,39 @@ def _load_documents(args) -> UnlabeledCorpus:
     return UnlabeledCorpus(documents=[r.raw_text for r in corpus.records])
 
 
-def _load_embedding(path: Path):
+_BUILDERS = {
+    "static_embedding": static_from_parts,
+    "transformer_lm": transformer_from_parts,
+    "estimator": estimator_from_parts,
+}
+_FEATURIZERS = {StaticEmbeddingModel: StaticFeaturizer, TransformerModel: ContextualFeaturizer}
+
+
+def _load_model(path: Path, *kinds: str):
+    """Reads a checkpoint once and builds its model if the kind is one of `kinds`."""
     try:
-        _, meta, _ = load_checkpoint(path)
+        params, meta, sections = load_checkpoint(path)
+        kind = meta.get("kind")
+        if kind not in kinds:
+            raise ValueError(f"{path} holds {kind!r}, expected {' or '.join(map(repr, kinds))}")
+        return _BUILDERS[kind](params, meta, sections)
     except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot read model {path}: {exc}")
-    kind = meta.get("kind")
-    if kind == "static_embedding":
-        return "static", load_static(path)
-    if kind == "transformer_lm":
-        return "contextual", load_transformer(path)
-    raise CommandError(f"{path} holds {kind!r}, expected an embedding model")
+        raise CommandError(f"cannot load model: {exc}")
 
 
-def _make_featurizer(kind: str, model, mode: str):
-    if kind == "static":
-        return StaticFeaturizer(model, mode=mode)
-    return ContextualFeaturizer(model, mode=mode)
+def _load_featurizer(path: Path, mode: str):
+    model = _load_model(path, "static_embedding", "transformer_lm")
+    return _FEATURIZERS[type(model)](model, mode=mode)
+
+
+def _load_service(args) -> EstimateService:
+    """The estimator from --model paired with a featurizer for --embedding."""
+    estimator = _load_model(_data_path(args.model), "estimator")
+    featurizer = _load_featurizer(_data_path(args.embedding), estimator.config.mode)
+    try:
+        return EstimateService(estimator, featurizer)
+    except ValueError as exc:
+        raise CommandError(str(exc))
 
 
 def _out_dir(args) -> Path:
@@ -301,11 +318,8 @@ def _cmd_pretrain_static(args) -> str:
 
 def _cmd_finetune_static(args) -> str:
     _require(args, "model", "unlabeled")
-    try:
-        model = load_static(_data_path(args.model))
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load static model: {exc}")
-    documents = load_unlabeled(_data_path(args.unlabeled))
+    model = _load_model(_data_path(args.model), "static_embedding")
+    documents = _load_documents(args)
     grown = len(model.vocabulary)
     try:
         model = finetune_static(model, documents, extra_epochs=args.epochs, seed=args.seed)
@@ -351,10 +365,7 @@ def _cmd_pretrain_ctx(args) -> str:
 
 def _cmd_finetune_ctx(args) -> str:
     _require(args, "model")
-    try:
-        model = load_transformer(_data_path(args.model))
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load encoder: {exc}")
+    model = _load_model(_data_path(args.model), "transformer_lm")
     documents = _load_documents(args)
     try:
         history = finetune_lm(
@@ -377,8 +388,7 @@ def _cmd_finetune_ctx(args) -> str:
 def _cmd_embed(args) -> str:
     _require(args, "model")
     corpus, _ = _load_labeled(args)
-    kind, model = _load_embedding(_data_path(args.model))
-    featurizer = _make_featurizer(kind, model, "pooled")
+    featurizer = _load_featurizer(_data_path(args.model), "pooled")
     batch = featurizer.featurize([r.text for r in corpus.records])
     out = _out_dir(args)
     target = out / "embeddings.csv"
@@ -392,8 +402,7 @@ def _cmd_embed(args) -> str:
 def _cmd_train(args) -> str:
     _require(args, "embedding")
     corpus, _ = _load_labeled(args)
-    kind, model = _load_embedding(_data_path(args.embedding))
-    featurizer = _make_featurizer(kind, model, args.mode)
+    featurizer = _load_featurizer(_data_path(args.embedding), args.mode)
     head = HeadConfig(
         mode=args.mode, output=args.output, epochs=args.epochs,
         batch_size=args.batch_size, patience=min(args.patience, args.epochs),
@@ -438,8 +447,7 @@ def _cmd_evaluate(args) -> str:
             f"unknown experiment {args.experiment!r}; pick one of {sorted(EXPERIMENTS)}"
         )
     corpus, corpus_path = _load_labeled(args)
-    kind, model = _load_embedding(_data_path(args.embedding))
-    featurizer = _make_featurizer(kind, model, args.mode)
+    featurizer = _load_featurizer(_data_path(args.embedding), args.mode)
     head = HeadConfig(
         mode=args.mode, output=EXPERIMENTS[args.experiment]["output"],
         epochs=args.epochs, batch_size=args.batch_size,
@@ -471,31 +479,17 @@ def _cmd_evaluate(args) -> str:
 
 def _cmd_predict(args) -> str:
     _require(args, "model", "embedding", "text")
-    try:
-        estimator = load_estimator(_data_path(args.model))
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load estimator: {exc}")
-    kind, model = _load_embedding(_data_path(args.embedding))
-    try:
-        service = EstimateService(estimator, _make_featurizer(kind, model, estimator.config.mode))
-    except ValueError as exc:
-        raise CommandError(str(exc))
-    return json.dumps(service.estimate(args.text))
+    return json.dumps(_load_service(args).estimate(args.text))
 
 
 def _cmd_serve(args) -> str:
     _require(args, "model", "embedding")
+    service = _load_service(args)
     try:
-        estimator = load_estimator(_data_path(args.model))
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot load estimator: {exc}")
-    kind, model = _load_embedding(_data_path(args.embedding))
-    try:
-        service = EstimateService(estimator, _make_featurizer(kind, model, estimator.config.mode))
         serve_forever(
             service, args.bind,
             announce=lambda addr: print(
-                f"serving {estimator.model_id} on http://{addr[0]}:{addr[1]}/estimate",
+                f"serving {service.estimator.model_id} on http://{addr[0]}:{addr[1]}/estimate",
                 flush=True,
             ),
         )

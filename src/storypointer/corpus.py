@@ -141,8 +141,8 @@ def _make_record(rid: str, project: str, raw_text: str, effort_raw) -> Tuple[Opt
     )
 
 
-def load_labeled(path, fmt: Optional[str] = None) -> LabeledCorpus:
-    """Read a labeled corpus from CSV or JSONL.
+def load_labeled(path) -> LabeledCorpus:
+    """Read a labeled corpus: CSV for a ".csv" suffix, JSONL otherwise.
 
     CSV rows combine title and description with a single space. Rows
     that fail to parse are collected as rejections, not fatal; a missing
@@ -151,10 +151,6 @@ def load_labeled(path, fmt: Optional[str] = None) -> LabeledCorpus:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"labeled corpus not found: {path}")
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown corpus format {fmt!r}")
 
     records: List[RequirementRecord] = []
     rejections: List[Rejection] = []
@@ -174,7 +170,7 @@ def load_labeled(path, fmt: Optional[str] = None) -> LabeledCorpus:
             over_range += 1
         records.append(record)
 
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = [h.strip().lower() for h in (reader.fieldnames or [])]
@@ -242,23 +238,6 @@ def save_jsonl(corpus: LabeledCorpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in corpus.records:
             fh.write(record.to_json() + "\n")
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    tokens: Tuple[str, ...]
-    truncated: bool
-    pad_count: int
-
-
-def truncate_pad(tokens: Sequence[str], max_len: int = 100, pad_token: str = PAD_WORD) -> TokenSequence:
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    tokens = list(tokens)
-    if len(tokens) > max_len:
-        return TokenSequence(tuple(tokens[:max_len]), truncated=True, pad_count=0)
-    pad_count = max_len - len(tokens)
-    return TokenSequence(tuple(tokens) + (pad_token,) * pad_count, truncated=False, pad_count=pad_count)
 
 
 class Vocabulary:

@@ -28,7 +28,7 @@ from .kernel import (
     mse_loss,
     no_grad,
 )
-from .kernel.checkpoint import load_checkpoint, save_checkpoint
+from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
 from .metrics import mae
 
 N_CLASSES = len(BUCKETS)
@@ -277,10 +277,9 @@ def save_estimator(model: EstimatorModel, path, history: Optional[TrainHistory] 
     save_checkpoint(path, model.parameters(), meta=meta)
 
 
-def load_estimator(path) -> EstimatorModel:
-    params, meta, _ = load_checkpoint(path)
-    if meta.get("kind") != "estimator":
-        raise ValueError(f"{path} is not an estimator checkpoint")
+def estimator_from_parts(params, meta, sections) -> EstimatorModel:
+    """The head held by the parts `load_checkpoint` returns."""
+    require_kind(meta, "estimator")
     config = HeadConfig.from_dict(meta["config"])
     model = EstimatorModel(config, int(meta["input_dim"]), source=meta.get("source"))
     own = model.parameters()
@@ -289,3 +288,7 @@ def load_estimator(path) -> EstimatorModel:
     for name, tensor in own.items():
         tensor.data = params[name].numpy().astype(np.float64)
     return model
+
+
+def load_estimator(path) -> EstimatorModel:
+    return estimator_from_parts(*load_checkpoint(path))

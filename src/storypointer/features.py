@@ -5,6 +5,13 @@ one vector per token (time dimension intact, padded with a mask) and
 `pooled` collapses each text to a single mean vector. Both featurizers
 clean text themselves, so raw and pre-cleaned inputs produce identical
 features.
+
+A text is degenerate when nothing usable survives: no in-vocabulary
+word for static embeddings, no real WordPiece token for contextual
+ones. It is flagged in `FeatureBatch.degenerate` and still gets a
+vector. Pooled static features fall back to the zero vector, pooled
+contextual features to the [CLS] row of the pooled layer; in sequence
+mode the row is all padding.
 """
 
 from __future__ import annotations
@@ -16,11 +23,10 @@ import numpy as np
 
 from .corpus import clean_text, tokenize_words
 from .static_embed import StaticEmbeddingModel, embed_word, mean_pool_sentence
-from .transformer import PoolingStrategy, TransformerModel
-from .wordpiece import tokenize_wordpiece
+from .transformer import PoolingStrategy, TransformerModel, pool_sentence
+from .wordpiece import N_SPECIALS, tokenize_wordpiece
 
 MODES = ("sequence", "pooled")
-N_SPECIALS = 5
 
 
 @dataclass(frozen=True)
@@ -153,20 +159,15 @@ class ContextualFeaturizer:
             for j, ids in enumerate(chunk):
                 batch[j, : len(ids)] = ids
             outputs = self.model.encode(batch)
-            layer_idx = self.strategy.resolve_layer(len(outputs))
-            layer = outputs[layer_idx].numpy()
-            for j, ids in enumerate(chunk):
+            layer = outputs[self.strategy.resolve_layer(len(outputs))].numpy()
+            for j in range(len(chunk)):
                 i = start + j
-                real = [t for t, tok in enumerate(ids) if tok >= N_SPECIALS]
-                if not real:
-                    degenerate[i] = True
-                    if self.mode == "pooled":
-                        pooled_rows[i] = layer[j, 0]
-                    continue
                 if self.mode == "pooled":
-                    pooled_rows[i] = layer[j, real].mean(axis=0)
+                    pooled_rows[i], degenerate[i] = pool_sentence(layer[j], batch[j])
                 else:
-                    sequence_rows[i] = [layer[j, t] for t in real]
+                    real = batch[j] >= N_SPECIALS
+                    sequence_rows[i] = list(layer[j][real])
+                    degenerate[i] = not real.any()
 
         if self.mode == "pooled":
             return FeatureBatch("pooled", pooled_rows, None, degenerate)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -25,6 +27,7 @@ MAGIC = b"SPKERN01"
 FORMAT_VERSION = 1
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
+_HEADER_KEYS = ("format_version", "params", "sections", "meta")
 
 
 def save_checkpoint(
@@ -69,28 +72,61 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
-    """Returns (trainable params, meta, text sections)."""
+    """Returns (trainable params, meta, text sections).
+
+    A container that is cut short, has bytes after its last section, or
+    has a header that does not describe the layout above is refused
+    with a ValueError naming the path.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a parameter container (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {header['format_version']}")
-        params: Dict[str, Tensor] = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            dtype = _DTYPES[entry["dtype"]]
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * np.dtype(dtype).itemsize)
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(entry["dtype"])
-            params[entry["name"]] = parameter(arr)
-        sections: Dict[str, str] = {}
-        for entry in header.get("sections", []):
-            sections[entry["name"]] = fh.read(entry["bytes"]).decode("utf-8")
-    return params, header.get("meta", {}), sections
+        try:
+            return _read_container(fh, os.fstat(fh.fileno()).st_size)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except (KeyError, TypeError) as exc:  # a header entry of the wrong shape
+            raise ValueError(f"{path}: malformed header entry ({exc!r})") from None
+
+
+def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
+    def read(count: int, what: str) -> bytes:
+        # checked before reading, so a corrupt length never allocates
+        remaining = size - fh.tell()
+        if not 0 <= count <= remaining:
+            raise ValueError(f"cut short or corrupt: {what} needs {count} bytes, {remaining} remain")
+        return fh.read(count)
+
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise ValueError(f"not a parameter container (bad magic {magic!r})")
+    (header_len,) = struct.unpack("<I", read(4, "header length"))
+    header = json.loads(read(header_len, "header").decode("utf-8"))
+    if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
+            and isinstance(header["meta"], dict)):
+        raise ValueError(f"the header needs the keys {_HEADER_KEYS}, with an object as meta")
+    if header["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported container version {header['format_version']!r}")
+    params: Dict[str, Tensor] = {}
+    for entry in header["params"]:
+        if entry["dtype"] not in _DTYPES:
+            raise ValueError(f"unsupported dtype {entry['dtype']!r} for {entry['name']!r}")
+        dtype = np.dtype(_DTYPES[entry["dtype"]])
+        raw = read(math.prod(entry["shape"]) * dtype.itemsize, f"parameter {entry['name']!r}")
+        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).astype(entry["dtype"])
+        params[entry["name"]] = parameter(arr)
+    sections = {
+        entry["name"]: read(entry["bytes"], f"section {entry['name']!r}").decode("utf-8")
+        for entry in header["sections"]
+    }
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last section")
+    return params, header["meta"], sections
+
+
+def require_kind(meta: dict, kind: str) -> None:
+    """Raises ValueError unless a checkpoint's meta says it holds `kind`."""
+    if meta.get("kind") != kind:
+        raise ValueError(f"checkpoint holds {meta.get('kind')!r}, expected {kind!r}")
 
 
 def checkpoint_sha256(path) -> str:

@@ -253,7 +253,7 @@ class Tensor:
             out._backward = backward
         return out
 
-    # ---- reductions / shape ------------------------------------------
+    # ---- reducing ops / shape ----------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,))

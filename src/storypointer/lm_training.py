@@ -18,7 +18,7 @@ from .pretrain_data import PretrainExample, create_pretraining_data
 from .transformer import TransformerModel
 from .wordpiece import PAD_ID
 
-IGNORE_INDEX = -100
+MAX_GRAD_NORM = 1.0  # global gradient-norm bound for every optimizer step
 
 
 @dataclass
@@ -43,6 +43,17 @@ def _batch_arrays(batch: Sequence[PretrainExample]):
     return ids[:, :seq_len], segments[:, :seq_len], seq_len
 
 
+def _masked_targets(batch: Sequence[PretrainExample], seq_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Masked positions flattened over (batch, seq_len), and their labels."""
+    flat_positions = []
+    labels = []
+    for row, example in enumerate(batch):
+        for pos, label in zip(example.masked_positions, example.masked_labels):
+            flat_positions.append(row * seq_len + pos)
+            labels.append(label)
+    return np.array(flat_positions, dtype=np.int64), np.array(labels, dtype=np.int64)
+
+
 def batch_loss(
     model: TransformerModel,
     batch: Sequence[PretrainExample],
@@ -56,16 +67,10 @@ def batch_loss(
     outputs = model.encode(ids, segments, train=train, rng=rng)
     final = outputs[-1]
 
-    flat_positions = []
-    labels = []
-    for row, example in enumerate(batch):
-        for pos, label in zip(example.masked_positions, example.masked_labels):
-            flat_positions.append(row * seq_len + pos)
-            labels.append(label)
-    if not flat_positions:
+    flat_positions, labels = _masked_targets(batch, seq_len)
+    if not labels.size:
         raise ValueError("batch contains no masked positions")
-    logits = model.mlm_logits(final, np.array(flat_positions, dtype=np.int64))
-    mlm = cross_entropy(logits, np.array(labels, dtype=np.int64))
+    mlm = cross_entropy(model.mlm_logits(final, flat_positions), labels)
 
     nsp_labels = np.array([1 if e.is_next else 0 for e in batch], dtype=np.int64)
     nsp = cross_entropy(model.nsp_logits(final), nsp_labels)
@@ -102,17 +107,12 @@ def masked_token_accuracy(
             batch = examples[start:start + batch_size]
             ids, segments, seq_len = _batch_arrays(batch)
             final = model.encode(ids, segments)[-1]
-            flat_positions = []
-            labels = []
-            for row, example in enumerate(batch):
-                for pos, label in zip(example.masked_positions, example.masked_labels):
-                    flat_positions.append(row * seq_len + pos)
-                    labels.append(label)
-            if not flat_positions:
+            flat_positions, labels = _masked_targets(batch, seq_len)
+            if not labels.size:
                 continue
-            logits = model.mlm_logits(final, np.array(flat_positions, dtype=np.int64))
+            logits = model.mlm_logits(final, flat_positions)
             predicted = np.argmax(logits.numpy(), axis=-1)
-            hits += int((predicted == np.array(labels)).sum())
+            hits += int((predicted == labels).sum())
             total += len(labels)
     if total == 0:
         raise ValueError("no masked positions in the evaluation set")
@@ -126,8 +126,6 @@ def pretrain(
     batch_size: int = 32,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    clip_norm: Optional[float] = 1.0,
-    log_every: int = 0,
 ) -> PretrainHistory:
     """Train the model in place; history holds per-epoch mean losses."""
     if not examples:
@@ -148,16 +146,11 @@ def pretrain(
             optimizer.zero_grad()
             joint, mlm, nsp = batch_loss(model, batch, train=True, rng=epoch_rng)
             joint.backward()
-            if clip_norm is not None:
-                clip_gradients(model.params.values(), clip_norm)
+            clip_gradients(model.params.values(), MAX_GRAD_NORM)
             optimizer.step()
             sums += np.array([float(joint.item()), mlm, nsp]) * len(batch)
             seen += len(batch)
-        means = sums / seen
-        history.record(*means)
-        if log_every and (epoch + 1) % log_every == 0:
-            print(f"epoch {epoch + 1}/{epochs} joint {means[0]:.4f} "
-                  f"mlm {means[1]:.4f} nsp {means[2]:.4f}")
+        history.record(*(sums / seen))
     return history
 
 

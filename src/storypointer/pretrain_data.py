@@ -20,16 +20,15 @@ from .corpus import UnlabeledCorpus, clean_text
 from .kernel import RngStream
 from .wordpiece import (
     CLS_ID,
+    MASK_ID,
+    N_SPECIALS,
     PAD_ID,
     SEP_ID,
-    MASK_ID,
     WordPieceVocab,
-    split_words,
-    tokenize_word,
+    piece_ids,
 )
 
 _SENTENCE_SPLIT = re.compile(r"[.\n]+")
-N_SPECIALS = 5
 
 
 @dataclass(frozen=True)
@@ -51,17 +50,6 @@ class PretrainExample:
 def split_sentences(document: str) -> List[str]:
     """Raw sentence split; empty fragments dropped."""
     return [frag.strip() for frag in _SENTENCE_SPLIT.split(document) if frag.strip()]
-
-
-def _sentence_piece_ids(vocab: WordPieceVocab, sentence: str) -> List[int]:
-    ids: List[int] = []
-    for word in split_words(clean_text(sentence)):
-        pieces = tokenize_word(vocab, word)
-        if pieces is None:
-            ids.append(1)  # [UNK]
-        else:
-            ids.extend(vocab.index[p] for p in pieces)
-    return ids
 
 
 def _truncate_pair(a: List[int], b: List[int], max_len: int) -> Tuple[List[int], List[int]]:
@@ -117,7 +105,7 @@ def create_pretraining_data(
     for document in corpus.documents:
         sentences = [
             ids for s in split_sentences(document)
-            if (ids := _sentence_piece_ids(vocab, s))
+            if (ids := piece_ids(vocab, clean_text(s)))
         ]
         if sentences:
             docs.append(sentences)

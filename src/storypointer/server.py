@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .estimator import EstimatorModel, predict
 

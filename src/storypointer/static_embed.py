@@ -24,8 +24,8 @@ from .corpus import (
     clean_text,
     tokenize_words,
 )
-from .kernel import RngStream
-from .kernel.checkpoint import load_checkpoint, save_checkpoint
+from .kernel import RngStream, parameter
+from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
 
 NOISE_POWER = 0.75
 
@@ -237,8 +237,6 @@ def embed_word(model: StaticEmbeddingModel, token: str) -> Optional[np.ndarray]:
 
 def mean_pool_sentence(model: StaticEmbeddingModel, tokens: Sequence[str]) -> PooledVector:
     """Mean of known-word vectors; pads never count, OOV words are skipped."""
-    if hasattr(tokens, "tokens"):
-        tokens = tokens.tokens
     real = [t for t in tokens if t != PAD_WORD]
     vectors = [embed_word(model, t) for t in real]
     known = [v for v in vectors if v is not None]
@@ -308,8 +306,6 @@ def frozen_batch_loss(model: StaticEmbeddingModel, batch: Sequence[FrozenPair]) 
 
 
 def save_static(model: StaticEmbeddingModel, path) -> None:
-    from .kernel import parameter
-
     vocab_lines = [
         f"{tok}\t{model.vocabulary.counts.get(tok, 0)}\t{idx}"
         for idx, tok in enumerate(model.vocabulary.tokens)
@@ -326,10 +322,9 @@ def save_static(model: StaticEmbeddingModel, path) -> None:
     )
 
 
-def load_static(path) -> StaticEmbeddingModel:
-    params, meta, sections = load_checkpoint(path)
-    if meta.get("kind") != "static_embedding":
-        raise ValueError(f"{path} is not a static embedding model")
+def static_from_parts(params, meta, sections) -> StaticEmbeddingModel:
+    """The embedding table held by the parts `load_checkpoint` returns."""
+    require_kind(meta, "static_embedding")
     tokens: List[str] = []
     counts: Dict[str, int] = {}
     for line in sections["vocab"].splitlines():
@@ -340,3 +335,7 @@ def load_static(path) -> StaticEmbeddingModel:
     vocab = Vocabulary(specials=specials, ordered_tokens=[t for t in tokens if t not in specials], counts=counts)
     config = StaticTrainConfig(**meta["config"])
     return StaticEmbeddingModel(vocab, params["vectors_in"].data, params["vectors_out"].data, config)
+
+
+def load_static(path) -> StaticEmbeddingModel:
+    return static_from_parts(*load_checkpoint(path))

@@ -24,10 +24,8 @@ from .kernel import (
     softmax,
     take_rows,
 )
-from .kernel.checkpoint import load_checkpoint, save_checkpoint
-from .wordpiece import CLS_ID, PAD_ID, SEP_ID, WordPieceVocab
-
-N_SPECIALS = 5
+from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
+from .wordpiece import N_SPECIALS, PAD_ID, WordPieceVocab
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,6 @@ class TransformerModel:
 @dataclass(frozen=True)
 class PoolingStrategy:
     layer: Optional[int] = None  # None selects the penultimate encoder layer
-    reduction: str = "mean"
 
     def resolve_layer(self, n_outputs: int) -> int:
         if self.layer is None:
@@ -229,28 +226,17 @@ class PoolingStrategy:
         return idx
 
 
-def pool_sentence(
-    layer_outputs: List[Tensor],
-    token_ids: np.ndarray,
-    strategy: PoolingStrategy = PoolingStrategy(),
-) -> Tuple[np.ndarray, bool]:
-    """Mean over real (non-special) tokens of the selected layer.
+def pool_sentence(layer: np.ndarray, token_ids: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """Mean over the real (non-special) tokens of one sentence.
 
-    Returns (vector, degenerate); degenerate sentences fall back to the
-    [CLS] vector of the selected layer.
+    `layer` holds the sentence's (seq, hidden) rows of the selected
+    layer and `token_ids` its ids, which start with [CLS]. Returns
+    (vector, degenerate); a sentence without real tokens falls back to
+    its [CLS] row.
     """
-    if strategy.reduction != "mean":
-        raise ValueError(f"unknown reduction {strategy.reduction!r}")
-    token_ids = np.asarray(token_ids)
-    if token_ids.ndim == 2:
-        token_ids = token_ids[0]
-    layer = layer_outputs[strategy.resolve_layer(len(layer_outputs))].numpy()
-    if layer.ndim == 3:
-        layer = layer[0]
-    real = token_ids >= N_SPECIALS
+    real = np.asarray(token_ids) >= N_SPECIALS
     if not real.any():
-        cls_pos = int(np.argmax(token_ids == CLS_ID)) if (token_ids == CLS_ID).any() else 0
-        return layer[cls_pos].copy(), True
+        return layer[0].copy(), True
     return layer[real].mean(axis=0), False
 
 
@@ -264,10 +250,13 @@ def save_transformer(model: TransformerModel, path) -> None:
     )
 
 
-def load_transformer(path) -> TransformerModel:
-    params, meta, sections = load_checkpoint(path)
-    if meta.get("kind") != "transformer_lm":
-        raise ValueError(f"{path} is not a transformer model")
+def transformer_from_parts(params, meta, sections) -> TransformerModel:
+    """The encoder held by the parts `load_checkpoint` returns."""
+    require_kind(meta, "transformer_lm")
     vocab = WordPieceVocab(sections["vocab"].splitlines())
     config = TransformerConfig(**meta["config"])
     return TransformerModel(config, vocab, params=params)
+
+
+def load_transformer(path) -> TransformerModel:
+    return transformer_from_parts(*load_checkpoint(path))

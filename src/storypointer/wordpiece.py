@@ -21,8 +21,10 @@ CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 MASK_TOKEN = "[MASK]"
 SPECIALS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN)
-PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
+N_SPECIALS = len(SPECIALS)  # ids below this are specials; the rest are real pieces
+PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(N_SPECIALS)
 CONTINUATION = "##"
+MAX_WORD_CHARS = 200  # longer words are uncoverable and become [UNK]
 
 # words are runs of the cleaned alphabet; any other non-space character
 # stands alone so uncoverable input degrades to [UNK] instead of vanishing
@@ -127,9 +129,9 @@ def _apply_merge(seg: List[str], pair: Tuple[str, str], merged: str) -> List[str
     return out
 
 
-def tokenize_word(vocab: WordPieceVocab, word: str, max_chars: int = 200) -> Optional[List[str]]:
+def tokenize_word(vocab: WordPieceVocab, word: str) -> Optional[List[str]]:
     """Greedy longest-match split; None means the word is uncoverable."""
-    if not word or len(word) > max_chars:
+    if not word or len(word) > MAX_WORD_CHARS:
         return None
     out: List[str] = []
     start = 0
@@ -151,25 +153,26 @@ def tokenize_word(vocab: WordPieceVocab, word: str, max_chars: int = 200) -> Opt
     return out
 
 
+def piece_ids(vocab: WordPieceVocab, text: str) -> List[int]:
+    """Unframed piece ids of cleaned text; each uncoverable word is one [UNK]."""
+    ids: List[int] = []
+    for word in split_words(text):
+        pieces = tokenize_word(vocab, word)
+        if pieces is None:
+            ids.append(UNK_ID)
+        else:
+            ids.extend(vocab.index[p] for p in pieces)
+    return ids
+
+
 def tokenize_wordpiece(
     vocab: WordPieceVocab, text: str, pair: Optional[str] = None
 ) -> Tuple[List[int], List[int]]:
     """Token ids and segment ids framed as [CLS] A [SEP] (+ B [SEP])."""
-
-    def encode(segment_text: str) -> List[int]:
-        ids: List[int] = []
-        for word in split_words(segment_text):
-            pieces = tokenize_word(vocab, word)
-            if pieces is None:
-                ids.append(UNK_ID)
-            else:
-                ids.extend(vocab.index[p] for p in pieces)
-        return ids
-
-    ids = [CLS_ID] + encode(text) + [SEP_ID]
+    ids = [CLS_ID] + piece_ids(vocab, text) + [SEP_ID]
     segments = [0] * len(ids)
     if pair is not None:
-        second = encode(pair) + [SEP_ID]
+        second = piece_ids(vocab, pair) + [SEP_ID]
         ids.extend(second)
         segments.extend([1] * len(second))
     return ids, segments

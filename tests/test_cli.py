@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,82 @@ class TestPipelineArtifacts:
         table = (eval_out / "E1" / "per_project.csv").read_text(encoding="utf-8")
         assert table.splitlines()[0] == "project,n_requirements,effort_mean,effort_std,mae"
         assert table.splitlines()[-1].startswith("avg,")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A corpus with a static embedding, an encoder and an estimator trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    corpus = write_corpus_csv(root / "stories.csv")
+    docs = root / "docs.txt"
+    docs.write_text("fix the billing export. add a login form.\n"
+                    "migrate the search index. update the report cache.\n", encoding="utf-8")
+    for argv in (
+        ["pretrain-static", "--corpus", corpus, "--dimension", "6", "--epochs", "1"],
+        ["pretrain-ctx", "--unlabeled", docs, "--layers", "1", "--hidden", "8", "--heads", "2",
+         "--ff", "8", "--vocab-size", "80", "--epochs", "1", "--n-examples", "4"],
+        ["train", "--corpus", corpus, "--embedding", root / "static.ckpt",
+         "--mode", "pooled", "--epochs", "2"],
+    ):
+        assert main([str(a) for a in argv] + ["--out", str(root)]) == 0
+    return root
+
+
+def damaged(blob: bytes, flaw: str) -> bytes:
+    if flaw == "truncated":
+        return blob[: len(blob) // 2]
+    if flaw == "ten-bytes":
+        return blob[:10]
+    # unknown-dtype: the same container with its first parameter declared int8
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + length])
+    header["params"][0]["dtype"] = "int8"
+    new = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+
+
+# (command, checkpoint flag, checkpoint the flag expects, the other arguments)
+CHECKPOINT_SLOTS = [
+    ("finetune-static", "--model", "static", ["--unlabeled", "docs.txt"]),
+    ("finetune-ctx", "--model", "encoder", ["--unlabeled", "docs.txt"]),
+    ("embed", "--model", "static", ["--corpus", "stories.csv"]),
+    ("train", "--embedding", "encoder", ["--corpus", "stories.csv", "--mode", "pooled"]),
+    ("evaluate", "--embedding", "static",
+     ["--corpus", "stories.csv", "--experiment", "E1", "--mode", "pooled"]),
+    ("predict", "--model", "estimator", ["--embedding", "static.ckpt", "--text", "fix it"]),
+    ("predict", "--embedding", "static", ["--model", "estimator.ckpt", "--text", "fix it"]),
+    ("serve", "--model", "estimator", ["--embedding", "static.ckpt", "--bind", "127.0.0.1:0"]),
+    ("serve", "--embedding", "encoder", ["--model", "estimator.ckpt", "--bind", "127.0.0.1:0"]),
+]
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("flaw", ["missing", "truncated", "ten-bytes", "unknown-dtype",
+                                      "wrong-kind"])
+    @pytest.mark.parametrize("command,flag,expects,rest", CHECKPOINT_SLOTS,
+                             ids=[c + f for c, f, _, _ in CHECKPOINT_SLOTS])
+    def test_bad_checkpoint_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch,
+                                              command, flag, expects, rest, flaw):
+        def never(*args, **kwargs):
+            raise AssertionError("the server must not start on a bad checkpoint")
+
+        monkeypatch.setattr("storypointer.cli.serve_forever", never)
+        bad = tmp_path / "bad.ckpt"
+        if flaw == "wrong-kind":
+            other = "static" if expects == "estimator" else "estimator"
+            bad.write_bytes((trained / f"{other}.ckpt").read_bytes())
+        elif flaw != "missing":
+            bad.write_bytes(damaged((trained / f"{expects}.ckpt").read_bytes(), flaw))
+        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bad.ckpt" in err
+
+    def test_missing_unlabeled_file_is_one_error_line(self, trained, tmp_path, capsys):
+        code, _, err = run(["finetune-static", "--model", trained / "static.ckpt",
+                            "--unlabeled", tmp_path / "missing.txt", "--out", tmp_path], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.txt" in err

@@ -24,7 +24,6 @@ from storypointer.corpus import (
     load_unlabeled,
     save_jsonl,
     tokenize_words,
-    truncate_pad,
 )
 
 
@@ -83,37 +82,6 @@ class TestTokenizeAndPad:
         assert tokenize_words("man went store") == ["man", "went", "store"]
         assert tokenize_words("") == []
         assert tokenize_words("a a b") == ["a", "a", "b"]
-
-    def test_short_sequence_padded(self):
-        seq = truncate_pad(["a", "b", "c"], max_len=5)
-        assert len(seq.tokens) == 5
-        assert seq.pad_count == 2
-        assert not seq.truncated
-        assert seq.tokens[3:] == (PAD_WORD, PAD_WORD)
-
-    def test_exact_length_untouched(self):
-        seq = truncate_pad(["t"] * 100, max_len=100)
-        assert len(seq.tokens) == 100
-        assert not seq.truncated and seq.pad_count == 0
-
-    def test_long_sequence_truncated(self):
-        seq = truncate_pad([f"t{i}" for i in range(150)], max_len=100)
-        assert len(seq.tokens) == 100
-        assert seq.truncated
-        assert seq.tokens[-1] == "t99"
-
-    def test_invalid_max_len(self):
-        with pytest.raises(ValueError):
-            truncate_pad(["a"], max_len=0)
-
-    @given(st.lists(st.sampled_from(["x", "y", "z"]), max_size=30), st.integers(1, 20))
-    @settings(max_examples=100, deadline=None)
-    def test_strip_then_repad_is_identity(self, tokens, max_len):
-        seq = truncate_pad(tokens, max_len=max_len)
-        assert len(seq.tokens) == max_len
-        stripped = [t for t in seq.tokens if t != PAD_WORD]
-        again = truncate_pad(stripped, max_len=max_len)
-        assert again.tokens == seq.tokens
 
 
 class TestWordVocab:

@@ -105,7 +105,7 @@ class TestContextualFeaturizer:
         batch = featurizer.featurize([text])
         ids, _ = tokenize_wordpiece(ctx_model.vocab, clean_text(text))
         outputs = ctx_model.encode(np.array([ids]))
-        expected, degenerate = pool_sentence(outputs, np.array(ids))
+        expected, degenerate = pool_sentence(outputs[-2].numpy()[0], np.array(ids))
         assert not degenerate
         np.testing.assert_allclose(batch.vectors[0], expected, rtol=0, atol=1e-12)
 
@@ -127,6 +127,13 @@ class TestContextualFeaturizer:
         batch = featurizer.featurize([""])
         assert batch.degenerate[0]
         assert np.isfinite(batch.vectors[0]).all()
+
+    def test_degenerate_pooled_vector_is_the_cls_row(self, ctx_model):
+        batch = ContextualFeaturizer(ctx_model, mode="pooled").featurize(["query", "the of"])
+        ids, _ = tokenize_wordpiece(ctx_model.vocab, "")
+        cls_row = ctx_model.encode(np.array([ids]))[-2].numpy()[0, 0]
+        assert batch.degenerate.tolist() == [False, True]
+        np.testing.assert_allclose(batch.vectors[1], cls_row, rtol=0, atol=1e-12)
 
     def test_layer_strategy_changes_features(self, ctx_model):
         text = SENTENCES[0]

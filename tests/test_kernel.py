@@ -1,5 +1,10 @@
 """Layers, Adam, the grad-check harness, checkpoints, and rng streams."""
 
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +249,61 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": parameter(np.ones(2))})
         loaded, _, _ = load_checkpoint(path)
         assert loaded["w"].requires_grad
+
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=3),
+        dtype=st.sampled_from(["float64", "float32"]),
+        sections=st.dictionaries(st.sampled_from(["vocab", "notes"]), st.text(max_size=12)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_prefix_truncation_is_refused(self, shapes, dtype, sections):
+        params = {
+            f"p{i}": parameter(np.arange(float(np.prod(shape))).reshape(shape).astype(dtype))
+            for i, shape in enumerate(shapes)
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, params, meta={"kind": "test"}, sections=sections)
+            blob = path.read_bytes()
+            loaded, _, loaded_sections = load_checkpoint(path)
+            assert set(loaded) == set(params) and loaded_sections == sections
+            cut_path = Path(tmp) / "cut.ckpt"
+            for cut in range(len(blob)):
+                cut_path.write_bytes(blob[:cut])
+                with pytest.raises(ValueError, match="cut.ckpt"):
+                    load_checkpoint(cut_path)
+
+    def _rewrite_header(self, path, edit):
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + length])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:])
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["params"][0].update(dtype="int8"),
+        lambda h: h["params"][0].update(shape=[10 ** 15]),
+        lambda h: h["params"][0].update(shape="2x2"),
+        lambda h: h["sections"].append({"name": "extra"}),
+        lambda h: h.pop("meta"),
+        lambda h: h.pop("params"),
+        lambda h: h.update(format_version=2),
+    ], ids=["unknown-dtype", "oversized-shape", "bad-shape", "bad-section", "no-meta",
+            "no-params", "future-version"])
+    def test_malformed_header_is_refused(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones((2, 2)))}, sections={"vocab": "a\n"})
+        self._rewrite_header(path, edit)
+        with pytest.raises(ValueError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones(2))})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
 
 
 class TestRngStream:

@@ -154,12 +154,18 @@ class TestPaddingInvariance:
             assert np.max(np.abs(a - b)) <= 1e-6
 
 
+def pooled(outputs, ids, strategy):
+    """pool_sentence on the one sentence of an encoded batch."""
+    layer = outputs[strategy.resolve_layer(len(outputs))].numpy()[0]
+    return pool_sentence(layer, ids[0])
+
+
 class TestPooling:
     def test_mean_pooling_skips_specials(self):
         model = tiny_model()
         ids = framed([5, 6, 7], max_len=9)
         outputs = model.encode(ids)
-        vector, degenerate = pool_sentence(outputs, ids)
+        vector, degenerate = pooled(outputs, ids, PoolingStrategy())
         layer = outputs[-2].numpy()[0]
         np.testing.assert_allclose(vector, layer[1:4].mean(axis=0), rtol=0, atol=1e-12)
         assert not degenerate
@@ -168,15 +174,15 @@ class TestPooling:
         model = tiny_model(layers=3)
         ids = framed([5, 6])
         outputs = model.encode(ids)
-        via_default, _ = pool_sentence(outputs, ids)
-        via_explicit, _ = pool_sentence(outputs, ids, PoolingStrategy(layer=2))
+        via_default, _ = pooled(outputs, ids, PoolingStrategy())
+        via_explicit, _ = pooled(outputs, ids, PoolingStrategy(layer=2))
         np.testing.assert_array_equal(via_default, via_explicit)
 
     def test_layer_override_selects_that_layer(self):
         model = tiny_model(layers=2)
         ids = framed([5, 6, 7])
         outputs = model.encode(ids)
-        vector, _ = pool_sentence(outputs, ids, PoolingStrategy(layer=0))
+        vector, _ = pooled(outputs, ids, PoolingStrategy(layer=0))
         layer = outputs[0].numpy()[0]
         np.testing.assert_allclose(vector, layer[1:4].mean(axis=0), rtol=0, atol=1e-12)
 
@@ -184,16 +190,9 @@ class TestPooling:
         model = tiny_model()
         ids = framed([])
         outputs = model.encode(ids)
-        vector, degenerate = pool_sentence(outputs, ids)
+        vector, degenerate = pooled(outputs, ids, PoolingStrategy())
         assert degenerate
         np.testing.assert_array_equal(vector, outputs[-2].numpy()[0, 0])
-
-    def test_unknown_reduction_is_rejected(self):
-        model = tiny_model()
-        ids = framed([5])
-        outputs = model.encode(ids)
-        with pytest.raises(ValueError):
-            pool_sentence(outputs, ids, PoolingStrategy(reduction="max"))
 
 
 def small_examples(vocab, n=24, seq_len=12, seed=0):
