@@ -241,7 +241,10 @@ def _load_model(path: Path, *kinds: str):
         kind = meta.get("kind")
         if kind not in kinds:
             raise ValueError(f"{path} holds {kind!r}, expected {' or '.join(map(repr, kinds))}")
-        return _BUILDERS[kind](params, meta, sections)
+        try:
+            return _BUILDERS[kind](params, meta, sections)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     except (OSError, ValueError) as exc:
         raise CommandError(f"cannot load model: {exc}")
 

@@ -28,7 +28,7 @@ from .kernel import (
     mse_loss,
     no_grad,
 )
-from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
+from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 from .metrics import mae
 
 N_CLASSES = len(BUCKETS)
@@ -69,9 +69,7 @@ class HeadConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HeadConfig":
-        data = dict(data)
-        data["dense_sizes"] = tuple(data["dense_sizes"])
-        return cls(**data)
+        return config_from_meta(cls, data)
 
 
 @dataclass
@@ -280,12 +278,18 @@ def save_estimator(model: EstimatorModel, path, history: Optional[TrainHistory] 
 def estimator_from_parts(params, meta, sections) -> EstimatorModel:
     """The head held by the parts `load_checkpoint` returns."""
     require_kind(meta, "estimator")
-    config = HeadConfig.from_dict(meta["config"])
-    model = EstimatorModel(config, int(meta["input_dim"]), source=meta.get("source"))
+    config = HeadConfig.from_dict(meta.get("config"))
+    input_dim, source = meta.get("input_dim"), meta.get("source", {})
+    if type(input_dim) is not int or not isinstance(source, dict):
+        raise ValueError("checkpoint meta needs an integer input_dim and an object as source")
+    model = EstimatorModel(config, input_dim, source=source)
     own = model.parameters()
     if set(own) != set(params):
         raise ValueError("checkpoint parameters do not match the configured head")
     for name, tensor in own.items():
+        if params[name].shape != tensor.shape:
+            raise ValueError(f"checkpoint parameter {name} has shape {params[name].shape}, "
+                             f"the configured head needs {tensor.shape}")
         tensor.data = params[name].numpy().astype(np.float64)
     return model
 

@@ -11,6 +11,7 @@ container so a reader can verify integrity without parsing it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -127,6 +128,42 @@ def require_kind(meta: dict, kind: str) -> None:
     """Raises ValueError unless a checkpoint's meta says it holds `kind`."""
     if meta.get("kind") != kind:
         raise ValueError(f"checkpoint holds {meta.get('kind')!r}, expected {kind!r}")
+
+
+def config_from_meta(cls, data):
+    """The config dataclass `cls` rebuilt from a checkpoint's meta.
+
+    Raises ValueError unless `data` is an object naming exactly the
+    fields of `cls`, each holding a value of the type of the field's
+    default. An int stands for a float, and a list of the elements'
+    type for a tuple.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint meta needs a {cls.__name__} object under 'config'")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    missing, unknown = sorted(set(defaults) - set(data)), sorted(set(data) - set(defaults))
+    if missing or unknown:
+        raise ValueError(f"{cls.__name__} in checkpoint meta: missing keys {missing}, "
+                         f"unknown keys {unknown}")
+    values = {}
+    for name, default in defaults.items():
+        value = data[name]
+        if isinstance(default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        if not _same_type(value, default):
+            raise ValueError(f"{cls.__name__}.{name} in checkpoint meta is {data[name]!r}, "
+                             f"expected a value like {default!r}")
+        values[name] = value
+    return cls(**values)
+
+
+def _same_type(value, default) -> bool:
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_same_type, value, default)))
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 def checkpoint_sha256(path) -> str:

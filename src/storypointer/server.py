@@ -3,17 +3,24 @@
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
 malformed request gets a 4xx JSON error and the process stays alive.
+A body above MAX_BODY_BYTES is refused unread, and a connection whose
+client sends nothing for READ_TIMEOUT_S seconds, mid-request or
+between keep-alive requests, is dropped, so a slow or lying client
+cannot hold a handler thread.
 """
 
 from __future__ import annotations
 
 import json
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
 
 from .estimator import EstimatorModel, predict
 
 ROUTE = "/estimate"
+MAX_BODY_BYTES = 1 << 20
+READ_TIMEOUT_S = 30.0
 
 
 class EstimateService:
@@ -49,35 +56,55 @@ class EstimateService:
 def _make_handler(service: EstimateService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = READ_TIMEOUT_S  # set on the socket of every connection
 
         def log_message(self, fmt, *args):  # keep request logs out of stdout
             pass
 
-        def _reply(self, status: int, payload: dict) -> None:
+        def _reply(self, status: int, payload: dict, close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
+            if close:  # the rest of the stream is not read, or not trusted
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def do_POST(self) -> None:
             if self.path != ROUTE:
-                self._reply(404, {"error": f"unknown route {self.path}"})
+                self._reply(404, {"error": f"unknown route {self.path}"}, close=True)
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length) if length > 0 else b""
+                if length < 0:
+                    raise ValueError
+            except ValueError:
+                self._reply(400, {"error": "Content-Length must be a non-negative integer"},
+                            close=True)
+                return
+            if length > MAX_BODY_BYTES:
+                self._reply(413, {"error": f"body is larger than {MAX_BODY_BYTES} bytes"},
+                            close=True)
+                return
+            # a client silent for READ_TIMEOUT_S makes this raise TimeoutError,
+            # on which the base handler drops the connection
+            raw = self.rfile.read(length)
+            if len(raw) < length:
+                self._reply(400, {"error": "body is shorter than Content-Length"}, close=True)
+                return
+            try:
                 payload = json.loads(raw.decode("utf-8"))
                 if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
                     raise ValueError('body must be a JSON object with a string "text" field')
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 self._reply(400, {"error": str(exc)})
                 return
             try:
                 self._reply(200, service.estimate(payload["text"]))
-            except Exception as exc:  # a bad request must not kill the server
-                self._reply(500, {"error": str(exc)})
+            except Exception:  # a bad request must not kill the server
+                traceback.print_exc()
+                self._reply(500, {"error": "internal error"})
 
         def do_GET(self) -> None:
             self._reply(405, {"error": "POST JSON to " + ROUTE})

@@ -25,7 +25,7 @@ from .corpus import (
     tokenize_words,
 )
 from .kernel import RngStream, parameter
-from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
+from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 
 NOISE_POWER = 0.75
 
@@ -325,6 +325,10 @@ def save_static(model: StaticEmbeddingModel, path) -> None:
 def static_from_parts(params, meta, sections) -> StaticEmbeddingModel:
     """The embedding table held by the parts `load_checkpoint` returns."""
     require_kind(meta, "static_embedding")
+    config = config_from_meta(StaticTrainConfig, meta.get("config"))
+    if set(params) != {"vectors_in", "vectors_out"} or "vocab" not in sections:
+        raise ValueError("checkpoint needs the parameters vectors_in and vectors_out "
+                         "and a vocab section")
     tokens: List[str] = []
     counts: Dict[str, int] = {}
     for line in sections["vocab"].splitlines():
@@ -333,7 +337,6 @@ def static_from_parts(params, meta, sections) -> StaticEmbeddingModel:
         counts[tok] = int(count)
     specials = (PAD_WORD, UNK_WORD)
     vocab = Vocabulary(specials=specials, ordered_tokens=[t for t in tokens if t not in specials], counts=counts)
-    config = StaticTrainConfig(**meta["config"])
     return StaticEmbeddingModel(vocab, params["vectors_in"].data, params["vectors_out"].data, config)
 
 

@@ -24,7 +24,7 @@ from .kernel import (
     softmax,
     take_rows,
 )
-from .kernel.checkpoint import load_checkpoint, require_kind, save_checkpoint
+from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 from .wordpiece import N_SPECIALS, PAD_ID, WordPieceVocab
 
 
@@ -40,7 +40,7 @@ class TransformerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.hidden % self.heads != 0:
+        if self.heads < 1 or self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.max_len < 2:
             raise ValueError("max_len must leave room for [CLS] and [SEP]")
@@ -253,8 +253,10 @@ def save_transformer(model: TransformerModel, path) -> None:
 def transformer_from_parts(params, meta, sections) -> TransformerModel:
     """The encoder held by the parts `load_checkpoint` returns."""
     require_kind(meta, "transformer_lm")
+    config = config_from_meta(TransformerConfig, meta.get("config"))
+    if "vocab" not in sections:
+        raise ValueError("checkpoint has no vocab section")
     vocab = WordPieceVocab(sections["vocab"].splitlines())
-    config = TransformerConfig(**meta["config"])
     return TransformerModel(config, vocab, params=params)
 
 

@@ -247,17 +247,34 @@ def trained(tmp_path_factory):
     return root
 
 
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """The same container with `edit` applied to its JSON header."""
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+
+
+# Well-formed containers whose model meta does not describe a model.
+META_FLAWS = {
+    "config-unknown-key": lambda meta: meta["config"].update(bogus=1),
+    "config-missing-key": lambda meta: meta["config"].pop("seed"),
+    "config-mistyped": lambda meta: meta["config"].update(seed="0"),
+    "config-not-object": lambda meta: meta.update(config=[1, 2]),
+    "no-config": lambda meta: meta.pop("config"),
+}
+
+
 def damaged(blob: bytes, flaw: str) -> bytes:
     if flaw == "truncated":
         return blob[: len(blob) // 2]
     if flaw == "ten-bytes":
         return blob[:10]
+    if flaw in META_FLAWS:
+        return rewrite_header(blob, lambda header: META_FLAWS[flaw](header["meta"]))
     # unknown-dtype: the same container with its first parameter declared int8
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + length])
-    header["params"][0]["dtype"] = "int8"
-    new = json.dumps(header).encode("utf-8")
-    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+    return rewrite_header(blob, lambda header: header["params"][0].update(dtype="int8"))
 
 
 # (command, checkpoint flag, checkpoint the flag expects, the other arguments)
@@ -277,7 +294,7 @@ CHECKPOINT_SLOTS = [
 
 class TestCheckpointErrors:
     @pytest.mark.parametrize("flaw", ["missing", "truncated", "ten-bytes", "unknown-dtype",
-                                      "wrong-kind"])
+                                      "wrong-kind", *sorted(META_FLAWS)])
     @pytest.mark.parametrize("command,flag,expects,rest", CHECKPOINT_SLOTS,
                              ids=[c + f for c, f, _, _ in CHECKPOINT_SLOTS])
     def test_bad_checkpoint_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch,
@@ -295,6 +312,25 @@ class TestCheckpointErrors:
         argv = [command, flag, bad, "--out", tmp_path / "out"]
         argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
         code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bad.ckpt" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["meta"].update(input_dim="6"),
+        lambda header: header["meta"].pop("input_dim"),
+        lambda header: header["meta"]["config"].update(dense_sizes=[4]),
+        lambda header: header["meta"]["config"].update(dense_sizes=[4, 2.5]),
+        lambda header: header["meta"].update(source="static"),
+        lambda header: [e.update(shape=e["shape"][::-1]) for e in header["params"]
+                        if e["name"] == "dense1.weight"],
+    ], ids=["input-dim-mistyped", "no-input-dim", "one-dense-size", "float-dense-size",
+            "source-not-object", "transposed-weight"])
+    def test_bad_estimator_meta_is_one_error_line(self, trained, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_header((trained / "estimator.ckpt").read_bytes(), edit))
+        code, _, err = run(["predict", "--model", bad, "--embedding", trained / "static.ckpt",
+                            "--text", "fix it"], capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err

@@ -17,6 +17,7 @@ from storypointer.kernel import (
     RngStream,
     Tensor,
     central_difference,
+    concat,
     derive_seed,
     flatten_parameters,
     grad_check,
@@ -68,16 +69,49 @@ class TestDense:
         assert report.max_rel_error < 1e-4
 
 
+def reference_lstm(cell, x, mask):
+    """The cell composed step by step from Tensor ops, as the LSTM ran before
+    it became one autograd node; returns (all hidden states, final hidden)."""
+    n = cell.n_hidden
+    batch, steps, _ = x.shape
+    h = Tensor(np.zeros((batch, n)))
+    c = Tensor(np.zeros((batch, n)))
+    outputs = []
+    for t in range(steps):
+        gates = x[:, t, :] @ cell.w_x + h @ cell.w_h + cell.bias
+        i = gates[:, 0 * n:1 * n].sigmoid()
+        f = gates[:, 1 * n:2 * n].sigmoid()
+        g = gates[:, 2 * n:3 * n].tanh()
+        o = gates[:, 3 * n:4 * n].sigmoid()
+        c_new = f * c + i * g
+        h_new = o * c_new.tanh()
+        m = Tensor(mask[:, t:t + 1])
+        h = m * h_new + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+        outputs.append(h.reshape(batch, 1, n))
+    return concat(outputs, axis=1), h
+
+
+# Mixed lengths: full, trailing pads, all pad, one real step, an interior pad.
+MIXED_MASK = np.array([
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+    [1.0, 1.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 1.0, 0.0],
+])
+
+
 class TestLSTM:
     def test_zero_weights_zero_state_stay_zero(self, rng):
         cell = LSTM(rng, 3, 4)
         for p in cell.parameters().values():
             p.data[:] = 0.0
-        h, c = cell.step(
-            Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
-        )
-        np.testing.assert_array_equal(h.numpy(), np.zeros((2, 4)))
-        np.testing.assert_array_equal(c.numpy(), np.zeros((2, 4)))
+        projected = np.ones((2, 3)) @ cell.w_x.data + cell.bias.data
+        h, c = cell.step(projected, np.zeros((2, 4)), np.zeros((2, 4)),
+                         np.empty((2, 16)), np.empty((2, 4)))
+        np.testing.assert_array_equal(h, np.zeros((2, 4)))
+        np.testing.assert_array_equal(c, np.zeros((2, 4)))
 
     def test_masked_step_preserves_state(self, rng):
         cell = LSTM(rng, 3, 4)
@@ -105,6 +139,47 @@ class TestLSTM:
             cell.parameters(),
         )
         assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("head", ["final", "all-steps"])
+    def test_masked_mixed_length_gradients_match_fd(self, rng, head):
+        cell = LSTM(rng.child("cell"), 3, 4)
+        cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
+        x = parameter(rng.uniform(-0.5, 0.5, (5, 5, 3)))
+        target = rng.uniform(-0.5, 0.5, (5, 5, 4) if head == "all-steps" else (5, 4))
+
+        def loss():
+            outputs, final = cell(x, mask=MIXED_MASK)
+            return mse_loss(outputs if head == "all-steps" else final, target)
+
+        report = grad_check(loss, {**cell.parameters(), "x": x})
+        assert report.max_rel_error < 1e-4
+        # the all-pad row never touches the state, so its inputs get no gradient
+        np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
+
+    def test_fused_matches_stepwise_tensor_reference(self, rng):
+        cell = LSTM(rng.child("cell"), 3, 4)
+        cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
+        x = rng.uniform(-1.0, 1.0, (5, 5, 3))
+        target = rng.uniform(-0.5, 0.5, (5, 5, 4))
+        final_target = rng.uniform(-0.5, 0.5, (5, 4))
+        runs = []
+        for forward in (cell, lambda x_, m: reference_lstm(cell, x_, m)):
+            for p in cell.parameters().values():
+                p.grad = None
+            xt = parameter(x)
+            outputs, final = forward(xt, MIXED_MASK)
+            (mse_loss(outputs, target) + mse_loss(final, final_target)).backward()
+            grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
+            runs.append((outputs.numpy().copy(), final.numpy().copy(), grads, xt.grad.copy()))
+        (out, final, grads, dx), (ref_out, ref_final, ref_grads, ref_dx) = runs
+        # summation order differs (hoisted input GEMM, stacked weight
+        # gradients), so agreement is to a float64 tolerance, not bitwise
+        tol = dict(rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(out, ref_out, **tol)
+        np.testing.assert_allclose(final, ref_final, **tol)
+        for name in ref_grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], **tol)
+        np.testing.assert_allclose(dx, ref_dx, **tol)
 
 
 class TestAdam:

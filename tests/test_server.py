@@ -1,17 +1,23 @@
 """Inference endpoint: request contract, error handling, resilience."""
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from storypointer import server as server_module
 from storypointer.corpus import UnlabeledCorpus
 from storypointer.estimator import EstimatorModel, HeadConfig, train_estimator
 from storypointer.features import StaticFeaturizer
-from storypointer.server import EstimateService, build_server, parse_bind
+from storypointer.server import MAX_BODY_BYTES, EstimateService, build_server, parse_bind
 from storypointer.static_embed import StaticTrainConfig, train_static
 
 SENTENCES = [
@@ -37,16 +43,49 @@ def service():
     return EstimateService(model, featurizer)
 
 
-@pytest.fixture(scope="module")
-def endpoint(service):
+@contextmanager
+def running(service):
+    """Serves `service` on a free port in a thread; yields (host, port)."""
     server = build_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def address(service):
+    with running(service) as bound:
+        yield bound
+
+
+@pytest.fixture(scope="module")
+def endpoint(address):
+    host, port = address
+    return f"http://{host}:{port}"
+
+
+def raw_post(address, body: bytes, declared=None, half_close=False):
+    """POST `body` under the Content-Length header value `declared` (default:
+    the body's length) over a fresh socket; returns the reply's status, or None if the server
+    closed the connection without one."""
+    declared = len(body) if declared is None else declared
+    head = f"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: {declared}\r\n\r\n"
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(head.encode("ascii"))
+        try:
+            sock.sendall(body)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server may refuse and close before the body arrives
+            pass
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1]) if status_line else None
 
 
 def post(url, body: bytes, path="/estimate"):
@@ -132,6 +171,75 @@ class TestEndpoint:
             assert status == 400
         status, _ = post(endpoint, json.dumps({"text": "still alive"}).encode())
         assert status == 200
+
+
+class TestHardening:
+    def test_oversized_body_is_refused_unread(self, address, endpoint):
+        assert raw_post(address, b"{}", declared=MAX_BODY_BYTES + 1) == 413
+        status, _ = post(endpoint, json.dumps({"text": "still alive"}).encode())
+        assert status == 200
+
+    @pytest.mark.parametrize("declared", ["-1", "12abc", ""])
+    def test_bad_content_length_is_a_client_error(self, address, declared):
+        assert raw_post(address, b"", declared=declared) == 400
+
+    def test_body_cut_short_is_a_client_error(self, address):
+        body = json.dumps({"text": "add a login form"}).encode()
+        assert raw_post(address, body, declared=len(body) + 10, half_close=True) == 400
+
+    def test_lying_client_is_dropped_while_others_are_served(self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.5)
+        with running(service) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as liar:
+                liar.sendall(b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: 1000\r\n\r\n" + b'{"text": "a"}')
+                status, _ = post(f"http://{host}:{port}", json.dumps({"text": "fix it"}).encode())
+                assert status == 200
+                start = time.monotonic()
+                assert liar.recv(1024) == b""  # closed without a reply
+                assert time.monotonic() - start < 5.0
+
+    def test_unexpected_error_is_a_generic_500(self):
+        class Broken:
+            def estimate(self, text):
+                raise RuntimeError("secret internal detail")
+
+        with running(Broken()) as (host, port):
+            status, out = post(f"http://{host}:{port}", json.dumps({"text": "x"}).encode())
+        assert status == 500
+        assert out == {"error": "internal error"}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestBodyFuzz:
+    """Whatever the body, the reply is 200, 400 or 413 and the server lives on."""
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_bytes(self, address, body):
+        assert raw_post(address, body) in (200, 400)
+        assert raw_post(address, b'{"text": "still alive"}') == 200
+
+    @given(JSON_VALUES | st.fixed_dictionaries({"text": JSON_VALUES}))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_json_values(self, address, value):
+        assert raw_post(address, json.dumps(value).encode("utf-8")) in (200, 400)
+        assert raw_post(address, b'{"text": "still alive"}') == 200
+
+    @given(st.binary(max_size=100) | st.just(b'{"text": "add a login form"}'),
+           st.integers(-40, 40) | st.just(MAX_BODY_BYTES + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_content_length_off_by_any_amount(self, address, body, offset):
+        declared = max(0, len(body) + offset) if offset <= 40 else offset
+        status = raw_post(address, body, declared=declared, half_close=declared > len(body))
+        assert status in (200, 400, 413)
+        assert raw_post(address, b'{"text": "still alive"}') == 200
 
 
 class TestBindParsing:

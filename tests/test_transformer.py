@@ -60,6 +60,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             TransformerConfig(hidden=10, heads=4, vocab_size=30).validate()
 
+    def test_zero_heads_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            TransformerConfig(heads=0, vocab_size=30).validate()
+
     def test_requires_room_for_framing(self):
         with pytest.raises(ValueError):
             TransformerConfig(max_len=1, vocab_size=30).validate()
