@@ -28,7 +28,8 @@ from .kernel import (
     mse_loss,
     no_grad,
 )
-from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
+from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
+                                save_checkpoint)
 from .metrics import mae
 
 N_CLASSES = len(BUCKETS)
@@ -284,12 +285,8 @@ def estimator_from_parts(params, meta, sections) -> EstimatorModel:
         raise ValueError("checkpoint meta needs an integer input_dim and an object as source")
     model = EstimatorModel(config, input_dim, source=source)
     own = model.parameters()
-    if set(own) != set(params):
-        raise ValueError("checkpoint parameters do not match the configured head")
+    require_params(params, {name: tensor.shape for name, tensor in own.items()}, "head")
     for name, tensor in own.items():
-        if params[name].shape != tensor.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {params[name].shape}, "
-                             f"the configured head needs {tensor.shape}")
         tensor.data = params[name].numpy().astype(np.float64)
     return model
 

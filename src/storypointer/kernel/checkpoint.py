@@ -130,6 +130,20 @@ def require_kind(meta: dict, kind: str) -> None:
         raise ValueError(f"checkpoint holds {meta.get('kind')!r}, expected {kind!r}")
 
 
+def require_params(params: Dict[str, Tensor], shapes: Dict[str, Tuple[int, ...]],
+                   model: str) -> None:
+    """Raises ValueError unless `params` has exactly the names in `shapes`,
+    each with its shape; `model` names the model in the message."""
+    missing, unknown = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+    if missing or unknown:
+        raise ValueError(f"checkpoint parameters do not match the configured {model}: "
+                         f"missing {missing}, unknown {unknown}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ValueError(f"checkpoint parameter {name} has shape {params[name].shape}, "
+                             f"the configured {model} needs {shape}")
+
+
 def config_from_meta(cls, data):
     """The config dataclass `cls` rebuilt from a checkpoint's meta.
 

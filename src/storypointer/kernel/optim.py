@@ -37,11 +37,17 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1 ** self.t)
-            v_hat = self.v[name] / (1.0 - b2 ** self.t)
+            # in place, in the operation order of b1 m + (1 - b1) g and
+            # b2 v + (1 - b2) g g, so the results are bitwise the same
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            gg = (1.0 - b2) * g
+            gg *= g
+            v *= b2
+            v += gg
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

@@ -17,6 +17,10 @@ import numpy as np
 
 _GRAD_ENABLED = True
 
+# constants of the tanh approximation to GELU
+_GELU_A = 0.044715
+_GELU_C = math.sqrt(2.0 / math.pi)
+
 
 @contextmanager
 def no_grad():
@@ -81,8 +85,17 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add `grad` into `self.grad`.
+
+        The first gradient is stored as given, not copied, so `.grad`
+        arrays may alias one another and the seed passed to backward():
+        a sum hands one buffer to both of its parents. That is safe
+        because nothing in `src/` mutates a `.grad` in place: backward
+        closures, accumulation, clipping and the optimizer all read a
+        gradient and write a new array.
+        """
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            self.grad = grad.astype(self.data.dtype, copy=False)
         else:
             self.grad = self.grad + grad
 
@@ -238,18 +251,37 @@ class Tensor:
         return out
 
     def gelu(self) -> "Tensor":
-        # tanh approximation: 0.5 x (1 + tanh(c (x + a x^3)))
-        a = 0.044715
-        c = math.sqrt(2.0 / math.pi)
+        # tanh approximation 0.5 x (1 + tanh(c (x + a x^3))), with the
+        # inner term evaluated as c x (1 + a x^2): in-place passes over
+        # two buffers and no pow()
         x = self.data
-        inner = c * (x + a * x ** 3)
-        t = np.tanh(inner)
-        out = _result(0.5 * x * (1.0 + t), (self,))
+        t = x * x
+        t *= _GELU_A
+        t += 1.0
+        t *= x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        value = t + 1.0
+        value *= x
+        value *= 0.5
+        out = _result(value, (self,))
         if out.requires_grad:
             def backward(grad):
-                d_inner = c * (1.0 + 3.0 * a * x ** 2)
-                local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-                self._accumulate(grad * local)
+                # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+                local = x * x
+                local *= 3.0 * _GELU_A
+                local += 1.0
+                local *= _GELU_C
+                local *= x
+                local *= 0.5
+                tmp = t * t
+                np.subtract(1.0, tmp, out=tmp)
+                local *= tmp
+                np.add(t, 1.0, out=tmp)
+                tmp *= 0.5
+                local += tmp
+                local *= grad
+                self._accumulate(local)
             out._backward = backward
         return out
 
@@ -388,14 +420,17 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=axis, keepdims=True)
+    value = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(value, out=value)
+    value /= value.sum(axis=axis, keepdims=True)
     out = _result(value, (x,))
     if out.requires_grad:
         def backward(grad):
-            dot = (grad * value).sum(axis=axis, keepdims=True)
-            x._accumulate(value * (grad - dot))
+            local = grad * value
+            dot = local.sum(axis=axis, keepdims=True)
+            np.subtract(grad, dot, out=local)
+            local *= value
+            x._accumulate(local)
         out._backward = backward
     return out
 
@@ -415,11 +450,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = _result(gain.data * xhat + bias.data, (x, gain, bias))
+    xhat *= inv
+    value = gain.data * xhat
+    value += bias.data
+    out = _result(value, (x, gain, bias))
     if out.requires_grad:
         def backward(grad):
             if gain.requires_grad:
@@ -428,9 +465,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 bias._accumulate(unbroadcast(grad, bias.shape))
             if x.requires_grad:
                 dxhat = grad * gain.data
-                term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-                term = term - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * term)
+                proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                dxhat -= dxhat.mean(axis=-1, keepdims=True)
+                dxhat -= xhat * proj
+                dxhat *= inv
+                x._accumulate(dxhat)
         out._backward = backward
     return out
 

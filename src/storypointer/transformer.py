@@ -24,7 +24,8 @@ from .kernel import (
     softmax,
     take_rows,
 )
-from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
+from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
+                                save_checkpoint)
 from .wordpiece import N_SPECIALS, PAD_ID, WordPieceVocab
 
 
@@ -53,6 +54,45 @@ class TransformerConfig:
         return dict(self.__dict__)
 
 
+def _param_table(c: TransformerConfig) -> Dict[str, Tuple[str, Tuple[int, ...]]]:
+    """Every encoder parameter's (initializer, shape), in initialization order.
+
+    Built from the config alone, so a checkpoint's parameters can be
+    checked against it without drawing from the RNG.
+    """
+    h = c.hidden
+    table: Dict[str, Tuple[str, Tuple[int, ...]]] = {
+        "emb.token": ("normal", (c.vocab_size, h)),
+        "emb.position": ("normal", (c.max_len, h)),
+        "emb.segment": ("normal", (2, h)),
+        "emb.ln.gain": ("ones", (h,)),
+        "emb.ln.bias": ("zeros", (h,)),
+        "mlm.dense.w": ("normal", (h, h)),
+        "mlm.dense.b": ("zeros", (h,)),
+        "mlm.ln.gain": ("ones", (h,)),
+        "mlm.ln.bias": ("zeros", (h,)),
+        "mlm.bias": ("zeros", (c.vocab_size,)),
+        "nsp.pooler.w": ("normal", (h, h)),
+        "nsp.pooler.b": ("zeros", (h,)),
+        "nsp.w": ("normal", (h, 2)),
+        "nsp.b": ("zeros", (2,)),
+    }
+    for i in range(c.layers):
+        for name in ("wq", "wk", "wv", "wo"):
+            table[f"layer{i}.attn.{name}"] = ("normal", (h, h))
+        for name in ("bq", "bk", "bv", "bo"):
+            table[f"layer{i}.attn.{name}"] = ("zeros", (h,))
+        table[f"layer{i}.attn.ln.gain"] = ("ones", (h,))
+        table[f"layer{i}.attn.ln.bias"] = ("zeros", (h,))
+        table[f"layer{i}.ff.w1"] = ("normal", (h, c.ff))
+        table[f"layer{i}.ff.b1"] = ("zeros", (c.ff,))
+        table[f"layer{i}.ff.w2"] = ("normal", (c.ff, h))
+        table[f"layer{i}.ff.b2"] = ("zeros", (h,))
+        table[f"layer{i}.ff.ln.gain"] = ("ones", (h,))
+        table[f"layer{i}.ff.ln.bias"] = ("zeros", (h,))
+    return table
+
+
 class TransformerModel:
     def __init__(self, config: TransformerConfig, vocab: WordPieceVocab,
                  params: Optional[Dict[str, Tensor]] = None):
@@ -64,49 +104,14 @@ class TransformerModel:
         self.params = params if params is not None else self._init_params()
 
     def _init_params(self) -> Dict[str, Tensor]:
-        c = self.config
-        rng = RngStream(c.seed).child("init")
-        scale = 0.02
-
-        def normal(*shape):
-            return parameter(rng.normal(0.0, scale, shape))
-
-        def zeros(*shape):
-            return parameter(np.zeros(shape))
-
-        def ones(*shape):
-            return parameter(np.ones(shape))
-
-        p: Dict[str, Tensor] = {
-            "emb.token": normal(c.vocab_size, c.hidden),
-            "emb.position": normal(c.max_len, c.hidden),
-            "emb.segment": normal(2, c.hidden),
-            "emb.ln.gain": ones(c.hidden),
-            "emb.ln.bias": zeros(c.hidden),
-            "mlm.dense.w": normal(c.hidden, c.hidden),
-            "mlm.dense.b": zeros(c.hidden),
-            "mlm.ln.gain": ones(c.hidden),
-            "mlm.ln.bias": zeros(c.hidden),
-            "mlm.bias": zeros(c.vocab_size),
-            "nsp.pooler.w": normal(c.hidden, c.hidden),
-            "nsp.pooler.b": zeros(c.hidden),
-            "nsp.w": normal(c.hidden, 2),
-            "nsp.b": zeros(2),
+        rng = RngStream(self.config.seed).child("init")
+        init = {
+            "normal": lambda shape: parameter(rng.normal(0.0, 0.02, shape)),
+            "zeros": lambda shape: parameter(np.zeros(shape)),
+            "ones": lambda shape: parameter(np.ones(shape)),
         }
-        for i in range(c.layers):
-            for name in ("wq", "wk", "wv", "wo"):
-                p[f"layer{i}.attn.{name}"] = normal(c.hidden, c.hidden)
-            for name in ("bq", "bk", "bv", "bo"):
-                p[f"layer{i}.attn.{name}"] = zeros(c.hidden)
-            p[f"layer{i}.attn.ln.gain"] = ones(c.hidden)
-            p[f"layer{i}.attn.ln.bias"] = zeros(c.hidden)
-            p[f"layer{i}.ff.w1"] = normal(c.hidden, c.ff)
-            p[f"layer{i}.ff.b1"] = zeros(c.ff)
-            p[f"layer{i}.ff.w2"] = normal(c.ff, c.hidden)
-            p[f"layer{i}.ff.b2"] = zeros(c.hidden)
-            p[f"layer{i}.ff.ln.gain"] = ones(c.hidden)
-            p[f"layer{i}.ff.ln.bias"] = zeros(c.hidden)
-        return p
+        table = _param_table(self.config)
+        return {name: init[kind](shape) for name, (kind, shape) in table.items()}
 
     @property
     def model_id(self) -> str:
@@ -257,6 +262,8 @@ def transformer_from_parts(params, meta, sections) -> TransformerModel:
     if "vocab" not in sections:
         raise ValueError("checkpoint has no vocab section")
     vocab = WordPieceVocab(sections["vocab"].splitlines())
+    shapes = {name: shape for name, (_, shape) in _param_table(config).items()}
+    require_params(params, shapes, "encoder")
     return TransformerModel(config, vocab, params=params)
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from storypointer.cli import main
+from storypointer.kernel import parameter
+from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 
 VERBS = ["add", "fix", "migrate", "update", "refactor", "support"]
 NOUNS = ["login form", "billing export", "search index", "report cache",
@@ -292,6 +294,19 @@ CHECKPOINT_SLOTS = [
 ]
 
 
+# Well-formed encoder containers whose parameters do not fit their config.
+ENCODER_PARAM_FLAWS = {
+    "renamed": lambda params: params.update({"emb.tokens": params.pop("emb.token")}),
+    "missing": lambda params: params.pop("nsp.b"),
+    "wrong-shape": lambda params: params.update(
+        {"nsp.w": parameter(params["nsp.w"].data.T)}),
+}
+
+# every slot that takes an encoder, and `embed`, which takes either embedding
+ENCODER_SLOTS = [(c, f, rest) for c, f, expects, rest in CHECKPOINT_SLOTS if expects == "encoder"]
+ENCODER_SLOTS.append(("embed", "--model", ["--corpus", "stories.csv"]))
+
+
 class TestCheckpointErrors:
     @pytest.mark.parametrize("flaw", ["missing", "truncated", "ten-bytes", "unknown-dtype",
                                       "wrong-kind", *sorted(META_FLAWS)])
@@ -331,6 +346,26 @@ class TestCheckpointErrors:
         bad.write_bytes(rewrite_header((trained / "estimator.ckpt").read_bytes(), edit))
         code, _, err = run(["predict", "--model", bad, "--embedding", trained / "static.ckpt",
                             "--text", "fix it"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bad.ckpt" in err
+
+    @pytest.mark.parametrize("flaw", sorted(ENCODER_PARAM_FLAWS))
+    @pytest.mark.parametrize("command,flag,rest", ENCODER_SLOTS,
+                             ids=[c + f for c, f, _ in ENCODER_SLOTS])
+    def test_encoder_params_unlike_config_are_one_error_line(
+            self, trained, tmp_path, capsys, monkeypatch, command, flag, rest, flaw):
+        def never(*args, **kwargs):
+            raise AssertionError("the server must not start on a bad checkpoint")
+
+        monkeypatch.setattr("storypointer.cli.serve_forever", never)
+        params, meta, sections = load_checkpoint(trained / "encoder.ckpt")
+        ENCODER_PARAM_FLAWS[flaw](params)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, meta=meta, sections=sections)
+        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
+        code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err

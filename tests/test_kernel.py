@@ -17,6 +17,7 @@ from storypointer.kernel import (
     RngStream,
     Tensor,
     central_difference,
+    clip_gradients,
     concat,
     derive_seed,
     flatten_parameters,
@@ -231,6 +232,65 @@ class TestAdam:
         p.grad = np.zeros_like(p.data)
         opt.step()
         np.testing.assert_array_equal(p.data, before)
+
+
+    def test_in_place_moments_are_bitwise_the_out_of_place_formula(self, rng):
+        p = parameter(rng.uniform(-0.5, 0.5, (4, 3)))
+        data, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        opt = Adam({"p": p}, lr=0.01)
+        b1, b2 = opt.beta1, opt.beta2
+        for t in range(1, 6):
+            g = rng.normal(0.0, 1.0, (4, 3))
+            p.grad = g
+            opt.step()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
+            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + opt.eps)
+            np.testing.assert_array_equal(opt.m["p"], m)
+            np.testing.assert_array_equal(opt.v["p"], v)
+            np.testing.assert_array_equal(p.data, data)
+
+
+class TestGradientAliasing:
+    """`.grad` arrays may share one buffer; nothing may write through it."""
+
+    @staticmethod
+    def summed(rng, seed=None):
+        a = parameter(rng.uniform(-0.5, 0.5, (3, 4)))
+        b = parameter(rng.uniform(-0.5, 0.5, (3, 4)))
+        if seed is None:
+            (a + b).sum().backward()
+        else:
+            (a + b).backward(seed)
+        assert np.shares_memory(a.grad, b.grad)  # the case under test
+        return a, b
+
+    def test_clipping_scales_each_grad_once(self, rng):
+        a, b = self.summed(rng)
+        total = clip_gradients([a, b], max_norm=1.0)
+        assert total == pytest.approx(np.sqrt(24.0))
+        scale = 1.0 / total
+        np.testing.assert_array_equal(a.grad, np.full((3, 4), scale))
+        np.testing.assert_array_equal(b.grad, np.full((3, 4), scale))
+
+    def test_adam_leaves_grads_unchanged(self, rng):
+        a, b = self.summed(rng)
+        before = [a.grad.copy(), b.grad.copy()]
+        opt = Adam({"a": a, "b": b})
+        opt.step()
+        opt.step()
+        np.testing.assert_array_equal(a.grad, before[0])
+        np.testing.assert_array_equal(b.grad, before[1])
+
+    def test_backward_leaves_the_seed_unchanged(self, rng):
+        seed = rng.normal(0.0, 1.0, (3, 4))
+        kept = seed.copy()
+        a, b = self.summed(rng, seed)
+        clip_gradients([a, b], max_norm=1e-3)
+        Adam({"a": a, "b": b}).step()
+        np.testing.assert_array_equal(seed, kept)
+        np.testing.assert_array_equal(a.grad, b.grad)
 
 
 class TestGradCheckHarness:

@@ -92,6 +92,37 @@ class TestElementwiseGrads:
         check_against_fd(lambda x: x.gelu().sum(), [a])
 
 
+GELU_A = 0.044715
+GELU_C = np.sqrt(2.0 / np.pi)
+
+
+class TestGeluClosedForm:
+    """The in-place GELU against 0.5 x (1 + tanh(c (x + a x^3))) and its derivative.
+
+    Besides rtol, atol 1e-14 admits last-bit differences in tanh: near
+    t = -1 one ulp of t is a large relative change of 1 + t, but moves
+    the value and the derivative by about 1e-15 at most.
+    """
+
+    @pytest.mark.parametrize("x", [
+        np.append(np.linspace(-20.0, 20.0, 4001), 0.0),
+        np.zeros(1),
+        np.array([-1.3]),
+        RngStream(3).uniform(-20.0, 20.0, (3, 4, 5)),
+    ], ids=["grid", "zero", "one", "3x4x5"])
+    def test_value_and_derivative(self, x):
+        t = parameter(x)
+        y = t.gelu()
+        y.sum().backward()
+        tanh = np.tanh(GELU_C * (x + GELU_A * x ** 3))
+        value = 0.5 * x * (1.0 + tanh)
+        slope = (0.5 * (1.0 + tanh)
+                 + 0.5 * x * (1.0 - tanh ** 2) * GELU_C * (1.0 + 3.0 * GELU_A * x ** 2))
+        assert y.shape == x.shape and t.grad.shape == x.shape
+        np.testing.assert_allclose(y.data, value, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(t.grad, slope, rtol=1e-12, atol=1e-14)
+
+
 class TestMatmulGrads:
     def test_plain_matmul(self, rng):
         a = rng.uniform(-0.5, 0.5, (3, 4))
