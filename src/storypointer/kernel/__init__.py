@@ -5,7 +5,6 @@ from .checkpoint import (
     checkpoint_sha256,
     load_checkpoint,
     save_checkpoint,
-    verify_manifest,
 )
 from .gradcheck import GradCheckReport, central_difference, grad_check
 from .layers import LSTM, Dense, flatten_parameters, glorot_uniform
@@ -55,5 +54,4 @@ __all__ = [
     "softmax",
     "stack",
     "take_rows",
-    "verify_manifest",
 ]

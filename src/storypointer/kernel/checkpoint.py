@@ -6,7 +6,7 @@ order, then any named text sections (UTF-8). The header carries the
 format version, parameter names/shapes/dtypes, text-section names and
 byte lengths, and free-form metadata. The sidecar manifest (same path
 plus ".manifest.txt") lists the parameters and a sha256 of the
-container so a reader can verify integrity without parsing it.
+container, which `load_checkpoint` checks when the manifest is present.
 """
 
 from __future__ import annotations
@@ -77,29 +77,46 @@ def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
 
     A container that is cut short, has bytes after its last section, or
     has a header that does not describe the layout above is refused
-    with a ValueError naming the path.
+    with a ValueError naming the path. If the sidecar manifest exists,
+    the sha256 of the bytes read must match its `sha256:` line, so a
+    container changed in place is refused too. A container copied
+    without its manifest loads unchecked.
     """
     path = Path(path)
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         try:
-            return _read_container(fh, os.fstat(fh.fileno()).st_size)
+            loaded = _read_container(fh, os.fstat(fh.fileno()).st_size, digest)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError) as exc:  # a header entry of the wrong shape
             raise ValueError(f"{path}: malformed header entry ({exc!r})") from None
+    manifest_path = _manifest_path(path)
+    if manifest_path.exists():
+        recorded = _recorded_sha256(manifest_path)
+        if recorded is None:
+            raise ValueError(f"{path}: {manifest_path.name} has no sha256 line")
+        if recorded != digest.hexdigest():
+            raise ValueError(f"{path}: sha256 {digest.hexdigest()} does not match "
+                             f"{recorded} in {manifest_path.name}")
+    return loaded
 
 
-def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
+def _read_container(fh, size: int, digest) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
+    """Parses the container in `fh` and feeds every byte read to `digest`."""
     def read(count: int, what: str) -> bytes:
         # checked before reading, so a corrupt length never allocates
         remaining = size - fh.tell()
         if not 0 <= count <= remaining:
             raise ValueError(f"cut short or corrupt: {what} needs {count} bytes, {remaining} remain")
-        return fh.read(count)
+        blob = fh.read(count)
+        digest.update(blob)
+        return blob
 
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"not a parameter container (bad magic {magic!r})")
+    digest.update(magic)
     (header_len,) = struct.unpack("<I", read(4, "header length"))
     header = json.loads(read(header_len, "header").decode("utf-8"))
     if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
@@ -188,6 +205,10 @@ def checkpoint_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_path(path: Path) -> Path:
+    return path.with_name(path.name + ".manifest.txt")
+
+
 def _write_manifest(path: Path, header: dict) -> None:
     lines = [f"container: {path.name}", f"format_version: {header['format_version']}"]
     for entry in header["params"]:
@@ -196,16 +217,12 @@ def _write_manifest(path: Path, header: dict) -> None:
     for entry in header.get("sections", []):
         lines.append(f"section: {entry['name']} bytes={entry['bytes']}")
     lines.append(f"sha256: {checkpoint_sha256(path)}")
-    manifest_path = path.with_name(path.name + ".manifest.txt")
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _manifest_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def verify_manifest(path) -> bool:
-    """True if the sidecar manifest's checksum matches the container."""
-    path = Path(path)
-    manifest_path = path.with_name(path.name + ".manifest.txt")
+def _recorded_sha256(manifest_path: Path) -> Optional[str]:
     recorded = None
     for line in manifest_path.read_text(encoding="utf-8").splitlines():
         if line.startswith("sha256: "):
             recorded = line.split(": ", 1)[1].strip()
-    return recorded == checkpoint_sha256(path)
+    return recorded

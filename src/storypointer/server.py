@@ -1,4 +1,8 @@
-"""Single-route JSON endpoint serving effort estimates.
+"""JSON endpoint serving effort estimates, with a liveness route.
+
+`POST /estimate` answers estimates and `GET /healthz` answers 200 while
+the process serves. Another method on either route gets 405 with an
+`Allow` header, and any other path gets 404.
 
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
@@ -19,6 +23,7 @@ from typing import Tuple
 from .estimator import EstimatorModel, predict
 
 ROUTE = "/estimate"
+ALLOWED = {ROUTE: "POST", "/healthz": "GET"}  # the one method each route answers
 MAX_BODY_BYTES = 1 << 20
 READ_TIMEOUT_S = 30.0
 
@@ -61,19 +66,32 @@ def _make_handler(service: EstimateService):
         def log_message(self, fmt, *args):  # keep request logs out of stdout
             pass
 
-        def _reply(self, status: int, payload: dict, close: bool = False) -> None:
+        def _reply(self, status: int, payload: dict, close: bool = False,
+                   allow: str = "") -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
+            if allow:
+                self.send_header("Allow", allow)
             if close:  # the rest of the stream is not read, or not trusted
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
+        def _route_allows(self, method: str, close: bool) -> bool:
+            """Replies 404 or 405 unless the path answers `method`; `close`
+            drops the connection with that reply, for a body left unread."""
+            allowed = ALLOWED.get(self.path)
+            if allowed is None:
+                self._reply(404, {"error": f"unknown route {self.path}"}, close=close)
+            elif allowed != method:
+                self._reply(405, {"error": f"{self.path} answers {allowed} only"},
+                            close=close, allow=allowed)
+            return allowed == method
+
         def do_POST(self) -> None:
-            if self.path != ROUTE:
-                self._reply(404, {"error": f"unknown route {self.path}"}, close=True)
+            if not self._route_allows("POST", close=True):
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -107,7 +125,11 @@ def _make_handler(service: EstimateService):
                 self._reply(500, {"error": "internal error"})
 
         def do_GET(self) -> None:
-            self._reply(405, {"error": "POST JSON to " + ROUTE})
+            # a GET body is never read, so one that declares a body ends its
+            # connection instead of being parsed as the next request
+            close = self.headers.get("Content-Length", "0").strip() != "0"
+            if self._route_allows("GET", close=close):
+                self._reply(200, {"status": "ok"}, close=close)
 
     return Handler
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .corpus import UnlabeledCorpus, clean_text
 
@@ -29,6 +29,8 @@ MAX_WORD_CHARS = 200  # longer words are uncoverable and become [UNK]
 # words are runs of the cleaned alphabet; any other non-space character
 # stands alone so uncoverable input degrades to [UNK] instead of vanishing
 _WORD_SPLIT = re.compile(r"[a-z0-9\-]+|[^\sa-z0-9\-]")
+
+Pair = Tuple[str, str]
 
 
 class WordPieceVocab:
@@ -71,6 +73,12 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
     alphabet the pipeline's tokenizer will see. If every word fuses into
     a single piece before `size` is reached, the vocabulary simply stops
     growing.
+
+    Pair counts are taken once; each merge then re-segments and recounts
+    only the words that hold the merged pair (Sennrich et al., 2016).
+    The best pair has the highest count; a tie goes to the pair whose
+    first word in corpus order is earliest, then to the pair that comes
+    first in that word's current segmentation.
     """
     word_counts: Dict[str, int] = {}
     for doc in corpus.documents:
@@ -92,31 +100,52 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
 
     pieces = list(SPECIALS) + char_base
     known = set(pieces)
-    segmentation: Dict[str, List[str]] = {w: _char_pieces(w) for w in word_counts}
+    # words are addressed by rank, their first-occurrence order in the corpus
+    counts = list(word_counts.values())
+    segs = [_char_pieces(word) for word in word_counts]
+    pair_counts: Dict[Pair, int] = {}
+    pair_words: Dict[Pair, Set[int]] = {}  # ranks of the words holding a pair
+    for rank, seg in enumerate(segs):
+        _add_pairs(pair_counts, pair_words, rank, seg, counts[rank])
 
-    while len(pieces) < size:
-        pair_counts: Dict[Tuple[str, str], int] = {}
-        first_seen: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        for word_rank, (word, count) in enumerate(word_counts.items()):
-            seg = segmentation[word]
-            for pos in range(len(seg) - 1):
-                pair = (seg[pos], seg[pos + 1])
-                pair_counts[pair] = pair_counts.get(pair, 0) + count
-                if pair not in first_seen:
-                    first_seen[pair] = (word_rank, pos)
-        if not pair_counts:
-            break
-        best = min(pair_counts, key=lambda p: (-pair_counts[p], first_seen[p]))
+    def first_seen(pair: Pair) -> Tuple[int, int]:
+        """(rank of the first word holding `pair`, position in its segmentation)."""
+        rank = min(pair_words[pair])
+        seg = segs[rank]
+        return rank, next(i for i in range(len(seg) - 1) if (seg[i], seg[i + 1]) == pair)
+
+    while len(pieces) < size and pair_counts:
+        top = max(pair_counts.values())
+        best = min((p for p, c in pair_counts.items() if c == top), key=first_seen)
         merged = best[0] + best[1][len(CONTINUATION):]
-        for word, seg in segmentation.items():
-            segmentation[word] = _apply_merge(seg, best, merged)
+        for rank in list(pair_words[best]):
+            _remove_pairs(pair_counts, pair_words, rank, segs[rank], counts[rank])
+            segs[rank] = _apply_merge(segs[rank], best, merged)
+            _add_pairs(pair_counts, pair_words, rank, segs[rank], counts[rank])
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
     return WordPieceVocab(pieces)
 
 
-def _apply_merge(seg: List[str], pair: Tuple[str, str], merged: str) -> List[str]:
+def _add_pairs(pair_counts: Dict[Pair, int], pair_words: Dict[Pair, Set[int]],
+               rank: int, seg: List[str], count: int) -> None:
+    for pair in zip(seg, seg[1:]):
+        pair_counts[pair] = pair_counts.get(pair, 0) + count
+        pair_words.setdefault(pair, set()).add(rank)
+
+
+def _remove_pairs(pair_counts: Dict[Pair, int], pair_words: Dict[Pair, Set[int]],
+                  rank: int, seg: List[str], count: int) -> None:
+    for pair in zip(seg, seg[1:]):
+        pair_counts[pair] -= count
+        if pair_counts[pair] == 0:
+            del pair_counts[pair], pair_words[pair]
+        else:
+            pair_words[pair].discard(rank)
+
+
+def _apply_merge(seg: List[str], pair: Pair, merged: str) -> List[str]:
     out: List[str] = []
     i = 0
     while i < len(seg):

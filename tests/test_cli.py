@@ -294,6 +294,10 @@ CHECKPOINT_SLOTS = [
 ]
 
 
+# the slots of the commands that read checkpoints without training them
+READ_SLOTS = [slot for slot in CHECKPOINT_SLOTS if slot[0] in ("predict", "serve", "evaluate")]
+
+
 # Well-formed encoder containers whose parameters do not fit their config.
 ENCODER_PARAM_FLAWS = {
     "renamed": lambda params: params.update({"emb.tokens": params.pop("emb.token")}),
@@ -330,6 +334,30 @@ class TestCheckpointErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err
+
+    @pytest.mark.parametrize("command,flag,expects,rest", READ_SLOTS,
+                             ids=[c + f for c, f, _, _ in READ_SLOTS])
+    def test_changed_in_place_is_refused_unless_copied_without_manifest(
+            self, trained, tmp_path, capsys, monkeypatch, command, flag, expects, rest):
+        monkeypatch.setattr("storypointer.cli.serve_forever", lambda *args, **kwargs: None)
+        bad = tmp_path / "bad.ckpt"
+        blob = (trained / f"{expects}.ckpt").read_bytes()
+        # the same length with 30 bytes of the first parameter zeroed, which
+        # loads as a model when nothing checks it
+        (length,) = struct.unpack("<I", blob[8:12])
+        start = 12 + length
+        bad.write_bytes(blob[:start] + bytes(30) + blob[start + 30:])
+        manifest = tmp_path / "bad.ckpt.manifest.txt"
+        manifest.write_bytes((trained / f"{expects}.ckpt.manifest.txt").read_bytes())
+        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bad.ckpt" in err and "sha256" in err
+        manifest.unlink()  # a checkpoint copied without its manifest loads unchecked
+        _, _, err = run(argv, capsys)
+        assert "bad.ckpt" not in err  # every load failure names the path
 
     @pytest.mark.parametrize("edit", [
         lambda header: header["meta"].update(input_dim="6"),

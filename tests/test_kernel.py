@@ -17,6 +17,7 @@ from storypointer.kernel import (
     RngStream,
     Tensor,
     central_difference,
+    checkpoint_sha256,
     clip_gradients,
     concat,
     derive_seed,
@@ -26,7 +27,6 @@ from storypointer.kernel import (
     mse_loss,
     parameter,
     save_checkpoint,
-    verify_manifest,
 )
 
 
@@ -362,7 +362,8 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         manifest = (tmp_path / "model.ckpt.manifest.txt").read_text()
         assert "param: w shape=2x2 dtype=float64" in manifest
-        assert verify_manifest(path)
+        assert f"sha256: {checkpoint_sha256(path)}" in manifest
+        load_checkpoint(path)  # the checksum matches
 
     def test_tampering_breaks_manifest_check(self, tmp_path, rng):
         params = {"w": parameter(np.ones((2, 2)))}
@@ -371,7 +372,31 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert not verify_manifest(path)
+        with pytest.raises(ValueError, match=r"model\.ckpt: sha256 .* does not match"):
+            load_checkpoint(path)
+        (tmp_path / "model.ckpt.manifest.txt").unlink()
+        loaded, _, _ = load_checkpoint(path)  # copied without its manifest: unchecked
+        assert loaded["w"].data[-1, -1] != 1.0
+
+    def test_manifest_without_checksum_is_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones(2))})
+        manifest = tmp_path / "model.ckpt.manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if not line.startswith("sha256:")))
+        with pytest.raises(ValueError, match=r"model\.ckpt: .*no sha256 line"):
+            load_checkpoint(path)
+
+    def test_structural_errors_come_before_the_checksum(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones(4))})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match="cut short"):
+            load_checkpoint(path)
+        path.write_bytes(blob + b"x")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,5 +1,6 @@
 """Inference endpoint: request contract, error handling, resilience."""
 
+import http.client
 import json
 import socket
 import threading
@@ -164,6 +165,45 @@ class TestEndpoint:
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=10)
         assert caught.value.code == 405
+        assert caught.value.headers["Allow"] == "POST"
+
+    def test_healthz_is_ok(self, endpoint):
+        with urllib.request.urlopen(endpoint + "/healthz", timeout=10) as response:
+            assert response.status == 200
+            assert json.loads(response.read().decode("utf-8")) == {"status": "ok"}
+
+    def test_unknown_get_path_is_not_found(self, endpoint):
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(endpoint + "/metrics", timeout=10)
+        assert caught.value.code == 404
+        assert "Allow" not in caught.value.headers
+
+    def test_post_to_healthz_is_not_allowed(self, endpoint):
+        request = urllib.request.Request(endpoint + "/healthz", data=b"{}", method="POST")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 405
+        assert caught.value.headers["Allow"] == "GET"
+
+    def test_gets_keep_the_connection_for_an_estimate(self, address):
+        conn = http.client.HTTPConnection(*address, timeout=10)
+
+        def ask(method, path, body=None):
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            return response.status, response.getheader("Allow"), json.loads(response.read())
+
+        try:
+            assert ask("GET", "/healthz") == (200, None, {"status": "ok"})
+            sock = conn.sock
+            assert ask("GET", "/estimate")[:2] == (405, "POST")
+            assert ask("GET", "/nowhere")[:2] == (404, None)
+            status, _, out = ask("POST", "/estimate", json.dumps({"text": "fix the cart"}))
+            assert status == 200
+            assert set(out) == {"effort", "class", "model_id", "degenerate"}
+            assert conn.sock is sock  # one connection served all four requests
+        finally:
+            conn.close()
 
     def test_server_survives_bad_requests(self, endpoint):
         for payload in (b"", b"\xff\xfe garbage", json.dumps({"text": None}).encode()):
@@ -198,6 +238,17 @@ class TestHardening:
                 start = time.monotonic()
                 assert liar.recv(1024) == b""  # closed without a reply
                 assert time.monotonic() - start < 5.0
+
+    def test_get_with_a_body_ends_its_connection(self, address):
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello"
+                         b"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: 13\r\n\r\n"
+                         b'{"text": "a"}')
+            replies = b"".join(iter(lambda: sock.recv(4096), b""))
+        # one reply, then the server closes instead of parsing "helloPOST ..."
+        assert replies.startswith(b"HTTP/1.1 200 ")
+        assert replies.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in replies
 
     def test_unexpected_error_is_a_generic_500(self):
         class Broken:

@@ -1,10 +1,12 @@
 """Subword vocabulary induction and greedy tokenization checks."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storypointer.corpus import UnlabeledCorpus
+from storypointer.corpus import UnlabeledCorpus, clean_text
 from storypointer.wordpiece import (
     CLS_ID,
     CONTINUATION,
@@ -93,6 +95,107 @@ class TestVocabularyInduction:
         vocab = build_wordpiece_vocab(corpus_of(*docs), size=80)
         assert "service" in vocab
         assert "deploy" in vocab
+
+
+def corpus_words(corpus):
+    """Each distinct cleaned word of `corpus` with its count, in first-seen order."""
+    word_counts = {}
+    for doc in corpus.documents:
+        for word in split_words(clean_text(doc)):
+            word_counts[word] = word_counts.get(word, 0) + 1
+    return word_counts
+
+
+def reference_build_vocab(corpus, size):
+    """Induction as it ran before pair counts were kept across merges: each
+    merge recounts every pair of every word and re-segments every word.
+    Returns the list of pieces."""
+    word_counts = corpus_words(corpus)
+    if not word_counts:
+        raise ValueError("corpus has no words after cleaning")
+    pieces = char_vocab(*word_counts)
+    if size < len(pieces):
+        raise ValueError(f"size {size} cannot cover specials + character base")
+    known = set(pieces)
+    segmentation = {w: [w[0]] + [CONTINUATION + c for c in w[1:]] for w in word_counts}
+    while len(pieces) < size:
+        pair_counts, first_seen = {}, {}
+        for word_rank, (word, count) in enumerate(word_counts.items()):
+            seg = segmentation[word]
+            for pos in range(len(seg) - 1):
+                pair = (seg[pos], seg[pos + 1])
+                pair_counts[pair] = pair_counts.get(pair, 0) + count
+                first_seen.setdefault(pair, (word_rank, pos))
+        if not pair_counts:
+            break
+        best = min(pair_counts, key=lambda p: (-pair_counts[p], first_seen[p]))
+        merged = best[0] + best[1][len(CONTINUATION):]
+        for word, seg in segmentation.items():
+            out, i = [], 0
+            while i < len(seg):
+                if seg[i:i + 2] == list(best):
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seg[i])
+                    i += 1
+            segmentation[word] = out
+        if merged not in known:
+            known.add(merged)
+            pieces.append(merged)
+    return pieces
+
+
+def documents(words):
+    """Corpora of one to five documents, each one to six of `words`."""
+    return st.lists(st.lists(words, min_size=1, max_size=6).map(" ".join),
+                    min_size=1, max_size=5)
+
+
+# ties are common over two to four letters
+SMALL_ALPHABET = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+    lambda alphabet: documents(st.text(alphabet=alphabet, min_size=1, max_size=8)))
+# runs such as "aaaa" and "abab", where one pair overlaps itself
+REPEATS = documents(st.builds(operator.mul, st.sampled_from(["a", "b", "ab", "ba", "aab", "abb"]),
+                              st.integers(2, 5)))
+# words sharing substrings, where one piece might be reached by two pairs,
+# the case of the `merged not in known` rule (no corpus tried so far has
+# produced it)
+SHARED_UNITS = documents(st.lists(st.sampled_from(["ab", "bc", "abc", "ca", "b"]),
+                                  min_size=1, max_size=4).map("".join))
+
+
+class TestIncrementalInduction:
+    """The induction keeps its pair counts across merges and must give the
+    pieces of the recount-everything reference, piece for piece."""
+
+    @given(docs=SMALL_ALPHABET | REPEATS | SHARED_UNITS,
+           extra=st.integers(0, 40) | st.just(10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_same_pieces_as_the_reference(self, docs, extra):
+        corpus = corpus_of(*docs)
+        words = corpus_words(corpus)
+        if not words:
+            with pytest.raises(ValueError):
+                build_wordpiece_vocab(corpus, size=10 ** 6)
+            return
+        minimum = len(char_vocab(*words))
+        with pytest.raises(ValueError):
+            build_wordpiece_vocab(corpus, size=minimum - 1)
+        size = minimum + extra  # 10**6 is past saturation
+        assert build_wordpiece_vocab(corpus, size).pieces == reference_build_vocab(corpus, size)
+
+    def test_tie_break_reads_positions_after_earlier_merges(self):
+        # "##b ##b" and "##b ##c" tie at 3, and "##b ##b" is first, so "##bb"
+        # merges: b ##bb ##bb ##c ##b ##c ##b ##c. Now "##c ##b" and
+        # "##b ##c" tie at 2. In the character split "##b ##c" came first
+        # (position 4 against 5), but the merge moved "##c ##b" to position
+        # 3 and consumed the first "##b ##c", so "##cb" wins.
+        corpus = corpus_of("bbbbbcbcbc")
+        vocab = build_wordpiece_vocab(corpus, size=10)
+        assert vocab.pieces[5:] == ["b", "##b", "##c", "##bb", "##cb"]
+        assert vocab.pieces == reference_build_vocab(corpus, 10)
+        assert build_wordpiece_vocab(corpus, 10 ** 6).pieces == reference_build_vocab(corpus, 10 ** 6)
 
 
 class TestGreedyTokenizer:
