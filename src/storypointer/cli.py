@@ -14,6 +14,7 @@ Every flag can also come from a flat `key=value` config file passed via
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -427,15 +428,8 @@ def _cmd_train(args) -> str:
     out = _out_dir(args)
     target = out / "estimator.ckpt"
     save_estimator(estimator, target, history)
-    (out / "history.json").write_text(
-        json.dumps({
-            "train_loss": history.train_loss,
-            "val_mae": history.val_mae,
-            "best_epoch": history.best_epoch,
-            "stop_reason": history.stop_reason,
-        }, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    (out / "history.json").write_text(json.dumps(dataclasses.asdict(history), indent=2) + "\n",
+                                      encoding="utf-8")
     return (
         f"trained {estimator.model_id}: best val MAE "
         f"{history.best_val_mae:.4f} at epoch {history.best_epoch} "

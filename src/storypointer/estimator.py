@@ -10,7 +10,7 @@ the best-epoch parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -194,12 +194,6 @@ def predict_effort(model: EstimatorModel, batch: FeatureBatch) -> np.ndarray:
     return np.array([r.effort for r in predict(model, batch)])
 
 
-def predict_class(model: EstimatorModel, batch: FeatureBatch) -> List[PredictionResult]:
-    if model.config.output != "softmax":
-        raise ValueError("class prediction needs a softmax head")
-    return predict(model, batch)
-
-
 def train_estimator(
     model: EstimatorModel,
     train_batch: FeatureBatch,
@@ -267,12 +261,7 @@ def save_estimator(model: EstimatorModel, path, history: Optional[TrainHistory] 
         "source": model.source,
     }
     if history is not None:
-        meta["history"] = {
-            "train_loss": history.train_loss,
-            "val_mae": history.val_mae,
-            "best_epoch": history.best_epoch,
-            "stop_reason": history.stop_reason,
-        }
+        meta["history"] = asdict(history)
     save_checkpoint(path, model.parameters(), meta=meta)
 
 

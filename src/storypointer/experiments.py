@@ -46,10 +46,6 @@ class EvalReport:
     confusion: Optional[np.ndarray] = None
     confusion_normalized: Optional[np.ndarray] = None
 
-    @property
-    def fold_metrics(self) -> List[MetricSet]:
-        return [fold.metrics for fold in self.folds]
-
 
 def carve_validation(
     records: Sequence[RequirementRecord], fraction: float, seed: int,

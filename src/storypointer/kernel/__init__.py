@@ -1,28 +1,21 @@
 """Numeric core: autograd tensors, layers, Adam, gradient checking,
 seeded randomness, and the parameter container format."""
 
-from .checkpoint import (
-    checkpoint_sha256,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckReport, central_difference, grad_check
 from .layers import LSTM, Dense, flatten_parameters, glorot_uniform
 from .optim import Adam, clip_gradients
 from .rng import RngStream, derive_seed
 from .tensor import (
     Tensor,
-    concat,
     cross_entropy,
     dropout,
     ensure_tensor,
     layer_norm,
-    log_softmax,
     mse_loss,
     no_grad,
     parameter,
     softmax,
-    stack,
     take_rows,
 )
 
@@ -34,9 +27,7 @@ __all__ = [
     "RngStream",
     "Tensor",
     "central_difference",
-    "checkpoint_sha256",
     "clip_gradients",
-    "concat",
     "cross_entropy",
     "derive_seed",
     "dropout",
@@ -46,12 +37,10 @@ __all__ = [
     "grad_check",
     "layer_norm",
     "load_checkpoint",
-    "log_softmax",
     "mse_loss",
     "no_grad",
     "parameter",
     "save_checkpoint",
     "softmax",
-    "stack",
     "take_rows",
 ]

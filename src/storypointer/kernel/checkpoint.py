@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,16 @@ def save_checkpoint(
     meta: Optional[dict] = None,
     sections: Optional[Dict[str, str]] = None,
 ) -> None:
+    """Writes the container and its manifest.
+
+    Both are written under temporary names (".tmp" appended) in the same
+    directory and hashed as they are written, then moved into place with
+    os.replace, the container first. A failure while writing leaves any
+    previous checkpoint as it was and removes the temporary files. A
+    crash between the two renames leaves the new container beside the
+    old manifest, which `load_checkpoint` refuses by its sha256; it
+    never loads silently.
+    """
     path = Path(path)
     names = sorted(params)
     sections = sections or {}
@@ -60,16 +71,27 @@ def save_checkpoint(
         if entry["dtype"] not in _DTYPES:
             raise ValueError(f"unsupported dtype {entry['dtype']} for {entry['name']}")
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_blob)))
-        fh.write(header_blob)
-        for name in names:
-            arr = np.ascontiguousarray(params[name].data, dtype=_DTYPES[str(params[name].dtype)])
-            fh.write(arr.tobytes())
-        for name, blob in sorted(section_bytes.items()):
-            fh.write(blob)
-    _write_manifest(path, header)
+    blobs = itertools.chain(
+        (MAGIC, struct.pack("<I", len(header_blob)), header_blob),
+        (np.ascontiguousarray(params[name].data, dtype=_DTYPES[str(params[name].dtype)]).tobytes()
+         for name in names),
+        (blob for _, blob in sorted(section_bytes.items())),
+    )
+    manifest_path = _manifest_path(path)
+    temp, manifest_temp = (p.with_name(p.name + ".tmp") for p in (path, manifest_path))
+    digest = hashlib.sha256()
+    try:
+        with open(temp, "wb") as fh:
+            for blob in blobs:
+                fh.write(blob)
+                digest.update(blob)
+        manifest_temp.write_text(_manifest_text(path.name, header, digest.hexdigest()),
+                                 encoding="utf-8")
+        os.replace(temp, path)
+        os.replace(manifest_temp, manifest_path)
+    finally:
+        temp.unlink(missing_ok=True)
+        manifest_temp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
@@ -197,27 +219,19 @@ def _same_type(value, default) -> bool:
     return type(value) is type(default)
 
 
-def checkpoint_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest_path(path: Path) -> Path:
     return path.with_name(path.name + ".manifest.txt")
 
 
-def _write_manifest(path: Path, header: dict) -> None:
-    lines = [f"container: {path.name}", f"format_version: {header['format_version']}"]
+def _manifest_text(container: str, header: dict, sha256: str) -> str:
+    lines = [f"container: {container}", f"format_version: {header['format_version']}"]
     for entry in header["params"]:
         shape = "x".join(str(s) for s in entry["shape"]) or "scalar"
         lines.append(f"param: {entry['name']} shape={shape} dtype={entry['dtype']}")
     for entry in header.get("sections", []):
         lines.append(f"section: {entry['name']} bytes={entry['bytes']}")
-    lines.append(f"sha256: {checkpoint_sha256(path)}")
-    _manifest_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.append(f"sha256: {sha256}")
+    return "\n".join(lines) + "\n"
 
 
 def _recorded_sha256(manifest_path: Path) -> Optional[str]:

@@ -380,32 +380,6 @@ def parameter(data) -> Tensor:
     return t
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [ensure_tensor(t) for t in tensors]
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tensors)
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def backward(grad):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index = [slice(None)] * grad.ndim
-                    index[axis] = slice(lo, hi)
-                    t._accumulate(grad[tuple(index)])
-        out._backward = backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = ensure_tensor(t)
-        shape = list(t.shape)
-        shape.insert(axis % (t.ndim + 1), 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis=axis)
-
-
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of a 2-d table by integer id; duplicates accumulate."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -431,19 +405,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             np.subtract(grad, dot, out=local)
             local *= value
             x._accumulate(local)
-        out._backward = backward
-    return out
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    value = shifted - log_z
-    out = _result(value, (x,))
-    if out.requires_grad:
-        def backward(grad):
-            p = np.exp(value)
-            x._accumulate(grad - p * grad.sum(axis=axis, keepdims=True))
         out._backward = backward
     return out
 

@@ -96,29 +96,6 @@ def evaluate_pretraining(
     return tuple(totals / count)
 
 
-def masked_token_accuracy(
-    model: TransformerModel, examples: Sequence[PretrainExample], batch_size: int = 32,
-) -> float:
-    """Fraction of masked positions whose argmax prediction is the original token."""
-    hits = 0
-    total = 0
-    with no_grad():
-        for start in range(0, len(examples), batch_size):
-            batch = examples[start:start + batch_size]
-            ids, segments, seq_len = _batch_arrays(batch)
-            final = model.encode(ids, segments)[-1]
-            flat_positions, labels = _masked_targets(batch, seq_len)
-            if not labels.size:
-                continue
-            logits = model.mlm_logits(final, flat_positions)
-            predicted = np.argmax(logits.numpy(), axis=-1)
-            hits += int((predicted == labels).sum())
-            total += len(labels)
-    if total == 0:
-        raise ValueError("no masked positions in the evaluation set")
-    return hits / total
-
-
 def pretrain(
     model: TransformerModel,
     examples: Sequence[PretrainExample],

@@ -51,9 +51,6 @@ class MetricSet:
     rmse: float
     n: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"mae": self.mae, "mdae": self.mdae, "mse": self.mse, "rmse": self.rmse}
-
 
 def metric_set(actual: Sequence[float], predicted: Sequence[float]) -> MetricSet:
     a, p = _paired(actual, predicted)

@@ -109,22 +109,6 @@ def write_fold_report(report: EvalReport, directory) -> List[Path]:
     return written
 
 
-def write_comparison(reports: Sequence[EvalReport], directory, stem: str = "comparison") -> List[Path]:
-    """One row per experiment: Table-9-style model comparison."""
-    if not reports:
-        raise ValueError("no reports to compare")
-    header = ["model", "mae", "mae_std", "mse", "mse_std", "mdae", "mdae_std"]
-    rows = []
-    for report in sorted(reports, key=lambda r: r.experiment):
-        rows.append([
-            report.experiment,
-            report.aggregate["mae"][0], report.aggregate["mae"][1],
-            report.aggregate["mse"][0], report.aggregate["mse"][1],
-            report.aggregate["mdae"][0], report.aggregate["mdae"][1],
-        ])
-    return write_twin_csv(Path(directory), stem, header, rows)
-
-
 def write_project_table(
     corpus: LabeledCorpus,
     report: EvalReport,

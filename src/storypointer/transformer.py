@@ -118,9 +118,6 @@ class TransformerModel:
         c = self.config
         return f"ctx-L{c.layers}-H{c.hidden}-A{c.heads}-seed{c.seed}"
 
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     # ---- forward ------------------------------------------------------
 
     def encode(

@@ -10,7 +10,6 @@ which keeps induction deterministic without a tie-break RNG.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .corpus import UnlabeledCorpus, clean_text
@@ -48,14 +47,6 @@ class WordPieceVocab:
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.index
-
-    def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.pieces) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "WordPieceVocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([line for line in lines if line != ""])
 
 
 def split_words(text: str) -> List[str]:
@@ -99,7 +90,6 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
         raise ValueError(f"size {size} cannot cover specials + character base ({minimum})")
 
     pieces = list(SPECIALS) + char_base
-    known = set(pieces)
     # words are addressed by rank, their first-occurrence order in the corpus
     counts = list(word_counts.values())
     segs = [_char_pieces(word) for word in word_counts]
@@ -122,9 +112,9 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
             _remove_pairs(pair_counts, pair_words, rank, segs[rank], counts[rank])
             segs[rank] = _apply_merge(segs[rank], best, merged)
             _add_pairs(pair_counts, pair_words, rank, segs[rank], counts[rank])
-        if merged not in known:
-            known.add(merged)
-            pieces.append(merged)
+        # never a known piece: a span whose ends stay token boundaries is
+        # segmented alike in every word, so no second pair can rebuild it
+        pieces.append(merged)
     return WordPieceVocab(pieces)
 
 

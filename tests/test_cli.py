@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config merging, artifact layout."""
 
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from storypointer.cli import main
+from storypointer.estimator import TrainHistory
 from storypointer.kernel import parameter
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 
@@ -247,6 +249,16 @@ def trained(tmp_path_factory):
     ):
         assert main([str(a) for a in argv] + ["--out", str(root)]) == 0
     return root
+
+
+class TestTrainHistory:
+    def test_history_json_matches_the_estimator_meta(self, trained):
+        text = (trained / "history.json").read_text(encoding="utf-8")
+        history = json.loads(text)
+        assert list(history) == [f.name for f in dataclasses.fields(TrainHistory)]
+        assert text == json.dumps(history, indent=2) + "\n"
+        _, meta, _ = load_checkpoint(trained / "estimator.ckpt")
+        assert meta["history"] == history
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:

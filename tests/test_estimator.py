@@ -7,9 +7,9 @@ from storypointer.estimator import (
     EstimatorModel,
     HeadConfig,
     PredictionResult,
+    TrainHistory,
     load_estimator,
     predict,
-    predict_class,
     predict_effort,
     save_estimator,
     train_estimator,
@@ -139,7 +139,7 @@ class TestPrediction:
     def test_softmax_probabilities_sum_to_one(self):
         model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
         batch = pooled_batch(np.random.default_rng(0).normal(size=(5, 4)))
-        for result in predict_class(model, batch):
+        for result in predict(model, batch):
             assert result.probabilities.shape == (9,)
             assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
             assert result.effort in (1, 2, 3, 5, 8, 13, 20, 40, 100)
@@ -151,10 +151,12 @@ class TestPrediction:
         assert result.bucket == 1
         assert result.effort == pytest.approx(1.0)
 
-    def test_class_prediction_requires_softmax_head(self):
-        model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=4)
-        with pytest.raises(ValueError):
-            predict_class(model, pooled_batch(np.zeros((1, 4))))
+    def test_softmax_raw_is_the_logit_of_the_chosen_bucket(self):
+        model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
+        self.force_output(model, [0.0, 1.0, 0.5, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+        result = predict(model, pooled_batch(np.zeros((1, 4))))[0]
+        assert (result.bucket, result.effort, result.raw) == (5, 5.0, 3.0)
+        assert int(np.argmax(result.probabilities)) == 3
 
     def test_padding_under_mask_does_not_change_sequence_output(self):
         model = EstimatorModel(HeadConfig(), input_dim=5)
@@ -270,6 +272,18 @@ class TestPersistence:
         np.testing.assert_array_equal(
             predict_effort(loaded, batch), predict_effort(model, batch)
         )
+
+    def test_history_rebuilds_from_the_checkpoint_meta(self, tmp_path):
+        from storypointer.kernel.checkpoint import load_checkpoint
+
+        batch, efforts = toy_regression(n=8, dim=4, seed=2)
+        model = EstimatorModel(HeadConfig(mode="pooled", epochs=3, patience=3, seed=0),
+                               input_dim=4)
+        history = train_estimator(model, batch, efforts, batch, efforts)
+        path = tmp_path / "estimator.ckpt"
+        save_estimator(model, path, history)
+        _, meta, _ = load_checkpoint(path)
+        assert TrainHistory(**meta["history"]) == history
 
     def test_rejects_checkpoints_of_other_kinds(self, tmp_path):
         from storypointer.kernel.checkpoint import save_checkpoint

@@ -17,7 +17,7 @@ from storypointer.experiments import (
     run_experiment,
 )
 from storypointer.features import StaticFeaturizer
-from storypointer.metrics import mae
+from storypointer.metrics import mae, mdae, mse
 from storypointer.static_embed import StaticTrainConfig, train_static
 from storypointer.corpus import UnlabeledCorpus
 
@@ -127,8 +127,11 @@ class TestRunExperiment:
         assert [f.label for f in report.folds] == [0, 1, 2]
         assert sum(len(f.actual) for f in report.folds) == len(corpus.records)
         for fold in report.folds:
-            assert set(fold.metrics.as_dict()) == {"mae", "mdae", "mse", "rmse"}
-            assert fold.metrics.mae == pytest.approx(mae(fold.actual, fold.predicted))
+            m = fold.metrics
+            assert m.mae == pytest.approx(mae(fold.actual, fold.predicted))
+            assert (m.mse, m.rmse) == pytest.approx(mse(fold.actual, fold.predicted))
+            assert m.mdae == pytest.approx(mdae(fold.actual, fold.predicted))
+            assert m.n == len(fold.actual)
         assert set(report.aggregate) == {"mae", "mdae", "mse", "rmse"}
         for name, (mean, std) in report.aggregate.items():
             values = [getattr(f.metrics, name) for f in report.folds]

@@ -1,6 +1,8 @@
 """Layers, Adam, the grad-check harness, checkpoints, and rng streams."""
 
+import hashlib
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -17,9 +19,7 @@ from storypointer.kernel import (
     RngStream,
     Tensor,
     central_difference,
-    checkpoint_sha256,
     clip_gradients,
-    concat,
     derive_seed,
     flatten_parameters,
     grad_check,
@@ -77,7 +77,7 @@ def reference_lstm(cell, x, mask):
     batch, steps, _ = x.shape
     h = Tensor(np.zeros((batch, n)))
     c = Tensor(np.zeros((batch, n)))
-    outputs = []
+    outputs = Tensor(np.zeros((batch, steps, n)))
     for t in range(steps):
         gates = x[:, t, :] @ cell.w_x + h @ cell.w_h + cell.bias
         i = gates[:, 0 * n:1 * n].sigmoid()
@@ -89,8 +89,11 @@ def reference_lstm(cell, x, mask):
         m = Tensor(mask[:, t:t + 1])
         h = m * h_new + (1.0 - m) * h
         c = m * c_new + (1.0 - m) * c
-        outputs.append(h.reshape(batch, 1, n))
-    return concat(outputs, axis=1), h
+        # placed at step t by a constant one-hot over the step axis
+        one_hot = np.zeros((1, steps, 1))
+        one_hot[0, t, 0] = 1.0
+        outputs = outputs + h.reshape(batch, 1, n) * Tensor(one_hot)
+    return outputs, h
 
 
 # Mixed lengths: full, trailing pads, all pad, one real step, an interior pad.
@@ -362,8 +365,12 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         manifest = (tmp_path / "model.ckpt.manifest.txt").read_text()
         assert "param: w shape=2x2 dtype=float64" in manifest
-        assert f"sha256: {checkpoint_sha256(path)}" in manifest
+        assert f"sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}" in manifest
         load_checkpoint(path)  # the checksum matches
+        first = path.read_bytes(), manifest
+        save_checkpoint(path, params)
+        second = path.read_bytes(), (tmp_path / "model.ckpt.manifest.txt").read_text()
+        assert second == first  # saving the same params again is byte-identical
 
     def test_tampering_breaks_manifest_check(self, tmp_path, rng):
         params = {"w": parameter(np.ones((2, 2)))}
@@ -377,6 +384,58 @@ class TestCheckpoint:
         (tmp_path / "model.ckpt.manifest.txt").unlink()
         loaded, _, _ = load_checkpoint(path)  # copied without its manifest: unchecked
         assert loaded["w"].data[-1, -1] != 1.0
+
+    def test_overwrite_replaces_the_pair_and_leaves_no_temporaries(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        save_checkpoint(path, {"w": parameter(np.ones(3))})
+        save_checkpoint(path, {"w": parameter(np.full(3, 2.0)), "v": parameter(np.ones(1))})
+        loaded, _, _ = load_checkpoint(path)
+        assert sorted(loaded) == ["v", "w"]
+        np.testing.assert_array_equal(loaded["w"].data, np.full(3, 2.0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.ckpt", "model.ckpt.manifest.txt", "notes.txt"]
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"a": parameter(np.ones(2)), "b": parameter(np.ones(3))})
+        update = {"a": parameter(np.zeros(2)), "b": parameter(np.zeros(3))}
+        real, calls = np.ascontiguousarray, []
+
+        def fail_on_second_param(arr, dtype=None):
+            calls.append(arr)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(arr, dtype=dtype)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_second_param)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, update)
+        monkeypatch.undo()
+        loaded, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded["b"].data, np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt",
+                                                              "model.ckpt.manifest.txt"]
+
+    def test_crash_between_the_renames_is_refused_on_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones(2))})
+        real, calls = os.replace, []
+
+        def fail_on_manifest(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("killed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_manifest)
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(path, {"w": parameter(np.zeros(2))})
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"model\.ckpt: sha256 .* does not match"):
+            load_checkpoint(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt",
+                                                              "model.ckpt.manifest.txt"]
 
     def test_manifest_without_checksum_is_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -13,7 +13,6 @@ from storypointer.reports import (
     emit_report,
     export_embeddings,
     file_sha256,
-    write_comparison,
     write_corpus_stats,
     write_csv,
     write_fold_report,
@@ -140,15 +139,14 @@ class TestComparison:
     def test_one_row_per_experiment_sorted(self, kfold_report, tmp_path):
         import dataclasses
 
-        other = dataclasses.replace(kfold_report, experiment="E2")
-        write_comparison([other, kfold_report], tmp_path)
-        lines = (tmp_path / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        run = tmp_path / "run"
+        other = dataclasses.replace(
+            kfold_report, provenance={**kfold_report.provenance, "experiment": "E2"})
+        write_fold_report(other, run / "a")  # directory order differs from experiment order
+        write_fold_report(kfold_report, run / "b")
+        lines = (emit_report(run) / "comparison.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "model,mae,mae_std,mse,mse_std,mdae,mdae_std"
         assert [line.split(",")[0] for line in lines[1:]] == ["E1", "E2"]
-
-    def test_empty_input_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_comparison([], tmp_path)
 
 
 class TestProjectTable:
@@ -217,6 +215,7 @@ class TestBundle:
         assert isinstance(manifest["generated_unix"], int)
         assert any("seed" in s for s in manifest["seeds"])
         comparison = (bundle / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        assert comparison[0] == "model,mae,mae_std,mse,mse_std,mdae,mdae_std"
         assert len(comparison) == 3  # header plus both evaluations
 
     def test_empty_run_directory_is_an_error(self, tmp_path):

@@ -98,7 +98,8 @@ def post(url, body: bytes, path="/estimate"):
         with urllib.request.urlopen(request, timeout=10) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
+        with error:  # closes the connection the error response holds
+            return error.code, json.loads(error.read().decode("utf-8"))
 
 
 class TestService:
@@ -164,6 +165,7 @@ class TestEndpoint:
         request = urllib.request.Request(endpoint + "/estimate", method="GET")
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=10)
+        caught.value.close()
         assert caught.value.code == 405
         assert caught.value.headers["Allow"] == "POST"
 
@@ -175,6 +177,7 @@ class TestEndpoint:
     def test_unknown_get_path_is_not_found(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(endpoint + "/metrics", timeout=10)
+        caught.value.close()
         assert caught.value.code == 404
         assert "Allow" not in caught.value.headers
 
@@ -182,6 +185,7 @@ class TestEndpoint:
         request = urllib.request.Request(endpoint + "/healthz", data=b"{}", method="POST")
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=10)
+        caught.value.close()
         assert caught.value.code == 405
         assert caught.value.headers["Allow"] == "GET"
 

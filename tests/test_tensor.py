@@ -11,16 +11,13 @@ import pytest
 from storypointer.kernel import (
     RngStream,
     Tensor,
-    concat,
     cross_entropy,
     dropout,
     layer_norm,
-    log_softmax,
     mse_loss,
     no_grad,
     parameter,
     softmax,
-    stack,
     take_rows,
 )
 
@@ -153,12 +150,6 @@ class TestShapeGrads:
         check_against_fd(lambda x: (x[:, 2:5] ** 3).sum(), [a])
         check_against_fd(lambda x: (x.swapaxes(0, 1) ** 2).sum(), [a])
 
-    def test_concat_and_stack(self, rng):
-        a = rng.uniform(-0.5, 0.5, (2, 3))
-        b = rng.uniform(-0.5, 0.5, (2, 3))
-        check_against_fd(lambda x, y: (concat([x, y], axis=1) ** 2).sum(), [a, b])
-        check_against_fd(lambda x, y: (stack([x, y], axis=0) ** 2).sum(), [a, b])
-
     def test_take_rows_accumulates_duplicates(self, rng):
         table = rng.uniform(-0.5, 0.5, (5, 3))
         ids = np.array([0, 2, 2, 4])
@@ -185,11 +176,6 @@ class TestFusedGrads:
         logits = rng.uniform(-1.0, 1.0, (3, 4))
         w = rng.uniform(-0.5, 0.5, (3, 4))
         check_against_fd(lambda x: (softmax(x) * Tensor(w)).sum(), [logits])
-
-    def test_log_softmax_grad(self, rng):
-        logits = rng.uniform(-1.0, 1.0, (3, 4))
-        w = rng.uniform(-0.5, 0.5, (3, 4))
-        check_against_fd(lambda x: (log_softmax(x) * Tensor(w)).sum(), [logits])
 
     def test_layer_norm_grad(self, rng):
         x = rng.uniform(-0.5, 0.5, (2, 3, 4))

@@ -158,9 +158,9 @@ SMALL_ALPHABET = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
 # runs such as "aaaa" and "abab", where one pair overlaps itself
 REPEATS = documents(st.builds(operator.mul, st.sampled_from(["a", "b", "ab", "ba", "aab", "abb"]),
                               st.integers(2, 5)))
-# words sharing substrings, where one piece might be reached by two pairs,
-# the case of the `merged not in known` rule (no corpus tried so far has
-# produced it)
+# words sharing substrings, where one piece might seem reachable by two
+# pairs; a merge that rebuilt a known piece would make WordPieceVocab
+# refuse the duplicate, so these corpora would fail loudly
 SHARED_UNITS = documents(st.lists(st.sampled_from(["ab", "bc", "abc", "ca", "b"]),
                                   min_size=1, max_size=4).map("".join))
 
@@ -227,10 +227,16 @@ class TestGreedyTokenizer:
             assert rebuilt == word
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_wordpiece_vocab(corpus_of("alpha beta", "gamma beta"), size=40)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = WordPieceVocab.load(path)
+        from storypointer.transformer import (
+            TransformerConfig, TransformerModel, load_transformer, save_transformer,
+        )
+
+        vocab = build_wordpiece_vocab(corpus_of("alpha beta", "gamma beta, (delta)!"), size=40)
+        config = TransformerConfig(layers=1, hidden=8, heads=2, ff=8, max_len=8,
+                                   vocab_size=len(vocab))
+        path = tmp_path / "encoder.ckpt"
+        save_transformer(TransformerModel(config, vocab), path)
+        loaded = load_transformer(path).vocab
         assert loaded.pieces == vocab.pieces
         assert loaded.index == vocab.index
 
