@@ -8,7 +8,9 @@ experiment; predict and serve answer for single requirements; report
 bundles everything written by earlier commands.
 
 Every flag can also come from a flat `key=value` config file passed via
---config; explicit flags win over config values.
+--config, read and checked as the flag would be; explicit flags win
+over config values. A failed command, config value or file operation
+prints one `error:` line and exits with status 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,34 +74,62 @@ from .wordpiece import build_wordpiece_vocab
 
 DATA_DIR_VAR = "SE3M_DATA_DIR"
 
-# applied after config-file merging; argparse defaults stay None so an
-# unset flag is distinguishable from an explicitly passed default
-_DEFAULTS: Dict[str, object] = {
-    "seed": 0,
-    "out": "out",
-    "mode": "sequence",
-    "embed_mode": "cbow",
-    "dimension": 100,
-    "window": 5,
-    "negatives": 5,
-    "epochs": None,  # per-command below
-    "lr": None,
-    "min_count": 1,
-    "vocab_size": 2000,
-    "layers": 4,
-    "hidden": 128,
-    "heads": 4,
-    "ff": 512,
-    "max_len": 100,
-    "mask_rate": 0.15,
-    "batch_size": None,
-    "n_examples": None,
-    "output": "linear",
-    "patience": 5,
-    "val_fraction": 0.1,
-    "kfold": 10,
-    "by_project": False,
-    "bind": "127.0.0.1:8080",
+
+def _boolean(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """A flag's one declaration: how a value is read and checked, and its default.
+
+    The parser, the config-file conversion and the defaults all come from here.
+    """
+
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+
+
+_FLAGS: Dict[str, _Flag] = {
+    "seed": _Flag(int, 0),
+    "out": _Flag(default="out", help="output directory"),
+    "corpus": _Flag(help="labeled corpus (csv or jsonl)"),
+    "unlabeled": _Flag(help="unlabeled documents (jsonl or text)"),
+    "embed_mode": _Flag(default="cbow", choices=("cbow", "skipgram")),
+    "dimension": _Flag(int, 100),
+    "window": _Flag(int, 5),
+    "negatives": _Flag(int, 5),
+    "min_count": _Flag(int, 1),
+    "vocab_size": _Flag(int, 2000),
+    "layers": _Flag(int, 4),
+    "hidden": _Flag(int, 128),
+    "heads": _Flag(int, 4),
+    "ff": _Flag(int, 512),
+    "max_len": _Flag(int, 100),
+    "mask_rate": _Flag(float, 0.15),
+    "n_examples": _Flag(int),
+    "epochs": _Flag(int),  # epochs, batch_size and lr: per command, below
+    "batch_size": _Flag(int),
+    "lr": _Flag(float),
+    "mode": _Flag(default="sequence", choices=("sequence", "pooled")),
+    "patience": _Flag(int, 5),
+    "val_fraction": _Flag(float, 0.1),
+    "model": _Flag(help="model checkpoint path"),
+    "embedding": _Flag(help="embedding model checkpoint"),
+    "output": _Flag(default="linear", choices=("linear", "softmax")),
+    "experiment": _Flag(choices=tuple(sorted(EXPERIMENTS))),
+    "kfold": _Flag(int, 10),
+    "by_project": _Flag(_boolean, False),
+    "text": _Flag(help="requirement text"),
+    "bind": _Flag(default="127.0.0.1:8080", help="HOST:PORT"),
+    "run": _Flag(help="directory holding evaluation outputs"),
 }
 
 _COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
@@ -109,15 +139,8 @@ _COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
     "finetune-ctx": {"epochs": 5, "lr": 1e-3, "batch_size": 32},
     "train": {"epochs": 20, "lr": 0.002, "batch_size": 128},
     "evaluate": {"epochs": 20, "lr": 0.002, "batch_size": 128},
+    "report": {"out": None},  # None: the bundle goes to <run>/bundle
 }
-
-_INT_KEYS = {
-    "seed", "dimension", "window", "negatives", "epochs", "min_count",
-    "vocab_size", "layers", "hidden", "heads", "ff", "max_len",
-    "batch_size", "n_examples", "patience", "kfold",
-}
-_FLOAT_KEYS = {"lr", "mask_rate", "val_fraction"}
-_BOOL_KEYS = {"by_project"}
 
 
 class CommandError(Exception):
@@ -141,29 +164,16 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _cast(key: str, value: str):
+def _convert(key: str, raw: str):
+    """A config value read and checked as its flag's value would be."""
+    flag = _FLAGS[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
+        value = flag.type(raw)
     except ValueError as exc:
-        raise CommandError(f"config value {key}={value!r}: {exc}")
+        raise CommandError(f"config value {key}={raw!r}: {exc}")
+    if flag.choices is not None and value not in flag.choices:
+        raise CommandError(f"config value {key}={raw!r}: pick one of {list(flag.choices)}")
     return value
-
-
-_PATH_KEYS = {
-    "corpus", "unlabeled", "model", "embedding", "text", "run",
-    "experiment", "out", "output",
-}
-_ALL_KEYS = set(_DEFAULTS) | _PATH_KEYS
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -172,19 +182,17 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     A config file may carry keys for several subcommands; keys the
     current command has no flag for are ignored, unknown keys error.
     """
-    known = vars(args)
-    if getattr(args, "config", None):
+    given = vars(args)
+    if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in _ALL_KEYS:
+            if key not in _FLAGS:
                 raise CommandError(f"unknown config key {key!r}")
-            if key in known and known[key] is None:
-                setattr(args, key, _cast(key, raw))
+            if key in given and given[key] is None:
+                setattr(args, key, _convert(key, raw))
     command_defaults = _COMMAND_DEFAULTS.get(args.command, {})
-    for key, value in known.items():
-        if value is None:
-            fallback = command_defaults.get(key, _DEFAULTS.get(key))
-            if fallback is not None:
-                setattr(args, key, fallback)
+    for key, value in given.items():
+        if value is None and key in _FLAGS:
+            setattr(args, key, command_defaults.get(key, _FLAGS[key].default))
     return args
 
 
@@ -259,10 +267,7 @@ def _load_service(args) -> EstimateService:
     """The estimator from --model paired with a featurizer for --embedding."""
     estimator = _load_model(_data_path(args.model), "estimator")
     featurizer = _load_featurizer(_data_path(args.embedding), estimator.config.mode)
-    try:
-        return EstimateService(estimator, featurizer)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    return EstimateService(estimator, featurizer)
 
 
 def _out_dir(args) -> Path:
@@ -307,10 +312,7 @@ def _cmd_pretrain_static(args) -> str:
         negatives=args.negatives, epochs=args.epochs, learning_rate=args.lr,
         min_count=args.min_count, seed=args.seed,
     )
-    try:
-        model = train_static(documents, config)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    model = train_static(documents, config)
     out = _out_dir(args)
     target = out / "static.ckpt"
     save_static(model, target)
@@ -325,10 +327,7 @@ def _cmd_finetune_static(args) -> str:
     model = _load_model(_data_path(args.model), "static_embedding")
     documents = _load_documents(args)
     grown = len(model.vocabulary)
-    try:
-        model = finetune_static(model, documents, extra_epochs=args.epochs, seed=args.seed)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    model = finetune_static(model, documents, extra_epochs=args.epochs, seed=args.seed)
     out = _out_dir(args)
     target = out / "static_finetuned.ckpt"
     save_static(model, target)
@@ -340,23 +339,20 @@ def _cmd_finetune_static(args) -> str:
 
 def _cmd_pretrain_ctx(args) -> str:
     documents = _load_documents(args)
-    try:
-        vocab = build_wordpiece_vocab(documents, size=args.vocab_size)
-        config = TransformerConfig(
-            layers=args.layers, hidden=args.hidden, heads=args.heads, ff=args.ff,
-            max_len=args.max_len, vocab_size=len(vocab), seed=args.seed,
-        )
-        model = TransformerModel(config, vocab)
-        examples = create_pretraining_data(
-            documents, vocab, mask_rate=args.mask_rate, seed=args.seed,
-            max_len=args.max_len, n_examples=args.n_examples,
-        )
-        history = pretrain(
-            model, examples, epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.lr, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    vocab = build_wordpiece_vocab(documents, size=args.vocab_size)
+    config = TransformerConfig(
+        layers=args.layers, hidden=args.hidden, heads=args.heads, ff=args.ff,
+        max_len=args.max_len, vocab_size=len(vocab), seed=args.seed,
+    )
+    model = TransformerModel(config, vocab)
+    examples = create_pretraining_data(
+        documents, vocab, mask_rate=args.mask_rate, seed=args.seed,
+        max_len=args.max_len, n_examples=args.n_examples,
+    )
+    history = pretrain(
+        model, examples, epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.lr, seed=args.seed,
+    )
     out = _out_dir(args)
     target = out / "encoder.ckpt"
     save_transformer(model, target)
@@ -371,14 +367,11 @@ def _cmd_finetune_ctx(args) -> str:
     _require(args, "model")
     model = _load_model(_data_path(args.model), "transformer_lm")
     documents = _load_documents(args)
-    try:
-        history = finetune_lm(
-            model, documents, epochs=args.epochs, mask_rate=args.mask_rate,
-            batch_size=args.batch_size, learning_rate=args.lr, seed=args.seed,
-            n_examples=args.n_examples,
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    history = finetune_lm(
+        model, documents, epochs=args.epochs, mask_rate=args.mask_rate,
+        batch_size=args.batch_size, learning_rate=args.lr, seed=args.seed,
+        n_examples=args.n_examples,
+    )
     out = _out_dir(args)
     target = out / "encoder_finetuned.ckpt"
     save_transformer(model, target)
@@ -415,16 +408,13 @@ def _cmd_train(args) -> str:
     records = corpus.records
     features = featurizer.featurize([r.text for r in records])
     efforts = np.array([r.effort for r in records])
-    try:
-        fit_idx, val_idx = carve_validation(records, args.val_fraction, args.seed)
-        estimator = EstimatorModel(head, features.dimension, source=featurizer.describe())
-        history = train_estimator(
-            estimator,
-            features.select(fit_idx), efforts[fit_idx],
-            features.select(val_idx), efforts[val_idx],
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    fit_idx, val_idx = carve_validation(records, args.val_fraction, args.seed)
+    estimator = EstimatorModel(head, features.dimension, source=featurizer.describe())
+    history = train_estimator(
+        estimator,
+        features.select(fit_idx), efforts[fit_idx],
+        features.select(val_idx), efforts[val_idx],
+    )
     out = _out_dir(args)
     target = out / "estimator.ckpt"
     save_estimator(estimator, target, history)
@@ -439,10 +429,6 @@ def _cmd_train(args) -> str:
 
 def _cmd_evaluate(args) -> str:
     _require(args, "experiment", "embedding")
-    if args.experiment not in EXPERIMENTS:
-        raise CommandError(
-            f"unknown experiment {args.experiment!r}; pick one of {sorted(EXPERIMENTS)}"
-        )
     corpus, corpus_path = _load_labeled(args)
     featurizer = _load_featurizer(_data_path(args.embedding), args.mode)
     head = HeadConfig(
@@ -451,17 +437,14 @@ def _cmd_evaluate(args) -> str:
         patience=min(args.patience, args.epochs),
         learning_rate=args.lr, seed=args.seed,
     )
-    try:
-        if args.by_project:
-            plan = leave_one_project_out(corpus)
-        else:
-            plan = kfold_split(corpus, k=args.kfold, seed=args.seed)
-        report = run_experiment(
-            args.experiment, corpus, plan, featurizer, head,
-            val_fraction=args.val_fraction, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    if args.by_project:
+        plan = leave_one_project_out(corpus)
+    else:
+        plan = kfold_split(corpus, k=args.kfold, seed=args.seed)
+    report = run_experiment(
+        args.experiment, corpus, plan, featurizer, head,
+        val_fraction=args.val_fraction, seed=args.seed,
+    )
     report.provenance["corpus_sha256"] = file_sha256(corpus_path)
     out = _out_dir(args) / args.experiment
     write_fold_report(report, out)
@@ -482,41 +465,49 @@ def _cmd_predict(args) -> str:
 def _cmd_serve(args) -> str:
     _require(args, "model", "embedding")
     service = _load_service(args)
-    try:
-        serve_forever(
-            service, args.bind,
-            announce=lambda addr: print(
-                f"serving {service.estimator.model_id} on http://{addr[0]}:{addr[1]}/estimate",
-                flush=True,
-            ),
-        )
-    except (ValueError, OSError) as exc:
-        raise CommandError(str(exc))
+    serve_forever(
+        service, args.bind,
+        announce=lambda addr: print(
+            f"serving {service.estimator.model_id} on http://{addr[0]}:{addr[1]}/estimate",
+            flush=True,
+        ),
+    )
     return "server stopped"
 
 
 def _cmd_report(args) -> str:
     _require(args, "run")
-    try:
-        bundle = emit_report(_data_path(args.run), args.out if args.out != "out" else None)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    bundle = emit_report(_data_path(args.run), args.out)
     return f"report bundle -> {bundle}"
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "stats": _cmd_stats,
-    "pretrain-static": _cmd_pretrain_static,
-    "finetune-static": _cmd_finetune_static,
-    "pretrain-ctx": _cmd_pretrain_ctx,
-    "finetune-ctx": _cmd_finetune_ctx,
-    "embed": _cmd_embed,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "serve": _cmd_serve,
-    "report": _cmd_report,
+_TRAINING = ("epochs", "batch_size", "lr")
+_HEAD = ("mode", "patience", "val_fraction")
+
+# every subcommand's handler, help line and flags besides --config, --seed and --out
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], str], str, Tuple[str, ...]]] = {
+    "ingest": (_cmd_ingest, "clean and store a labeled corpus", ("corpus",)),
+    "stats": (_cmd_stats, "summarize a labeled corpus", ("corpus",)),
+    "pretrain-static": (
+        _cmd_pretrain_static, "train static word embeddings",
+        ("corpus", "unlabeled", "embed_mode", "dimension", "window", "negatives", "min_count",
+         *_TRAINING)),
+    "finetune-static": (_cmd_finetune_static, "continue static training on new text",
+                        ("unlabeled", *_TRAINING, "model")),
+    "pretrain-ctx": (
+        _cmd_pretrain_ctx, "pretrain the contextual encoder",
+        ("corpus", "unlabeled", "vocab_size", "layers", "hidden", "heads", "ff", "max_len",
+         "mask_rate", "n_examples", *_TRAINING)),
+    "finetune-ctx": (_cmd_finetune_ctx, "continue encoder pretraining on new text",
+                     ("corpus", "unlabeled", "mask_rate", "n_examples", *_TRAINING, "model")),
+    "embed": (_cmd_embed, "export pooled embeddings for a labeled corpus", ("corpus", "model")),
+    "train": (_cmd_train, "train an estimator head on the full corpus",
+              ("corpus", *_TRAINING, *_HEAD, "embedding", "output")),
+    "evaluate": (_cmd_evaluate, "cross-validated experiment",
+                 ("corpus", *_TRAINING, *_HEAD, "embedding", "experiment", "kfold", "by_project")),
+    "predict": (_cmd_predict, "estimate one requirement", ("model", "embedding", "text")),
+    "serve": (_cmd_serve, "run the estimation endpoint", ("model", "embedding", "bind")),
+    "report": (_cmd_report, "bundle evaluation outputs", ("run",)),
 }
 
 
@@ -527,84 +518,27 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, *flag_groups: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         # no prefix matching: --mode must never silently bind to --model
         sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("--config", help="flat key=value config file; flags win")
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--out", help="output directory")
-        if "corpus" in flag_groups:
-            sub.add_argument("--corpus", help="labeled corpus (csv or jsonl)")
-        if "unlabeled" in flag_groups:
-            sub.add_argument("--unlabeled", help="unlabeled documents (jsonl or text)")
-        if "static" in flag_groups:
-            sub.add_argument("--embed-mode", choices=("cbow", "skipgram"))
-            sub.add_argument("--dimension", type=int)
-            sub.add_argument("--window", type=int)
-            sub.add_argument("--negatives", type=int)
-            sub.add_argument("--min-count", type=int)
-        if "ctx" in flag_groups:
-            sub.add_argument("--vocab-size", type=int)
-            sub.add_argument("--layers", type=int)
-            sub.add_argument("--hidden", type=int)
-            sub.add_argument("--heads", type=int)
-            sub.add_argument("--ff", type=int)
-            sub.add_argument("--max-len", type=int)
-        if "lm-train" in flag_groups:
-            sub.add_argument("--mask-rate", type=float)
-            sub.add_argument("--n-examples", type=int)
-        if "training" in flag_groups:
-            sub.add_argument("--epochs", type=int)
-            sub.add_argument("--batch-size", type=int)
-            sub.add_argument("--lr", type=float)
-        if "head" in flag_groups:
-            sub.add_argument("--mode", choices=("sequence", "pooled"))
-            sub.add_argument("--patience", type=int)
-            sub.add_argument("--val-fraction", type=float)
-        if "model" in flag_groups:
-            sub.add_argument("--model", help="model checkpoint path")
-        if "embedding" in flag_groups:
-            sub.add_argument("--embedding", help="embedding model checkpoint")
-        return sub
-
-    command("ingest", "clean and store a labeled corpus", "corpus")
-    command("stats", "summarize a labeled corpus", "corpus")
-    command("pretrain-static", "train static word embeddings",
-            "corpus", "unlabeled", "static", "training")
-    command("finetune-static", "continue static training on new text",
-            "model", "unlabeled", "training")
-    command("pretrain-ctx", "pretrain the contextual encoder",
-            "corpus", "unlabeled", "ctx", "lm-train", "training")
-    command("finetune-ctx", "continue encoder pretraining on new text",
-            "model", "corpus", "unlabeled", "lm-train", "training")
-    command("embed", "export pooled embeddings for a labeled corpus",
-            "model", "corpus")
-    train = command("train", "train an estimator head on the full corpus",
-                    "embedding", "corpus", "training", "head")
-    train.add_argument("--output", choices=("linear", "softmax"))
-    evaluate = command("evaluate", "cross-validated experiment",
-                       "embedding", "corpus", "training", "head")
-    evaluate.add_argument("--experiment", choices=sorted(EXPERIMENTS))
-    evaluate.add_argument("--kfold", type=int)
-    evaluate.add_argument("--by-project", action="store_true", default=None)
-    predict = command("predict", "estimate one requirement", "model", "embedding")
-    predict.add_argument("--text", help="requirement text")
-    serve = command("serve", "run the estimation endpoint", "model", "embedding")
-    serve.add_argument("--bind", help="HOST:PORT")
-    report = command("report", "bundle evaluation outputs")
-    report.add_argument("--run", help="directory holding evaluation outputs")
+        # argparse defaults stay None so an unset flag is distinguishable
+        # from an explicitly passed default; _apply_config fills them in
+        for key in ("seed", "out", *flags):
+            flag, option = _FLAGS[key], "--" + key.replace("_", "-")
+            if flag.type is _boolean:
+                sub.add_argument(option, action="store_true", default=None, help=flag.help)
+            else:
+                sub.add_argument(option, type=flag.type, choices=flag.choices, help=flag.help)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config(args)
-        print(_HANDLERS[args.command](args))
+        print(_COMMANDS[args.command][0](_apply_config(args)))
         return 0
-    except CommandError as exc:
+    except (CommandError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

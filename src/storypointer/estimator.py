@@ -63,15 +63,6 @@ class HeadConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["dense_sizes"] = list(self.dense_sizes)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeadConfig":
-        return config_from_meta(cls, data)
-
 
 @dataclass
 class TrainHistory:
@@ -256,7 +247,7 @@ def save_estimator(model: EstimatorModel, path, history: Optional[TrainHistory] 
     meta = {
         "kind": "estimator",
         "model_id": model.model_id,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "input_dim": model.input_dim,
         "source": model.source,
     }
@@ -268,7 +259,7 @@ def save_estimator(model: EstimatorModel, path, history: Optional[TrainHistory] 
 def estimator_from_parts(params, meta, sections) -> EstimatorModel:
     """The head held by the parts `load_checkpoint` returns."""
     require_kind(meta, "estimator")
-    config = HeadConfig.from_dict(meta.get("config"))
+    config = config_from_meta(HeadConfig, meta.get("config"))
     input_dim, source = meta.get("input_dim"), meta.get("source", {})
     if type(input_dim) is not int or not isinstance(source, dict):
         raise ValueError("checkpoint meta needs an integer input_dim and an object as source")

@@ -8,7 +8,7 @@ Five standard setups are named E1 through E5: static embeddings as-is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,7 +131,7 @@ def run_experiment(
         provenance={
             "experiment": experiment,
             "split": {"kind": plan.kind, "seed": plan.seed, "rounds": len(folds)},
-            "head": head_config.to_dict(),
+            "head": asdict(head_config),
             "embedding": featurizer.describe(),
             "seed": seed,
             "n_records": len(records),

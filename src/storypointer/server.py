@@ -142,7 +142,7 @@ def build_server(service: EstimateService, host: str = "127.0.0.1",
 
 def parse_bind(bind: str) -> Tuple[str, int]:
     host, _, port = bind.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"bind address must look like HOST:PORT, got {bind!r}")
     return host, int(port)
 

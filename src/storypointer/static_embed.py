@@ -10,7 +10,7 @@ absent from it keep bitwise-identical vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -316,7 +316,7 @@ def save_static(model: StaticEmbeddingModel, path) -> None:
         meta={
             "kind": "static_embedding",
             "model_id": model.model_id,
-            "config": model.config.__dict__,
+            "config": asdict(model.config),
         },
         sections={"vocab": "\n".join(vocab_lines) + "\n"},
     )

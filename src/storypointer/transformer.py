@@ -10,7 +10,7 @@ tied to the token embedding table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,9 +49,6 @@ class TransformerConfig:
             raise ValueError("need at least 1 layer and a non-trivial vocabulary")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _param_table(c: TransformerConfig) -> Dict[str, Tuple[str, Tuple[int, ...]]]:
@@ -247,7 +244,7 @@ def save_transformer(model: TransformerModel, path) -> None:
         path,
         model.params,
         meta={"kind": "transformer_lm", "model_id": model.model_id,
-              "config": model.config.to_dict()},
+              "config": asdict(model.config)},
         sections={"vocab": "\n".join(model.vocab.pieces) + "\n"},
     )
 

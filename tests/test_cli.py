@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config merging, artifact layout."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from storypointer.cli import main
+from storypointer.cli import build_parser, main
 from storypointer.estimator import TrainHistory
 from storypointer.kernel import parameter
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
@@ -416,3 +417,108 @@ class TestCheckpointErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.txt" in err
+
+
+def write_config(tmp_path, text: str) -> Path:
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def write_file(tmp_path) -> Path:
+    path = tmp_path / "a-file"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
+def fake_run(root: Path) -> Path:
+    """A run directory holding one evaluation's provenance: enough for `report`."""
+    (root / "E1").mkdir(parents=True)
+    (root / "E1" / "provenance.json").write_text('{"experiment": "E1"}\n', encoding="utf-8")
+    return root
+
+
+# failures that each end in one error line, never a traceback: for each,
+# the argument list built from the trained fixture and tmp_path, and a
+# text the error line names
+FAILURES = {
+    "stats-out-is-a-file": (lambda root, tmp: [
+        "stats", "--corpus", root / "stories.csv", "--out", write_file(tmp)], "a-file"),
+    "report-out-is-a-file": (lambda root, tmp: [
+        "report", "--run", fake_run(tmp / "run"), "--out", write_file(tmp)], "a-file"),
+    "train-config-mode": (lambda root, tmp: [
+        "train", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
+        "--epochs", "1", "--config", write_config(tmp, "mode = bogus\n")], "bogus"),
+    "pretrain-static-config-embed-mode": (lambda root, tmp: [
+        "pretrain-static", "--corpus", root / "stories.csv", "--epochs", "1",
+        "--config", write_config(tmp, "embed_mode = sgram\n")], "sgram"),
+    "evaluate-config-experiment": (lambda root, tmp: [
+        "evaluate", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
+        "--mode", "pooled", "--kfold", "2", "--epochs", "1",
+        "--config", write_config(tmp, "experiment = E9\n")], "E9"),
+    "serve-port-out-of-range": (lambda root, tmp: [
+        "serve", "--model", root / "estimator.ckpt", "--embedding", root / "static.ckpt",
+        "--bind", "127.0.0.1:99999"], "99999"),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # nothing lands in the caller's ./out
+        build, needle = FAILURES[case]
+        code, _, err = run(build(trained, tmp_path), capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err
+
+    def test_report_writes_an_explicit_out_named_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_dir = fake_run(tmp_path / "run")
+        code, text, _ = run(["report", "--run", run_dir, "--out", "out"], capsys)
+        assert code == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert not (run_dir / "bundle").exists()
+        assert text.strip() == "report bundle -> out"
+
+
+COMMON = ["--config", "--seed", "--out"]
+TRAINING = ["--epochs", "--batch-size", "--lr"]
+HEAD = ["--mode", "--patience", "--val-fraction"]
+
+# every subcommand's options besides COMMON, and the choices of those that have them
+PARSER_SURFACE = {
+    "ingest": ["--corpus"],
+    "stats": ["--corpus"],
+    "pretrain-static": ["--corpus", "--unlabeled", "--embed-mode", "--dimension", "--window",
+                        "--negatives", "--min-count", *TRAINING],
+    "finetune-static": ["--unlabeled", *TRAINING, "--model"],
+    "pretrain-ctx": ["--corpus", "--unlabeled", "--vocab-size", "--layers", "--hidden",
+                     "--heads", "--ff", "--max-len", "--mask-rate", "--n-examples", *TRAINING],
+    "finetune-ctx": ["--corpus", "--unlabeled", "--mask-rate", "--n-examples", *TRAINING,
+                     "--model"],
+    "embed": ["--corpus", "--model"],
+    "train": ["--corpus", *TRAINING, *HEAD, "--embedding", "--output"],
+    "evaluate": ["--corpus", *TRAINING, *HEAD, "--embedding", "--experiment", "--kfold",
+                 "--by-project"],
+    "predict": ["--model", "--embedding", "--text"],
+    "serve": ["--model", "--embedding", "--bind"],
+    "report": ["--run"],
+}
+CHOICES = {
+    "--embed-mode": ["cbow", "skipgram"],
+    "--mode": ["sequence", "pooled"],
+    "--output": ["linear", "softmax"],
+    "--experiment": ["E1", "E2", "E3", "E4", "E5"],
+}
+
+
+def test_every_subcommand_keeps_its_options_and_choices():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(PARSER_SURFACE)
+    for name, options in PARSER_SURFACE.items():
+        seen = {option: list(action.choices) if action.choices else None
+                for action in commands[name]._actions for option in action.option_strings
+                if option not in ("-h", "--help")}
+        assert seen == {option: CHOICES.get(option) for option in COMMON + options}, name

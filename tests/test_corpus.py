@@ -1,8 +1,5 @@
 """Corpus ingestion, cleaning, vocabulary, split, and bucket tests."""
 
-import json
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,12 +1,14 @@
 """Effort head contracts: sizing, clamping, training, persistence."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from storypointer.estimator import (
     EstimatorModel,
     HeadConfig,
-    PredictionResult,
     TrainHistory,
     load_estimator,
     predict,
@@ -15,6 +17,7 @@ from storypointer.estimator import (
     train_estimator,
 )
 from storypointer.features import FeatureBatch
+from storypointer.kernel.checkpoint import config_from_meta
 from storypointer.kernel.rng import RngStream
 
 
@@ -67,9 +70,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             HeadConfig(**bad).validate()
 
-    def test_roundtrips_through_dict(self):
+    def test_roundtrips_through_json(self):
         config = HeadConfig(mode="pooled", output="softmax", dense_sizes=(12, 4))
-        assert HeadConfig.from_dict(config.to_dict()) == config
+        assert config_from_meta(HeadConfig, json.loads(json.dumps(asdict(config)))) == config
 
 
 class TestArchitecture:

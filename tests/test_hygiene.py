@@ -1,12 +1,16 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module or test file imports is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "storypointer"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "storypointer"
+# test_acceptance.py is excluded: the acceptance suite is kept byte-for-byte as written
+MODULES = (sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+           + sorted(p for p in TESTS.glob("*.py") if p.name != "test_acceptance.py"))
 
 
 def unused_imports(source: str):
@@ -31,7 +35,11 @@ def unused_imports(source: str):
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def module_id(path: Path) -> str:
+    return str(path.relative_to(PACKAGE if PACKAGE in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from storypointer.corpus import corpus_stats, kfold_split, leave_one_project_out
-from storypointer.estimator import HeadConfig
 from storypointer.experiments import run_experiment
 from storypointer.features import StaticFeaturizer
 from storypointer.reports import (
@@ -110,7 +109,6 @@ class TestFoldReport:
         )
 
     def test_confusion_files_appear_for_softmax_reports(self, corpus, tmp_path):
-        from test_experiments import PHRASES  # noqa: F401  (shared corpus texture)
         from storypointer.features import ContextualFeaturizer
         from storypointer.transformer import TransformerConfig, TransformerModel
         from storypointer.wordpiece import build_wordpiece_vocab

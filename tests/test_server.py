@@ -302,7 +302,7 @@ class TestBindParsing:
         assert parse_bind("0.0.0.0:8080") == ("0.0.0.0", 8080)
         assert parse_bind("localhost:9999") == ("localhost", 9999)
 
-    @pytest.mark.parametrize("bad", ["8080", "host:", ":1234", "host:port"])
+    @pytest.mark.parametrize("bad", ["8080", "host:", ":1234", "host:port", "host:65536"])
     def test_malformed_addresses_are_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_bind(bad)

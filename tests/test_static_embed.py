@@ -5,7 +5,6 @@ import pytest
 
 from storypointer.corpus import PAD_WORD, UNK_WORD, UnlabeledCorpus, Vocabulary
 from storypointer.static_embed import (
-    PooledVector,
     StaticEmbeddingModel,
     StaticTrainConfig,
     cosine,
