@@ -491,9 +491,10 @@ _COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], str], str, Tuple[str, 
     "pretrain-static": (
         _cmd_pretrain_static, "train static word embeddings",
         ("corpus", "unlabeled", "embed_mode", "dimension", "window", "negatives", "min_count",
-         *_TRAINING)),
+         "epochs", "lr")),
+    # the learning rate comes from the checkpoint
     "finetune-static": (_cmd_finetune_static, "continue static training on new text",
-                        ("unlabeled", *_TRAINING, "model")),
+                        ("unlabeled", "epochs", "model")),
     "pretrain-ctx": (
         _cmd_pretrain_ctx, "pretrain the contextual encoder",
         ("corpus", "unlabeled", "vocab_size", "layers", "hidden", "heads", "ff", "max_len",

@@ -6,27 +6,32 @@ one vector per token (time dimension intact, padded with a mask) and
 clean text themselves, so raw and pre-cleaned inputs produce identical
 features.
 
-A text is degenerate when nothing usable survives: no in-vocabulary
-word for static embeddings, no real WordPiece token for contextual
-ones. It is flagged in `FeatureBatch.degenerate` and still gets a
-vector. Pooled static features fall back to the zero vector, pooled
-contextual features to the [CLS] row of the pooled layer; in sequence
-mode the row is all padding.
+Each featurizer only picks a text's usable token vectors and its
+fallback row; `_assemble` alone turns them into a batch. Static
+embeddings use the in-vocabulary words, with a zero fallback; contextual
+ones use the real WordPiece tokens of the penultimate encoder layer,
+with its [CLS] row as the fallback.
+
+A text is degenerate when nothing usable survives. It is flagged in
+`FeatureBatch.degenerate` and still gets a vector: its fallback row
+when pooled, an all-padding row in sequence mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .corpus import clean_text, tokenize_words
-from .static_embed import StaticEmbeddingModel, embed_word, mean_pool_sentence
-from .transformer import PoolingStrategy, TransformerModel, pool_sentence
+from .static_embed import StaticEmbeddingModel, embed_word
+from .transformer import TransformerModel
 from .wordpiece import N_SPECIALS, tokenize_wordpiece
 
 MODES = ("sequence", "pooled")
+MAX_TOKENS = 100  # words kept per text in static sequence features
+CHUNK_SIZE = 16   # texts per encoder batch
 
 
 @dataclass(frozen=True)
@@ -53,28 +58,41 @@ class FeatureBatch:
         )
 
 
-def _assemble_sequence(rows: List[List[np.ndarray]], dimension: int) -> Tuple[np.ndarray, np.ndarray]:
-    longest = max((len(r) for r in rows), default=0)
-    steps = max(1, longest)
+def _check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
+
+
+def _assemble(mode: str, rows: Sequence[Sequence[np.ndarray]],
+              fallbacks: Sequence[np.ndarray], dimension: int) -> FeatureBatch:
+    """The batch of texts whose usable token vectors are `rows`, k of them per text.
+
+    Pooled: each text's mean vector, or its fallback row when k == 0.
+    Sequence: the vectors padded to the longest text, with a mask.
+    """
+    degenerate = np.array([len(row) == 0 for row in rows], dtype=bool)
+    if mode == "pooled":
+        vectors = np.zeros((len(rows), dimension))
+        for i, row in enumerate(rows):
+            vectors[i] = np.mean(row, axis=0) if len(row) else fallbacks[i]
+        return FeatureBatch(mode, vectors, None, degenerate)
+    steps = max([1] + [len(row) for row in rows])
     vectors = np.zeros((len(rows), steps, dimension))
     mask = np.zeros((len(rows), steps))
     for i, row in enumerate(rows):
-        for t, vec in enumerate(row):
-            vectors[i, t] = vec
-            mask[i, t] = 1.0
-    return vectors, mask
+        if len(row):
+            vectors[i, : len(row)] = row
+            mask[i, : len(row)] = 1.0
+    return FeatureBatch(mode, vectors, mask, degenerate)
 
 
 class StaticFeaturizer:
     """Features from a static (context-free) embedding table."""
 
-    def __init__(self, model: StaticEmbeddingModel, mode: str = "sequence",
-                 max_tokens: int = 100):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    def __init__(self, model: StaticEmbeddingModel, mode: str = "sequence"):
         self.model = model
-        self.mode = mode
-        self.max_tokens = max_tokens
+        self.mode = _check_mode(mode)
 
     @property
     def dimension(self) -> int:
@@ -86,45 +104,27 @@ class StaticFeaturizer:
             "model_id": self.model.model_id,
             "mode": self.mode,
             "dimension": self.dimension,
-            "max_tokens": self.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
 
     def featurize(self, texts: Sequence[str]) -> FeatureBatch:
-        if self.mode == "pooled":
-            vectors = np.zeros((len(texts), self.dimension))
-            degenerate = np.zeros(len(texts), dtype=bool)
-            for i, text in enumerate(texts):
-                pooled = mean_pool_sentence(self.model, tokenize_words(clean_text(text)))
-                vectors[i] = pooled.vector
-                degenerate[i] = pooled.degenerate
-            return FeatureBatch("pooled", vectors, None, degenerate)
-
-        rows: List[List[np.ndarray]] = []
-        degenerate = np.zeros(len(texts), dtype=bool)
-        for i, text in enumerate(texts):
-            row: List[np.ndarray] = []
-            for word in tokenize_words(clean_text(text))[: self.max_tokens]:
-                vec = embed_word(self.model, word)
-                if vec is not None:
-                    row.append(vec)
-            if not row:
-                degenerate[i] = True
-            rows.append(row)
-        vectors, mask = _assemble_sequence(rows, self.dimension)
-        return FeatureBatch("sequence", vectors, mask, degenerate)
+        rows = []
+        for text in texts:
+            words = tokenize_words(clean_text(text))
+            if self.mode == "sequence":
+                words = words[:MAX_TOKENS]
+            # table rows, not copies: the batch is the only copy
+            rows.append([vec for vec in (embed_word(self.model, w) for w in words)
+                         if vec is not None])
+        return _assemble(self.mode, rows, np.zeros((len(texts), self.dimension)), self.dimension)
 
 
 class ContextualFeaturizer:
-    """Features from a frozen bidirectional encoder."""
+    """Features from a frozen bidirectional encoder's penultimate layer."""
 
-    def __init__(self, model: TransformerModel, mode: str = "sequence",
-                 strategy: PoolingStrategy = PoolingStrategy(), chunk_size: int = 16):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    def __init__(self, model: TransformerModel, mode: str = "sequence"):
         self.model = model
-        self.mode = mode
-        self.strategy = strategy
-        self.chunk_size = chunk_size
+        self.mode = _check_mode(mode)
 
     @property
     def dimension(self) -> int:
@@ -136,11 +136,11 @@ class ContextualFeaturizer:
             "model_id": self.model.model_id,
             "mode": self.mode,
             "dimension": self.dimension,
-            "layer": self.strategy.layer,
+            "layer": None,  # None: the penultimate layer
         }
 
     def _frame(self, text: str) -> List[int]:
-        ids, _ = tokenize_wordpiece(self.model.vocab, clean_text(text))
+        ids = tokenize_wordpiece(self.model.vocab, clean_text(text))
         limit = self.model.config.max_len
         if len(ids) > limit:
             ids = ids[: limit - 1] + [ids[-1]]  # keep the trailing separator
@@ -148,28 +148,14 @@ class ContextualFeaturizer:
 
     def featurize(self, texts: Sequence[str]) -> FeatureBatch:
         framed = [self._frame(text) for text in texts]
-        degenerate = np.zeros(len(texts), dtype=bool)
-        pooled_rows = np.zeros((len(texts), self.dimension))
-        sequence_rows: List[List[np.ndarray]] = [[] for _ in texts]
-
-        for start in range(0, len(framed), self.chunk_size):
-            chunk = framed[start:start + self.chunk_size]
-            width = max(len(ids) for ids in chunk)
-            batch = np.zeros((len(chunk), width), dtype=np.int64)
+        rows: List[np.ndarray] = []
+        fallbacks: List[np.ndarray] = []
+        for start in range(0, len(framed), CHUNK_SIZE):
+            chunk = framed[start:start + CHUNK_SIZE]
+            batch = np.zeros((len(chunk), max(len(ids) for ids in chunk)), dtype=np.int64)
             for j, ids in enumerate(chunk):
                 batch[j, : len(ids)] = ids
-            outputs = self.model.encode(batch)
-            layer = outputs[self.strategy.resolve_layer(len(outputs))].numpy()
-            for j in range(len(chunk)):
-                i = start + j
-                if self.mode == "pooled":
-                    pooled_rows[i], degenerate[i] = pool_sentence(layer[j], batch[j])
-                else:
-                    real = batch[j] >= N_SPECIALS
-                    sequence_rows[i] = list(layer[j][real])
-                    degenerate[i] = not real.any()
-
-        if self.mode == "pooled":
-            return FeatureBatch("pooled", pooled_rows, None, degenerate)
-        vectors, mask = _assemble_sequence(sequence_rows, self.dimension)
-        return FeatureBatch("sequence", vectors, mask, degenerate)
+            layer = self.model.encode(batch)[-2].numpy()
+            rows.extend(layer[j][batch[j] >= N_SPECIALS] for j in range(len(chunk)))
+            fallbacks.extend(layer[:, 0])  # the [CLS] rows
+        return _assemble(self.mode, rows, fallbacks, self.dimension)

@@ -68,13 +68,6 @@ class StaticEmbeddingModel:
         return f"static-{self.config.mode}-d{self.dimension}-seed{self.config.seed}"
 
 
-@dataclass(frozen=True)
-class PooledVector:
-    vector: np.ndarray
-    oov_ratio: float
-    degenerate: bool
-
-
 def _sentence_ids(documents: Sequence[str], vocab: Vocabulary) -> List[List[int]]:
     """Cleaned documents as id lists; out-of-vocabulary words dropped."""
     unk = vocab.index[UNK_WORD]
@@ -233,17 +226,6 @@ def embed_word(model: StaticEmbeddingModel, token: str) -> Optional[np.ndarray]:
     if token in (PAD_WORD, UNK_WORD) or token not in model.vocabulary.index:
         return None
     return model.vectors_in[model.vocabulary.index[token]]
-
-
-def mean_pool_sentence(model: StaticEmbeddingModel, tokens: Sequence[str]) -> PooledVector:
-    """Mean of known-word vectors; pads never count, OOV words are skipped."""
-    real = [t for t in tokens if t != PAD_WORD]
-    vectors = [embed_word(model, t) for t in real]
-    known = [v for v in vectors if v is not None]
-    if not real or not known:
-        return PooledVector(np.zeros(model.dimension), oov_ratio=1.0, degenerate=True)
-    oov_ratio = 1.0 - len(known) / len(real)
-    return PooledVector(np.mean(known, axis=0), oov_ratio=oov_ratio, degenerate=False)
 
 
 def cosine(model: StaticEmbeddingModel, first: str, second: str) -> float:

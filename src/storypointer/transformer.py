@@ -121,30 +121,22 @@ class TransformerModel:
         self,
         token_ids: np.ndarray,
         segment_ids: Optional[np.ndarray] = None,
-        attention_mask: Optional[np.ndarray] = None,
         train: bool = False,
         rng: Optional[RngStream] = None,
     ) -> List[Tensor]:
-        """All layer outputs: [embedding sum, encoder 1, ..., encoder L]."""
+        """All layer outputs: [embedding sum, encoder 1, ..., encoder L].
+
+        `token_ids` and `segment_ids` are (batch, seq); [PAD] positions
+        are masked out of attention.
+        """
         c = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim == 1:
-            token_ids = token_ids[None, :]
-        batch, seq_len = token_ids.shape
+        _, seq_len = token_ids.shape
         if seq_len > c.max_len:
             raise ValueError(f"sequence length {seq_len} exceeds max_len {c.max_len}")
         if segment_ids is None:
             segment_ids = np.zeros_like(token_ids)
-        else:
-            segment_ids = np.asarray(segment_ids, dtype=np.int64)
-            if segment_ids.ndim == 1:
-                segment_ids = segment_ids[None, :]
-        if attention_mask is None:
-            attention_mask = (token_ids != PAD_ID).astype(np.float64)
-        else:
-            attention_mask = np.asarray(attention_mask, dtype=np.float64)
-            if attention_mask.ndim == 1:
-                attention_mask = attention_mask[None, :]
+        attention_mask = (token_ids != PAD_ID).astype(np.float64)
 
         rate = c.dropout if train else 0.0
         if rate > 0 and rng is None:
@@ -209,34 +201,6 @@ class TransformerModel:
         cls = final_layer[:, 0, :]
         pooled = (cls @ p["nsp.pooler.w"] + p["nsp.pooler.b"]).tanh()
         return pooled @ p["nsp.w"] + p["nsp.b"]
-
-
-@dataclass(frozen=True)
-class PoolingStrategy:
-    layer: Optional[int] = None  # None selects the penultimate encoder layer
-
-    def resolve_layer(self, n_outputs: int) -> int:
-        if self.layer is None:
-            idx = n_outputs - 2
-        else:
-            idx = self.layer
-        if not 0 <= idx < n_outputs:
-            raise ValueError(f"layer {idx} invalid for {n_outputs} outputs")
-        return idx
-
-
-def pool_sentence(layer: np.ndarray, token_ids: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """Mean over the real (non-special) tokens of one sentence.
-
-    `layer` holds the sentence's (seq, hidden) rows of the selected
-    layer and `token_ids` its ids, which start with [CLS]. Returns
-    (vector, degenerate); a sentence without real tokens falls back to
-    its [CLS] row.
-    """
-    real = np.asarray(token_ids) >= N_SPECIALS
-    if not real.any():
-        return layer[0].copy(), True
-    return layer[real].mean(axis=0), False
 
 
 def save_transformer(model: TransformerModel, path) -> None:

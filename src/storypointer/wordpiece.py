@@ -184,14 +184,6 @@ def piece_ids(vocab: WordPieceVocab, text: str) -> List[int]:
     return ids
 
 
-def tokenize_wordpiece(
-    vocab: WordPieceVocab, text: str, pair: Optional[str] = None
-) -> Tuple[List[int], List[int]]:
-    """Token ids and segment ids framed as [CLS] A [SEP] (+ B [SEP])."""
-    ids = [CLS_ID] + piece_ids(vocab, text) + [SEP_ID]
-    segments = [0] * len(ids)
-    if pair is not None:
-        second = piece_ids(vocab, pair) + [SEP_ID]
-        ids.extend(second)
-        segments.extend([1] * len(second))
-    return ids, segments
+def tokenize_wordpiece(vocab: WordPieceVocab, text: str) -> List[int]:
+    """Piece ids of cleaned text framed as [CLS] ... [SEP]."""
+    return [CLS_ID] + piece_ids(vocab, text) + [SEP_ID]

@@ -69,6 +69,16 @@ class TestExitCodes:
             main(["transmogrify"])
         assert caught.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["pretrain-static", "--batch-size", "8"],
+        ["finetune-static", "--batch-size", "8"],
+        ["finetune-static", "--lr", "0.5"],
+    ])
+    def test_static_commands_take_no_flags_they_would_ignore(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+
     def test_missing_required_flag_returns_one(self, tmp_path, capsys):
         code, _, err = run(["stats", "--out", tmp_path / "s"], capsys)
         assert code == 1
@@ -127,6 +137,19 @@ class TestConfigMerging:
         assert code == 0
         assert (tmp_path / "b" / "summary.csv").exists()
         assert not (tmp_path / "a").exists()
+
+    def test_keys_the_command_has_no_flag_for_are_ignored(self, corpus_csv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"corpus = {corpus_csv}\nbatch_size = 8\n", encoding="utf-8")
+        out = tmp_path / "static"
+        code, _, _ = run(["pretrain-static", "--config", config, "--out", out,
+                          "--dimension", "6", "--epochs", "1"], capsys)
+        assert code == 0
+        config.write_text("batch_size = 8\nlr = 0.5\n", encoding="utf-8")
+        code, _, _ = run(["finetune-static", "--config", config, "--model", out / "static.ckpt",
+                          "--unlabeled", corpus_csv, "--epochs", "1", "--out", tmp_path / "ft"],
+                         capsys)
+        assert code == 0
 
     def test_unknown_config_keys_fail_fast(self, corpus_csv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -491,8 +514,8 @@ PARSER_SURFACE = {
     "ingest": ["--corpus"],
     "stats": ["--corpus"],
     "pretrain-static": ["--corpus", "--unlabeled", "--embed-mode", "--dimension", "--window",
-                        "--negatives", "--min-count", *TRAINING],
-    "finetune-static": ["--unlabeled", *TRAINING, "--model"],
+                        "--negatives", "--min-count", "--epochs", "--lr"],
+    "finetune-static": ["--unlabeled", "--epochs", "--model"],
     "pretrain-ctx": ["--corpus", "--unlabeled", "--vocab-size", "--layers", "--hidden",
                      "--heads", "--ff", "--max-len", "--mask-rate", "--n-examples", *TRAINING],
     "finetune-ctx": ["--corpus", "--unlabeled", "--mask-rate", "--n-examples", *TRAINING,

@@ -1,4 +1,4 @@
-"""Static embedding training, fine-tuning, and pooling tests."""
+"""Static embedding training, fine-tuning, lookup and checkpoint tests."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from storypointer.static_embed import (
     frozen_batch_loss,
     load_static,
     make_frozen_batch,
-    mean_pool_sentence,
     save_static,
     train_static,
 )
@@ -154,7 +153,7 @@ class TestFinetuneStatic:
         np.testing.assert_array_equal(a.vectors_in, b.vectors_in)
 
 
-class TestEmbedAndPool:
+class TestEmbedWord:
     def test_known_word_returns_its_row(self):
         model = tiny_model(["red", "blue"], [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(embed_word(model, "red"), [1.0, 2.0])
@@ -164,46 +163,6 @@ class TestEmbedAndPool:
         assert embed_word(model, "plaid") is None
         assert embed_word(model, PAD_WORD) is None
         assert embed_word(model, UNK_WORD) is None
-
-    def test_mean_of_two_vectors(self):
-        model = tiny_model(["red", "blue"], [[1.0, 2.0], [3.0, 4.0]])
-        pooled = mean_pool_sentence(model, ["red", "blue"])
-        np.testing.assert_array_equal(pooled.vector, [2.0, 3.0])
-        assert pooled.oov_ratio == 0.0 and not pooled.degenerate
-
-    def test_repeated_word_is_identity(self):
-        model = tiny_model(["red"], [[1.5, -2.5]])
-        pooled = mean_pool_sentence(model, ["red", "red", "red"])
-        np.testing.assert_array_equal(pooled.vector, [1.5, -2.5])
-
-    def test_pads_and_oov_skipped(self):
-        model = tiny_model(["red", "blue"], [[1.0, 2.0], [3.0, 4.0]])
-        pooled = mean_pool_sentence(model, ["red", "plaid", PAD_WORD, PAD_WORD])
-        np.testing.assert_array_equal(pooled.vector, [1.0, 2.0])
-        assert pooled.oov_ratio == pytest.approx(0.5)
-
-    def test_all_oov_is_degenerate_zero(self):
-        model = tiny_model(["red"], [[1.0, 1.0]])
-        pooled = mean_pool_sentence(model, ["plaid", "paisley"])
-        np.testing.assert_array_equal(pooled.vector, [0.0, 0.0])
-        assert pooled.oov_ratio == 1.0 and pooled.degenerate
-
-    def test_empty_sentence_is_degenerate(self):
-        model = tiny_model(["red"], [[1.0, 1.0]])
-        assert mean_pool_sentence(model, []).degenerate
-
-    def test_permutation_invariant(self):
-        model = tiny_model(["a1", "b2", "c3"], [[1, 0], [0, 1], [2, 2]])
-        fwd = mean_pool_sentence(model, ["a1", "b2", "c3"]).vector
-        rev = mean_pool_sentence(model, ["c3", "a1", "b2"]).vector
-        np.testing.assert_allclose(fwd, rev)
-
-    def test_row_scaling_scales_pooled_vector(self):
-        model = tiny_model(["a1", "b2"], [[1.0, 2.0], [3.0, 4.0]])
-        scaled = tiny_model(["a1", "b2"], [[3.0, 6.0], [9.0, 12.0]])
-        base = mean_pool_sentence(model, ["a1", "b2"]).vector
-        triple = mean_pool_sentence(scaled, ["a1", "b2"]).vector
-        np.testing.assert_allclose(triple, 3.0 * base)
 
 
 class TestStaticCheckpoint:

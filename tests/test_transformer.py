@@ -1,4 +1,4 @@
-"""Encoder forward/backward behavior, pooling, and pretraining loops."""
+"""Encoder forward/backward behavior and pretraining loops."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from storypointer.lm_training import (
 )
 from storypointer.pretrain_data import PretrainExample, create_pretraining_data
 from storypointer.transformer import (
-    PoolingStrategy,
     TransformerConfig,
     TransformerModel,
     load_transformer,
-    pool_sentence,
     save_transformer,
 )
 from storypointer.wordpiece import (
@@ -107,11 +105,6 @@ class TestEncodeShapes:
         with pytest.raises(ValueError):
             model.encode(framed([5, 6, 7, 8, 9]))
 
-    def test_one_dimensional_input_is_promoted_to_a_batch(self):
-        model = tiny_model()
-        out = model.encode(np.array([CLS_ID, 5, SEP_ID]))[-1]
-        assert out.shape == (1, 3, 8)
-
     def test_deterministic_initialization_and_encoding(self):
         a = tiny_model(seed=3)
         b = tiny_model(seed=3)
@@ -155,47 +148,6 @@ class TestPaddingInvariance:
             a = layer_short.numpy()[0]
             b = layer_padded.numpy()[0][: a.shape[0]]
             assert np.max(np.abs(a - b)) <= 1e-6
-
-
-def pooled(outputs, ids, strategy):
-    """pool_sentence on the one sentence of an encoded batch."""
-    layer = outputs[strategy.resolve_layer(len(outputs))].numpy()[0]
-    return pool_sentence(layer, ids[0])
-
-
-class TestPooling:
-    def test_mean_pooling_skips_specials(self):
-        model = tiny_model()
-        ids = framed([5, 6, 7], max_len=9)
-        outputs = model.encode(ids)
-        vector, degenerate = pooled(outputs, ids, PoolingStrategy())
-        layer = outputs[-2].numpy()[0]
-        np.testing.assert_allclose(vector, layer[1:4].mean(axis=0), rtol=0, atol=1e-12)
-        assert not degenerate
-
-    def test_default_layer_is_penultimate(self):
-        model = tiny_model(layers=3)
-        ids = framed([5, 6])
-        outputs = model.encode(ids)
-        via_default, _ = pooled(outputs, ids, PoolingStrategy())
-        via_explicit, _ = pooled(outputs, ids, PoolingStrategy(layer=2))
-        np.testing.assert_array_equal(via_default, via_explicit)
-
-    def test_layer_override_selects_that_layer(self):
-        model = tiny_model(layers=2)
-        ids = framed([5, 6, 7])
-        outputs = model.encode(ids)
-        vector, _ = pooled(outputs, ids, PoolingStrategy(layer=0))
-        layer = outputs[0].numpy()[0]
-        np.testing.assert_allclose(vector, layer[1:4].mean(axis=0), rtol=0, atol=1e-12)
-
-    def test_sentence_with_no_real_tokens_falls_back_to_cls(self):
-        model = tiny_model()
-        ids = framed([])
-        outputs = model.encode(ids)
-        vector, degenerate = pooled(outputs, ids, PoolingStrategy())
-        assert degenerate
-        np.testing.assert_array_equal(vector, outputs[-2].numpy()[0, 0])
 
 
 def small_examples(vocab, n=24, seq_len=12, seed=0):

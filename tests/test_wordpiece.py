@@ -17,6 +17,7 @@ from storypointer.wordpiece import (
     UNK_ID,
     WordPieceVocab,
     build_wordpiece_vocab,
+    piece_ids,
     split_words,
     tokenize_word,
     tokenize_wordpiece,
@@ -244,19 +245,12 @@ class TestGreedyTokenizer:
 class TestSentenceFraming:
     def test_single_text_framing(self):
         vocab = WordPieceVocab(char_vocab("ab", "cd") + ["ab", "cd"])
-        ids, segments = tokenize_wordpiece(vocab, "ab cd")
+        ids = tokenize_wordpiece(vocab, "ab cd")
         assert ids == [CLS_ID, vocab.index["ab"], vocab.index["cd"], SEP_ID]
-        assert segments == [0, 0, 0, 0]
-
-    def test_pair_framing_uses_two_separators_and_segments(self):
-        vocab = WordPieceVocab(char_vocab("ab", "cd") + ["ab", "cd"])
-        ids, segments = tokenize_wordpiece(vocab, "ab", pair="cd")
-        assert ids == [CLS_ID, vocab.index["ab"], SEP_ID, vocab.index["cd"], SEP_ID]
-        assert segments == [0, 0, 0, 1, 1]
 
     def test_unknown_symbol_becomes_unk(self):
         vocab = build_wordpiece_vocab(corpus_of("plain ascii words only"), size=60)
-        ids, _ = tokenize_wordpiece(vocab, "☃")
+        ids = tokenize_wordpiece(vocab, "☃")
         assert ids == [CLS_ID, UNK_ID, SEP_ID]
 
     def test_hyphenated_words_stay_whole_in_split(self):
@@ -273,9 +267,8 @@ class TestSentenceFraming:
     def test_framing_invariants_hold_for_arbitrary_text(self, words):
         vocab = WordPieceVocab(char_vocab("abcd"))
         text = " ".join(words)
-        ids, segments = tokenize_wordpiece(vocab, text, pair=text)
-        assert len(ids) == len(segments)
+        ids = tokenize_wordpiece(vocab, text)
         assert ids[0] == CLS_ID
         assert ids[-1] == SEP_ID
-        assert ids.count(SEP_ID) == 2
-        assert segments == sorted(segments)
+        assert ids.count(SEP_ID) == 1
+        assert ids[1:-1] == piece_ids(vocab, text)
