@@ -2,14 +2,18 @@
 
 One embedding matrix pair per model: input vectors (the embeddings the
 rest of the pipeline consumes) and output vectors (the sampled-softmax
-side). Training is plain SGD over (center, context) pairs with
-negatives drawn from the unigram^0.75 distribution; fine-tuning extends
-the vocabulary and continues training on the new corpus only, so words
+side). Training is SGD with negatives drawn from the unigram^0.75
+distribution, taken in chunks of CHUNK corpus positions: each chunk
+gathers its context windows, scores every positive and negative in one
+pass from the parameters as they were at the chunk's start, and
+scatters the summed updates once per matrix. Fine-tuning extends the
+vocabulary and continues training on the new corpus only, so words
 absent from it keep bitwise-identical vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +32,9 @@ from .kernel import RngStream, parameter
 from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 
 NOISE_POWER = 0.75
+# Positions per update step. Every update inside a chunk reads the
+# parameters as they were at the chunk's start.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -98,15 +105,65 @@ def _log_sigmoid(x: float) -> float:
     return -float(np.logaddexp(0.0, -x))
 
 
-def _pair_update(vin, vout, h, ids_for_h, target, negatives, lr) -> None:
-    """One positive plus its negatives; h is the current hidden vector."""
-    error = np.zeros(h.shape[0])
-    for word, label in [(target, 1.0)] + [(n, 0.0) for n in negatives]:
-        f = 1.0 / (1.0 + np.exp(-h @ vout[word]))
-        g = (label - f) * lr
-        error += g * vout[word]
-        vout[word] += g * h
-    np.add.at(vin, ids_for_h, error / len(ids_for_h))
+def _flatten(sentences: List[List[int]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corpus as one id array, plus each position's sentence bounds [first, stop)."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+    stop = np.repeat(np.cumsum(lengths), lengths)
+    return flat, stop - np.repeat(lengths, lengths), stop
+
+
+def _context_windows(
+    first: np.ndarray, stop: np.ndarray, positions: np.ndarray, reach: np.ndarray, window: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat-corpus indices of each position's context, with a validity mask.
+
+    Row r covers the offsets -window..-1, 1..window around positions[r],
+    in that order. An offset is valid when it is within reach[r] and
+    inside the sentence [first, stop) that holds positions[r], so a
+    window never crosses a sentence boundary. Invalid entries point at
+    the center itself, which keeps every index in range.
+    """
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    index = positions[:, None] + offsets
+    valid = (
+        (np.abs(offsets) <= reach[:, None])
+        & (index >= first[positions, None])
+        & (index < stop[positions, None])
+    )
+    return np.where(valid, index, positions[:, None]), valid
+
+
+def _scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """table[ids] += rows with repeated ids summed, in a fixed order.
+
+    One stable sort groups equal ids and `np.add.reduceat` sums each
+    group, which is much cheaper than `np.add.at` on 2-D rows.
+    """
+    order = np.argsort(ids, kind="stable")
+    unique, starts = np.unique(ids[order], return_index=True)
+    table[unique] += np.add.reduceat(rows[order], starts, axis=0)
+
+
+def _negative_sampling_step(
+    vout: np.ndarray, h: np.ndarray, targets: np.ndarray, lr: np.ndarray,
+    rng: RngStream, cumulative: np.ndarray, negatives: int,
+) -> np.ndarray:
+    """One positive and `negatives` draws per row of h; updates vout.
+
+    Returns the learning-rate-scaled step for each row of h. A negative
+    equal to its row's target gets zero weight.
+    """
+    drawn = np.searchsorted(cumulative, rng.random((len(targets), negatives)))
+    words = np.column_stack([targets, drawn])
+    out = vout[words]
+    f = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", h, out)))
+    labels = np.zeros(words.shape)
+    labels[:, 0] = 1.0
+    g = (labels - f) * lr[:, None]
+    g[:, 1:] *= drawn != targets[:, None]
+    _scatter_add(vout, words.ravel(), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]))
+    return np.einsum("bk,bkd->bd", g, out)
 
 
 def _train_sgd(
@@ -122,26 +179,34 @@ def _train_sgd(
         raise ValueError("corpus yields no training pairs inside the window")
     cumulative = _noise_distribution(len(model.vocabulary), counts_by_id)
     vin, vout = model.vectors_in, model.vectors_out
-    total_positions = epochs * sum(len(s) for s in sentences)
-    done = 0
+    flat, first, stop = _flatten(sentences)
+    total_positions = epochs * len(flat)
     lr_start = config.learning_rate
     for epoch in range(epochs):
-        for sent in sentences:
-            for i, center in enumerate(sent):
-                lr = max(lr_start * (1.0 - done / total_positions), lr_start * 1e-4)
-                done += 1
-                reach = int(rng.integers(1, config.window + 1))
-                context = sent[max(0, i - reach):i] + sent[i + 1:i + reach + 1]
-                if not context:
-                    continue
-                if config.mode == "cbow":
-                    h = vin[context].mean(axis=0)
-                    negatives = _draw_negatives(rng, cumulative, config.negatives, center)
-                    _pair_update(vin, vout, h, context, center, negatives, lr)
-                else:
-                    for ctx_word in context:
-                        negatives = _draw_negatives(rng, cumulative, config.negatives, ctx_word)
-                        _pair_update(vin, vout, vin[center].copy(), [center], ctx_word, negatives, lr)
+        for start in range(0, len(flat), CHUNK):
+            positions = np.arange(start, min(start + CHUNK, len(flat)))
+            done = epoch * len(flat) + positions
+            lr = np.maximum(lr_start * (1.0 - done / total_positions), lr_start * 1e-4)
+            reach = rng.integers(1, config.window + 1, len(positions))
+            index, valid = _context_windows(first, stop, positions, reach, config.window)
+            if not valid.any():
+                continue
+            context = flat[index]
+            if config.mode == "cbow":
+                rows = np.flatnonzero(valid.any(axis=1))
+                context, valid = context[rows], valid[rows]
+                count = valid.sum(axis=1)
+                h = np.einsum("bk,bkd->bd", valid / count[:, None], vin[context])
+                step = _negative_sampling_step(
+                    vout, h, flat[positions[rows]], lr[rows], rng, cumulative, config.negatives)
+                r, k = np.nonzero(valid)
+                _scatter_add(vin, context[r, k], step[r] / count[r, None])
+            else:
+                r, k = np.nonzero(valid)
+                centers = flat[positions[r]]
+                step = _negative_sampling_step(
+                    vout, vin[centers], context[r, k], lr[r], rng, cumulative, config.negatives)
+                _scatter_add(vin, centers, step)
         if epoch_callback is not None:
             epoch_callback(model, epoch)
 

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storypointer.corpus import PAD_WORD, UNK_WORD, UnlabeledCorpus, Vocabulary
+from storypointer.kernel import RngStream
 from storypointer.static_embed import (
+    CHUNK,
     StaticEmbeddingModel,
     StaticTrainConfig,
+    _context_windows,
+    _flatten,
+    _scatter_add,
     cosine,
     embed_word,
     finetune_static,
@@ -77,6 +84,12 @@ class TestTrainStatic:
     def test_same_seed_reproduces_bitwise(self):
         a = train_static(synthetic_corpus(10), quick_config(epochs=3))
         b = train_static(synthetic_corpus(10), quick_config(epochs=3))
+        np.testing.assert_array_equal(a.vectors_in, b.vectors_in)
+        np.testing.assert_array_equal(a.vectors_out, b.vectors_out)
+
+    def test_skipgram_same_seed_reproduces_bitwise(self):
+        a = train_static(synthetic_corpus(10), quick_config(mode="skipgram", epochs=3))
+        b = train_static(synthetic_corpus(10), quick_config(mode="skipgram", epochs=3))
         np.testing.assert_array_equal(a.vectors_in, b.vectors_in)
         np.testing.assert_array_equal(a.vectors_out, b.vectors_out)
 
@@ -151,6 +164,75 @@ class TestFinetuneStatic:
         a = finetune_static(base, extra, extra_epochs=2, seed=5)
         b = finetune_static(base, extra, extra_epochs=2, seed=5)
         np.testing.assert_array_equal(a.vectors_in, b.vectors_in)
+
+    def test_deterministic_under_seed_on_a_skipgram_base(self):
+        base = train_static(synthetic_corpus(10), quick_config(mode="skipgram", epochs=2))
+        extra = UnlabeledCorpus(documents=["db sql sqoop", "sqoop moves rows"])
+        a = finetune_static(base, extra, extra_epochs=2, seed=5)
+        b = finetune_static(base, extra, extra_epochs=2, seed=5)
+        np.testing.assert_array_equal(a.vectors_in, b.vectors_in)
+        np.testing.assert_array_equal(a.vectors_out, b.vectors_out)
+
+    def test_base_only_words_bitwise_unchanged_on_a_skipgram_base(self):
+        base = train_static(synthetic_corpus(10), quick_config(mode="skipgram", epochs=2))
+        tuned = finetune_static(base, UnlabeledCorpus(documents=["db sql sqoop pipeline"]), extra_epochs=3)
+        for word in ("cat", "dog", "park"):  # absent from the fine-tuning corpus
+            idx = base.vocabulary.index[word]
+            assert tuned.vocabulary.index[word] == idx
+            np.testing.assert_array_equal(base.vectors_in[idx], tuned.vectors_in[idx])
+            np.testing.assert_array_equal(base.vectors_out[idx], tuned.vectors_out[idx])
+
+
+class TestChunkedUpdates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_context_windows_match_the_sentence_slices(self, data):
+        """Each position's valid context, in order, is the slice definition
+        `sent[max(0, i - reach):i] + sent[i + 1:i + reach + 1]`, for chunks
+        that start anywhere and may span several sentences."""
+        window = data.draw(st.integers(1, 6))
+        lengths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+        bounds = np.cumsum([0] + lengths)
+        sentences = [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        flat, first, stop = _flatten(sentences)
+        start = data.draw(st.integers(0, len(flat) - 1))
+        positions = np.arange(start, data.draw(st.integers(start + 1, len(flat))))
+        reach = np.array(data.draw(st.lists(
+            st.integers(1, window), min_size=len(positions), max_size=len(positions))))
+
+        index, valid = _context_windows(first, stop, positions, reach, window)
+
+        assert index.shape == valid.shape == (len(positions), 2 * window)
+        assert 0 <= index.min() and index.max() < len(flat)
+        owners = [(sent, i) for sent in sentences for i in range(len(sent))]
+        for row, position in enumerate(positions):
+            sent, i = owners[position]
+            r = int(reach[row])
+            assert flat[index[row][valid[row]]].tolist() == sent[max(0, i - r):i] + sent[i + 1:i + r + 1]
+
+    def test_chunk_without_context_is_counted_but_not_trained(self):
+        """A whole chunk of one-word sentences updates nothing, and the
+        words only ever seen alone keep their initial input vectors."""
+        config = quick_config(epochs=2)
+        lonely = [f"solo{i}" for i in range(CHUNK + 6)]
+        model = train_static(UnlabeledCorpus(documents=lonely + ["db sql"]), config)
+        d = config.dimension
+        initial = RngStream(config.seed).child("init").uniform(
+            -0.5 / d, 0.5 / d, (len(model.vocabulary), d))
+        rows = [model.vocabulary.index[w] for w in lonely]
+        np.testing.assert_array_equal(model.vectors_in[rows], initial[rows])
+        assert not np.array_equal(model.vectors_in[model.vocabulary.index["db"]],
+                                  initial[model.vocabulary.index["db"]])
+
+    def test_scatter_add_sums_repeated_ids_like_add_at(self):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 6, 40)
+        rows = rng.normal(size=(40, 3))
+        table = rng.normal(size=(8, 3))
+        expected = table.copy()
+        np.add.at(expected, ids, rows)
+        _scatter_add(table, ids, rows)
+        np.testing.assert_allclose(table, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestEmbedWord:
