@@ -103,9 +103,6 @@ class LabeledCorpus:
     def degenerate_count(self) -> int:
         return sum(1 for r in self.records if r.degenerate)
 
-    def trainable(self) -> List[RequirementRecord]:
-        return [r for r in self.records if not r.degenerate]
-
     def __len__(self) -> int:
         return len(self.records)
 

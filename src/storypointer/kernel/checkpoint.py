@@ -1,12 +1,11 @@
-"""Self-describing parameter container with a sidecar manifest.
+"""Self-describing parameter container, sealed by its own sha256.
 
 Layout: 8-byte magic, little-endian uint32 header length, a UTF-8 JSON
 header, then every parameter's values row-major little-endian in header
-order, then any named text sections (UTF-8). The header carries the
-format version, parameter names/shapes/dtypes, text-section names and
-byte lengths, and free-form metadata. The sidecar manifest (same path
-plus ".manifest.txt") lists the parameters and a sha256 of the
-container, which `load_checkpoint` checks when the manifest is present.
+order, then any named text sections (UTF-8), then the 32-byte sha256
+digest of every byte before it. The header carries the format version,
+parameter names/shapes/dtypes, text-section names and byte lengths, and
+free-form metadata.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .tensor import Tensor, parameter
 
 MAGIC = b"SPKERN01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 _HEADER_KEYS = ("format_version", "params", "sections", "meta")
@@ -38,15 +37,12 @@ def save_checkpoint(
     meta: Optional[dict] = None,
     sections: Optional[Dict[str, str]] = None,
 ) -> None:
-    """Writes the container and its manifest.
+    """Writes the container, hashing it as it goes, and appends the digest.
 
-    Both are written under temporary names (".tmp" appended) in the same
-    directory and hashed as they are written, then moved into place with
-    os.replace, the container first. A failure while writing leaves any
-    previous checkpoint as it was and removes the temporary files. A
-    crash between the two renames leaves the new container beside the
-    old manifest, which `load_checkpoint` refuses by its sha256; it
-    never loads silently.
+    The bytes go to a temporary name (".tmp" appended) in the same
+    directory, which os.replace then moves into place. A failure before
+    the move leaves any previous checkpoint as it was and removes the
+    temporary file.
     """
     path = Path(path)
     names = sorted(params)
@@ -77,55 +73,42 @@ def save_checkpoint(
          for name in names),
         (blob for _, blob in sorted(section_bytes.items())),
     )
-    manifest_path = _manifest_path(path)
-    temp, manifest_temp = (p.with_name(p.name + ".tmp") for p in (path, manifest_path))
+    temp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     try:
         with open(temp, "wb") as fh:
             for blob in blobs:
                 fh.write(blob)
                 digest.update(blob)
-        manifest_temp.write_text(_manifest_text(path.name, header, digest.hexdigest()),
-                                 encoding="utf-8")
+            fh.write(digest.digest())
         os.replace(temp, path)
-        os.replace(manifest_temp, manifest_path)
     finally:
         temp.unlink(missing_ok=True)
-        manifest_temp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
     """Returns (trainable params, meta, text sections).
 
-    A container that is cut short, has bytes after its last section, or
-    has a header that does not describe the layout above is refused
-    with a ValueError naming the path. If the sidecar manifest exists,
-    the sha256 of the bytes read must match its `sha256:` line, so a
-    container changed in place is refused too. A container copied
-    without its manifest loads unchecked.
+    A container that is cut short, has bytes after its digest, has a
+    header that does not describe the layout above, or whose digest
+    does not match the bytes before it is refused with a ValueError
+    naming the path. Structural errors are reported before the digest
+    is compared.
     """
     path = Path(path)
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         try:
-            loaded = _read_container(fh, os.fstat(fh.fileno()).st_size, digest)
+            return _read_container(fh, os.fstat(fh.fileno()).st_size)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError) as exc:  # a header entry of the wrong shape
             raise ValueError(f"{path}: malformed header entry ({exc!r})") from None
-    manifest_path = _manifest_path(path)
-    if manifest_path.exists():
-        recorded = _recorded_sha256(manifest_path)
-        if recorded is None:
-            raise ValueError(f"{path}: {manifest_path.name} has no sha256 line")
-        if recorded != digest.hexdigest():
-            raise ValueError(f"{path}: sha256 {digest.hexdigest()} does not match "
-                             f"{recorded} in {manifest_path.name}")
-    return loaded
 
 
-def _read_container(fh, size: int, digest) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
-    """Parses the container in `fh` and feeds every byte read to `digest`."""
+def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
+    """Parses the container in `fh`, hashing every byte before the digest."""
+    digest = hashlib.sha256()
+
     def read(count: int, what: str) -> bytes:
         # checked before reading, so a corrupt length never allocates
         remaining = size - fh.tell()
@@ -158,8 +141,12 @@ def _read_container(fh, size: int, digest) -> Tuple[Dict[str, Tensor], dict, Dic
         entry["name"]: read(entry["bytes"], f"section {entry['name']!r}").decode("utf-8")
         for entry in header["sections"]
     }
+    computed = digest.digest()
+    recorded = read(digest.digest_size, "sha256 digest")
     if fh.read(1):
-        raise ValueError("trailing bytes after the last section")
+        raise ValueError("trailing bytes after the sha256 digest")
+    if recorded != computed:
+        raise ValueError(f"sha256 {computed.hex()} does not match the recorded {recorded.hex()}")
     return params, header["meta"], sections
 
 
@@ -217,26 +204,3 @@ def _same_type(value, default) -> bool:
     if isinstance(default, float) and type(value) is int:
         return True
     return type(value) is type(default)
-
-
-def _manifest_path(path: Path) -> Path:
-    return path.with_name(path.name + ".manifest.txt")
-
-
-def _manifest_text(container: str, header: dict, sha256: str) -> str:
-    lines = [f"container: {container}", f"format_version: {header['format_version']}"]
-    for entry in header["params"]:
-        shape = "x".join(str(s) for s in entry["shape"]) or "scalar"
-        lines.append(f"param: {entry['name']} shape={shape} dtype={entry['dtype']}")
-    for entry in header.get("sections", []):
-        lines.append(f"section: {entry['name']} bytes={entry['bytes']}")
-    lines.append(f"sha256: {sha256}")
-    return "\n".join(lines) + "\n"
-
-
-def _recorded_sha256(manifest_path: Path) -> Optional[str]:
-    recorded = None
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("sha256: "):
-            recorded = line.split(": ", 1)[1].strip()
-    return recorded

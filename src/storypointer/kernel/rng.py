@@ -59,10 +59,5 @@ class RngStream:
         self.draws += 1
         return self._gen.permutation(n)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle of a Python list."""
-        order = self.permutation(len(items))
-        items[:] = [items[i] for i in order]
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r}, draws={self.draws})"

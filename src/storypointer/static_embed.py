@@ -75,30 +75,43 @@ class StaticEmbeddingModel:
         return f"static-{self.config.mode}-d{self.dimension}-seed{self.config.seed}"
 
 
-def _sentence_ids(documents: Sequence[str], vocab: Vocabulary) -> List[List[int]]:
-    """Cleaned documents as id lists; out-of-vocabulary words dropped."""
+def _sentence_ids(cleaned: Sequence[str], vocab: Vocabulary) -> List[List[int]]:
+    """Cleaned texts as id lists; out-of-vocabulary words dropped."""
     unk = vocab.index[UNK_WORD]
     sentences = []
-    for doc in documents:
-        ids = [vocab.get(tok, UNK_WORD) for tok in tokenize_words(clean_text(doc))]
+    for text in cleaned:
+        ids = [vocab.get(tok, UNK_WORD) for tok in tokenize_words(text)]
         sentences.append([i for i in ids if i != unk])
     return sentences
 
 
 def _noise_distribution(vocab_size: int, counts_by_id: Dict[int, int]) -> np.ndarray:
-    """Cumulative unigram^0.75 distribution over word ids."""
+    """Cumulative unigram^0.75 distribution over word ids, cut after the
+    last id of nonzero weight."""
     weights = np.zeros(vocab_size)
     for idx, count in counts_by_id.items():
         weights[idx] = count ** NOISE_POWER
     total = weights.sum()
     if total == 0:
         raise ValueError("noise distribution has no mass; corpus has no known words")
-    return np.cumsum(weights / total)
+    return np.cumsum(weights / total)[:np.flatnonzero(weights)[-1] + 1]
+
+
+def _draw_noise(rng: RngStream, cumulative: np.ndarray, shape) -> np.ndarray:
+    """Word ids drawn from the noise distribution, one per cell of `shape`.
+
+    Every id drawn has nonzero weight. With `side="right"` a draw lands
+    on the first entry above it, so never on a zero-weight id, whose
+    entry equals the one before it (a draw of 0.0 included). The clip
+    sends a draw at or above the last entry, which rounding can leave
+    just below 1.0, to the last id.
+    """
+    drawn = np.searchsorted(cumulative, rng.random(shape), side="right")
+    return np.minimum(drawn, len(cumulative) - 1)
 
 
 def _draw_negatives(rng: RngStream, cumulative: np.ndarray, count: int, exclude: int) -> List[int]:
-    draws = np.searchsorted(cumulative, rng.random(count))
-    return [int(d) for d in draws if int(d) != exclude]
+    return [int(d) for d in _draw_noise(rng, cumulative, count) if int(d) != exclude]
 
 
 def _log_sigmoid(x: float) -> float:
@@ -154,7 +167,7 @@ def _negative_sampling_step(
     Returns the learning-rate-scaled step for each row of h. A negative
     equal to its row's target gets zero weight.
     """
-    drawn = np.searchsorted(cumulative, rng.random((len(targets), negatives)))
+    drawn = _draw_noise(rng, cumulative, (len(targets), negatives))
     words = np.column_stack([targets, drawn])
     out = vout[words]
     f = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", h, out)))
@@ -224,7 +237,7 @@ def train_static(
     vectors_in = rng.child("init").uniform(-0.5 / d, 0.5 / d, (len(vocab), d))
     vectors_out = np.zeros((len(vocab), d))
     model = StaticEmbeddingModel(vocab, vectors_in, vectors_out, config)
-    sentences = _sentence_ids(corpus.documents, vocab)
+    sentences = _sentence_ids(cleaned, vocab)
     counts_by_id = {vocab.index[t]: c for t, c in vocab.counts.items()}
     _train_sgd(model, sentences, counts_by_id, config.epochs, rng.child("train"), epoch_callback)
     return model
@@ -278,7 +291,7 @@ def finetune_static(
     grown_out = np.vstack([model.vectors_out.copy(), np.zeros((len(fresh), d))])
     tuned = StaticEmbeddingModel(new_vocab, grown_in, grown_out, replace(model.config, epochs=extra_epochs))
 
-    sentences = _sentence_ids(corpus.documents, new_vocab)
+    sentences = _sentence_ids(cleaned, new_vocab)
     counts_by_id = {
         new_vocab.index[t]: n for t, n in new_counts.items() if t in new_vocab.index
     }
@@ -315,8 +328,8 @@ def make_frozen_batch(model: StaticEmbeddingModel, corpus: UnlabeledCorpus, seed
     """
     rng = RngStream(seed)
     vocab = model.vocabulary
-    sentences = _sentence_ids(corpus.documents, vocab)
-    counts_by_id = {vocab.index[t]: c for t, c in vocab.counts.items() if t in vocab.index}
+    sentences = _sentence_ids([clean_text(doc) for doc in corpus.documents], vocab)
+    counts_by_id = {vocab.index[t]: c for t, c in vocab.counts.items()}
     cumulative = _noise_distribution(len(vocab), counts_by_id)
     config = model.config
     batch: List[FrozenPair] = []

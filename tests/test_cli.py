@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -286,12 +287,14 @@ class TestTrainHistory:
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:
-    """The same container with `edit` applied to its JSON header."""
+    """The same container with `edit` applied to its JSON header, resealed
+    with the sha256 of its new bytes so that only the edit is at fault."""
     (length,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + length])
     edit(header)
     new = json.dumps(header).encode("utf-8")
-    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:]
+    body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:-32]
+    return body + hashlib.sha256(body).digest()
 
 
 # Well-formed containers whose model meta does not describe a model.
@@ -311,6 +314,8 @@ def damaged(blob: bytes, flaw: str) -> bytes:
         return blob[:10]
     if flaw in META_FLAWS:
         return rewrite_header(blob, lambda header: META_FLAWS[flaw](header["meta"]))
+    if flaw == "version-1":  # the format-1 layout: no trailing digest
+        return rewrite_header(blob, lambda header: header.update(format_version=1))[:-32]
     # unknown-dtype: the same container with its first parameter declared int8
     return rewrite_header(blob, lambda header: header["params"][0].update(dtype="int8"))
 
@@ -349,7 +354,7 @@ ENCODER_SLOTS.append(("embed", "--model", ["--corpus", "stories.csv"]))
 
 class TestCheckpointErrors:
     @pytest.mark.parametrize("flaw", ["missing", "truncated", "ten-bytes", "unknown-dtype",
-                                      "wrong-kind", *sorted(META_FLAWS)])
+                                      "wrong-kind", "version-1", *sorted(META_FLAWS)])
     @pytest.mark.parametrize("command,flag,expects,rest", CHECKPOINT_SLOTS,
                              ids=[c + f for c, f, _, _ in CHECKPOINT_SLOTS])
     def test_bad_checkpoint_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch,
@@ -370,30 +375,29 @@ class TestCheckpointErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err
+        assert "sha256" not in err  # each flaw is refused for itself, not for the digest
 
     @pytest.mark.parametrize("command,flag,expects,rest", READ_SLOTS,
                              ids=[c + f for c, f, _, _ in READ_SLOTS])
-    def test_changed_in_place_is_refused_unless_copied_without_manifest(
+    def test_changed_in_place_is_refused(
             self, trained, tmp_path, capsys, monkeypatch, command, flag, expects, rest):
         monkeypatch.setattr("storypointer.cli.serve_forever", lambda *args, **kwargs: None)
-        bad = tmp_path / "bad.ckpt"
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        bad = alone / "bad.ckpt"
         blob = (trained / f"{expects}.ckpt").read_bytes()
         # the same length with 30 bytes of the first parameter zeroed, which
-        # loads as a model when nothing checks it
+        # would load as a model if nothing checked it
         (length,) = struct.unpack("<I", blob[8:12])
         start = 12 + length
         bad.write_bytes(blob[:start] + bytes(30) + blob[start + 30:])
-        manifest = tmp_path / "bad.ckpt.manifest.txt"
-        manifest.write_bytes((trained / f"{expects}.ckpt.manifest.txt").read_bytes())
         argv = [command, flag, bad, "--out", tmp_path / "out"]
         argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
         code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err and "sha256" in err
-        manifest.unlink()  # a checkpoint copied without its manifest loads unchecked
-        _, _, err = run(argv, capsys)
-        assert "bad.ckpt" not in err  # every load failure names the path
+        assert [p.name for p in alone.iterdir()] == ["bad.ckpt"]
 
     @pytest.mark.parametrize("edit", [
         lambda header: header["meta"].update(input_dim="6"),
@@ -412,7 +416,7 @@ class TestCheckpointErrors:
                             "--text", "fix it"], capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "bad.ckpt" in err
+        assert "bad.ckpt" in err and "sha256" not in err
 
     @pytest.mark.parametrize("flaw", sorted(ENCODER_PARAM_FLAWS))
     @pytest.mark.parametrize("command,flag,rest", ENCODER_SLOTS,

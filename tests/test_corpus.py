@@ -176,7 +176,6 @@ class TestLoadLabeled:
         corpus = load_labeled(path)
         assert len(corpus) == 1
         assert corpus.records[0].degenerate
-        assert corpus.trainable() == []
 
     def test_jsonl_roundtrip(self, tmp_path):
         source = tmp_path / "in.jsonl"

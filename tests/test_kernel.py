@@ -359,33 +359,31 @@ class TestCheckpoint:
         assert meta == {"seed": 42}
         assert sections == {"vocab": "a\nb\nc\n"}
 
-    def test_manifest_lists_params_and_verifies(self, tmp_path, rng):
+    def test_digest_seals_the_container_and_saves_are_deterministic(self, tmp_path, rng):
         params = {"w": parameter(rng.uniform(-0.5, 0.5, (2, 2)))}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        manifest = (tmp_path / "model.ckpt.manifest.txt").read_text()
-        assert "param: w shape=2x2 dtype=float64" in manifest
-        assert f"sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}" in manifest
-        load_checkpoint(path)  # the checksum matches
-        first = path.read_bytes(), manifest
+        first = path.read_bytes()
+        assert first[-32:] == hashlib.sha256(first[:-32]).digest()
+        (length,) = struct.unpack("<I", first[8:12])
+        header = json.loads(first[12:12 + length])
+        assert header["format_version"] == 2
+        assert header["params"] == [{"name": "w", "shape": [2, 2], "dtype": "float64"}]
+        load_checkpoint(path)  # the digest matches
         save_checkpoint(path, params)
-        second = path.read_bytes(), (tmp_path / "model.ckpt.manifest.txt").read_text()
-        assert second == first  # saving the same params again is byte-identical
+        assert path.read_bytes() == first  # saving the same params again is byte-identical
 
-    def test_tampering_breaks_manifest_check(self, tmp_path, rng):
-        params = {"w": parameter(np.ones((2, 2)))}
+    @pytest.mark.parametrize("offset", [-40, -1], ids=["parameter", "digest"])
+    def test_changed_in_place_is_refused(self, tmp_path, offset):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, {"w": parameter(np.ones((2, 2)))})
         blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
+        blob[offset] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"model\.ckpt: sha256 .* does not match"):
             load_checkpoint(path)
-        (tmp_path / "model.ckpt.manifest.txt").unlink()
-        loaded, _, _ = load_checkpoint(path)  # copied without its manifest: unchecked
-        assert loaded["w"].data[-1, -1] != 1.0
 
-    def test_overwrite_replaces_the_pair_and_leaves_no_temporaries(self, tmp_path):
+    def test_overwrite_replaces_the_file_and_leaves_no_temporaries(self, tmp_path):
         path = tmp_path / "model.ckpt"
         (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
         save_checkpoint(path, {"w": parameter(np.ones(3))})
@@ -393,8 +391,7 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         assert sorted(loaded) == ["v", "w"]
         np.testing.assert_array_equal(loaded["w"].data, np.full(3, 2.0))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "model.ckpt", "model.ckpt.manifest.txt", "notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "notes.txt"]
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -414,37 +411,22 @@ class TestCheckpoint:
         monkeypatch.undo()
         loaded, _, _ = load_checkpoint(path)
         np.testing.assert_array_equal(loaded["b"].data, np.ones(3))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt",
-                                                              "model.ckpt.manifest.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
-    def test_crash_between_the_renames_is_refused_on_load(self, tmp_path, monkeypatch):
+    def test_failed_rename_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": parameter(np.ones(2))})
-        real, calls = os.replace, []
 
-        def fail_on_manifest(src, dst):
-            calls.append(dst)
-            if len(calls) == 2:
-                raise OSError("killed")
-            real(src, dst)
+        def killed(src, dst):
+            raise OSError("killed")
 
-        monkeypatch.setattr(os, "replace", fail_on_manifest)
+        monkeypatch.setattr(os, "replace", killed)
         with pytest.raises(OSError, match="killed"):
             save_checkpoint(path, {"w": parameter(np.zeros(2))})
         monkeypatch.undo()
-        with pytest.raises(ValueError, match=r"model\.ckpt: sha256 .* does not match"):
-            load_checkpoint(path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt",
-                                                              "model.ckpt.manifest.txt"]
-
-    def test_manifest_without_checksum_is_refused(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"w": parameter(np.ones(2))})
-        manifest = tmp_path / "model.ckpt.manifest.txt"
-        lines = manifest.read_text().splitlines(keepends=True)
-        manifest.write_text("".join(line for line in lines if not line.startswith("sha256:")))
-        with pytest.raises(ValueError, match=r"model\.ckpt: .*no sha256 line"):
-            load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded["w"].data, np.ones(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_structural_errors_come_before_the_checksum(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -493,12 +475,14 @@ class TestCheckpoint:
                     load_checkpoint(cut_path)
 
     def _rewrite_header(self, path, edit):
+        """Applies `edit` to the header and reseals the file with a fresh digest."""
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + length])
         edit(header)
         new = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:])
+        body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["params"][0].update(dtype="int8"),
@@ -507,15 +491,16 @@ class TestCheckpoint:
         lambda h: h["sections"].append({"name": "extra"}),
         lambda h: h.pop("meta"),
         lambda h: h.pop("params"),
-        lambda h: h.update(format_version=2),
+        lambda h: h.update(format_version=3),
     ], ids=["unknown-dtype", "oversized-shape", "bad-shape", "bad-section", "no-meta",
             "no-params", "future-version"])
     def test_malformed_header_is_refused(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": parameter(np.ones((2, 2)))}, sections={"vocab": "a\n"})
         self._rewrite_header(path, edit)
-        with pytest.raises(ValueError, match="model.ckpt"):
+        with pytest.raises(ValueError, match="model.ckpt") as refused:
             load_checkpoint(path)
+        assert "sha256" not in str(refused.value)  # refused for the header, not the digest
 
     def test_trailing_bytes_are_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -544,12 +529,6 @@ class TestRngStream:
         assert root.child("mask").seed == again.child("mask").seed
         assert root.child("mask").seed != root.child("shuffle").seed
         assert derive_seed(7, "mask") != derive_seed(8, "mask")
-
-    def test_shuffle_is_a_permutation(self):
-        items = list(range(15))
-        s = RngStream(5)
-        s.shuffle(items)
-        assert sorted(items) == list(range(15))
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=25, deadline=None)

@@ -12,7 +12,10 @@ from storypointer.static_embed import (
     StaticEmbeddingModel,
     StaticTrainConfig,
     _context_windows,
+    _draw_negatives,
     _flatten,
+    _negative_sampling_step,
+    _noise_distribution,
     _scatter_add,
     cosine,
     embed_word,
@@ -233,6 +236,40 @@ class TestChunkedUpdates:
         np.add.at(expected, ids, rows)
         _scatter_add(table, ids, rows)
         np.testing.assert_allclose(table, expected, rtol=1e-12, atol=1e-12)
+
+
+class FixedDraws:
+    """An rng stub whose every uniform draw is `value`."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestNoiseDraws:
+    # ids 0-1 are the zero-weight specials, 2-8 seven words seen once, and
+    # 9-10 a zero-weight tail, as fine-tuning leaves the words its corpus lacks
+    VOCAB, WORDS = 11, range(2, 9)
+
+    def cumulative(self):
+        cumulative = _noise_distribution(self.VOCAB, {i: 1 for i in self.WORDS})
+        # seven equal weights sum, after rounding, to just below 1.0
+        assert cumulative[-1] < np.nextafter(1.0, 0.0)
+        return cumulative
+
+    @pytest.mark.parametrize("value,expected", [(0.0, 2), (np.nextafter(1.0, 0.0), 8)],
+                             ids=["zero", "below-one"])
+    def test_every_draw_is_a_word_of_nonzero_weight(self, value, expected):
+        cumulative = self.cumulative()
+        assert _draw_negatives(FixedDraws(value), cumulative, 3, exclude=-1) == [expected] * 3
+        vout = np.zeros((self.VOCAB, 2))
+        rows = 4
+        _negative_sampling_step(vout, np.ones((rows, 2)), np.full(rows, 5), np.full(rows, 0.1),
+                                FixedDraws(value), cumulative, negatives=3)
+        touched = np.flatnonzero(np.abs(vout).sum(axis=1))
+        assert touched.tolist() == sorted({5, expected})
 
 
 class TestEmbedWord:
