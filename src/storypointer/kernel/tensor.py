@@ -5,6 +5,13 @@ in reverse topological order and accumulates gradients into every input
 that has requires_grad set. Gradients are plain numpy arrays of the same
 shape as their tensor. All math stays in float64 so finite-difference
 checks against the analytic gradients are meaningful.
+
+backward() frees the graph as it walks it: once an interior node's closure
+has run, the node drops its `.grad`, its closure and its parents, so the
+activations it saved are released before the walk ends, even while the
+caller still holds the root. Only leaves (tensors no op produced) keep
+their `.grad`, and a graph can be walked only once; a second backward()
+from a spent root reaches no leaf.
 """
 
 from __future__ import annotations
@@ -92,7 +99,9 @@ class Tensor:
         a sum hands one buffer to both of its parents. That is safe
         because nothing in `src/` mutates a `.grad` in place: backward
         closures, accumulation, clipping and the optimizer all read a
-        gradient and write a new array.
+        gradient and write a new array. An interior node holds its
+        `.grad` only until backward() has run its closure; a leaf keeps
+        it until the caller clears it.
         """
         if self.grad is None:
             self.grad = grad.astype(self.data.dtype, copy=False)
@@ -104,6 +113,8 @@ class Tensor:
             if self.size != 1:
                 raise ValueError("backward() without a seed gradient needs a scalar")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ValueError(f"backward() seed has shape {np.shape(grad)}, expected {self.shape}")
         topo: List[Tensor] = []
         seen = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -120,9 +131,16 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # popped, so the list does not keep a spent node's value alive
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            # release the node's gradient, closure and saved activations
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -208,26 +226,6 @@ class Tensor:
         return out
 
     # ---- elementwise -------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-        out = _result(value, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: self._accumulate(grad * value)
-        return out
-
-    def log(self) -> "Tensor":
-        out = _result(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: self._accumulate(grad / self.data)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-        out = _result(value, (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: self._accumulate(grad * 0.5 / value)
-        return out
 
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)

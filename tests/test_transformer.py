@@ -1,5 +1,7 @@
 """Encoder forward/backward behavior and pretraining loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,24 @@ class TestGradients:
             max_coords_per_param=6, rng=RngStream(12),
         )
         assert report.max_rel_error < 1e-3, str(report)
+
+    def test_backward_frees_the_graph_while_the_loss_is_held(self):
+        """Activations are released during backward(), not when `joint` goes.
+
+        What stays held is about the size of the parameter gradients; a
+        graph pinned by `joint` would hold about the whole peak rise.
+        """
+        model = tiny_model(layers=2, hidden=32, heads=2, ff=64, max_len=24, dropout=0.1)
+        examples = small_examples(model.vocab, n=8, seq_len=24, seed=3)
+        tracemalloc.start()  # counts from zero: held and peak are the rise
+        try:
+            joint, _, _ = batch_loss(model, examples, train=True, rng=RngStream(1))
+            joint.backward()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert joint.item() > 0.0  # the root is still referenced
+        assert held < 0.25 * peak, (held, peak)
 
 
 class TestPretraining:
