@@ -449,7 +449,7 @@ def _cmd_evaluate(args) -> str:
     out = _out_dir(args) / args.experiment
     write_fold_report(report, out)
     if args.by_project:
-        write_project_table(corpus, report, out, include_average=True)
+        write_project_table(corpus, report, out)
     mean_mae, std_mae = report.aggregate["mae"]
     return (
         f"{args.experiment} over {len(report.folds)} rounds: "

@@ -26,6 +26,7 @@ from .kernel import RngStream
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
 BUCKETS = (1, 2, 3, 5, 8, 13, 20, 40, 100)
+WORDS_BIN_WIDTH = 10  # words per bin of the corpus_stats length histogram
 
 CSV_COLUMNS = ("issuekey", "project", "title", "description", "storypoint")
 
@@ -318,17 +319,17 @@ def leave_one_project_out(corpus: LabeledCorpus) -> SplitPlan:
     return SplitPlan(kind="by-project", fold_of=fold_of, order=projects)
 
 
-def bucketize(effort: float, buckets: Sequence[int] = BUCKETS) -> int:
-    """Nearest bucket value; ties resolve to the lower bucket."""
+def bucketize(effort: float) -> int:
+    """Nearest value in BUCKETS; ties resolve to the lower bucket."""
     if effort <= 0:
         raise ValueError(f"effort must be positive, got {effort}")
-    effort = min(effort, buckets[-1])
-    diffs = [abs(effort - b) for b in buckets]
-    return buckets[diffs.index(min(diffs))]
+    effort = min(effort, BUCKETS[-1])
+    diffs = [abs(effort - b) for b in BUCKETS]
+    return BUCKETS[diffs.index(min(diffs))]
 
 
-def bucket_index(effort: float, buckets: Sequence[int] = BUCKETS) -> int:
-    return buckets.index(bucketize(effort, buckets))
+def bucket_index(effort: float) -> int:
+    return BUCKETS.index(bucketize(effort))
 
 
 @dataclass
@@ -342,13 +343,13 @@ class CorpusStats:
     effort_hist: List[Tuple[float, float, int]]  # exact values: lo == hi
 
 
-def corpus_stats(corpus: LabeledCorpus, words_bin_width: int = 10) -> CorpusStats:
+def corpus_stats(corpus: LabeledCorpus) -> CorpusStats:
     if not corpus.records:
         raise ValueError("corpus is empty")
     word_counts = np.array([len(tokenize_words(r.text)) for r in corpus.records])
-    bins: Counter = Counter(int(c) // words_bin_width for c in word_counts)
+    bins: Counter = Counter(int(c) // WORDS_BIN_WIDTH for c in word_counts)
     words_hist = [
-        (b * words_bin_width, (b + 1) * words_bin_width, bins[b]) for b in sorted(bins)
+        (b * WORDS_BIN_WIDTH, (b + 1) * WORDS_BIN_WIDTH, bins[b]) for b in sorted(bins)
     ]
     effort_counts: Counter = Counter(r.effort for r in corpus.records)
     effort_hist = [(v, v, effort_counts[v]) for v in sorted(effort_counts)]

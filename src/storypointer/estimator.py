@@ -24,9 +24,9 @@ from .kernel import (
     RngStream,
     Tensor,
     cross_entropy,
-    flatten_parameters,
     mse_loss,
     no_grad,
+    softmax,
 )
 from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
                                 save_checkpoint)
@@ -111,12 +111,12 @@ class EstimatorModel:
         return f"estimator-{self.config.mode}-{self.config.output}-on-{base}"
 
     def parameters(self) -> Dict[str, Tensor]:
-        named: Dict[str, object] = {
-            "dense1": self.dense1, "dense2": self.dense2, "head": self.head,
-        }
+        """Every parameter under a dotted `layer.name`."""
+        layers = {"dense1": self.dense1, "dense2": self.dense2, "head": self.head}
         if self.lstm is not None:
-            named["lstm"] = self.lstm
-        return flatten_parameters(named)
+            layers["lstm"] = self.lstm
+        return {f"{layer}.{name}": tensor for layer, module in layers.items()
+                for name, tensor in module.parameters().items()}
 
     def forward(self, vectors: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
         x = Tensor(np.asarray(vectors, dtype=np.float64))
@@ -168,9 +168,7 @@ def predict(model: EstimatorModel, batch: FeatureBatch) -> List[PredictionResult
                 effort=effort, bucket=bucketize(effort), raw=float(value),
             ))
     else:
-        shifted = raw - raw.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = softmax(Tensor(raw)).numpy()
         for row, p in zip(raw, probs):
             choice = int(np.argmax(p))  # ties resolve to the lowest bucket
             value = float(BUCKETS[choice])

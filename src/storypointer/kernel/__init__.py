@@ -3,7 +3,7 @@ seeded randomness, and the parameter container format."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckReport, central_difference, grad_check
-from .layers import LSTM, Dense, flatten_parameters, glorot_uniform
+from .layers import LSTM, Dense, glorot_uniform
 from .optim import Adam, clip_gradients
 from .rng import RngStream, derive_seed
 from .tensor import (
@@ -32,7 +32,6 @@ __all__ = [
     "derive_seed",
     "dropout",
     "ensure_tensor",
-    "flatten_parameters",
     "glorot_uniform",
     "grad_check",
     "layer_norm",

@@ -1,11 +1,11 @@
 """Self-describing parameter container, sealed by its own sha256.
 
 Layout: 8-byte magic, little-endian uint32 header length, a UTF-8 JSON
-header, then every parameter's values row-major little-endian in header
-order, then any named text sections (UTF-8), then the 32-byte sha256
-digest of every byte before it. The header carries the format version,
-parameter names/shapes/dtypes, text-section names and byte lengths, and
-free-form metadata.
+header, then every parameter's float64 values row-major little-endian in
+header order, then any named text sections (UTF-8), then the 32-byte
+sha256 digest of every byte before it. The header carries the format
+version, parameter names/shapes/dtypes (always "float64"), text-section
+names and byte lengths, and free-form metadata.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .tensor import Tensor, parameter
 MAGIC = b"SPKERN01"
 FORMAT_VERSION = 2
 
-_DTYPES = {"float64": "<f8", "float32": "<f4"}
+DTYPE = "float64"  # the one dtype a container holds
+_STORED = np.dtype("<f8")  # how its values are laid out
 _HEADER_KEYS = ("format_version", "params", "sections", "meta")
 
 
@@ -54,7 +55,7 @@ def save_checkpoint(
             {
                 "name": name,
                 "shape": list(params[name].shape),
-                "dtype": str(params[name].dtype),
+                "dtype": DTYPE,
             }
             for name in names
         ],
@@ -63,14 +64,10 @@ def save_checkpoint(
         ],
         "meta": meta or {},
     }
-    for entry in header["params"]:
-        if entry["dtype"] not in _DTYPES:
-            raise ValueError(f"unsupported dtype {entry['dtype']} for {entry['name']}")
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     blobs = itertools.chain(
         (MAGIC, struct.pack("<I", len(header_blob)), header_blob),
-        (np.ascontiguousarray(params[name].data, dtype=_DTYPES[str(params[name].dtype)]).tobytes()
-         for name in names),
+        (np.ascontiguousarray(params[name].data, dtype=_STORED).tobytes() for name in names),
         (blob for _, blob in sorted(section_bytes.items())),
     )
     temp = path.with_name(path.name + ".tmp")
@@ -131,12 +128,10 @@ def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, s
         raise ValueError(f"unsupported container version {header['format_version']!r}")
     params: Dict[str, Tensor] = {}
     for entry in header["params"]:
-        if entry["dtype"] not in _DTYPES:
+        if entry["dtype"] != DTYPE:
             raise ValueError(f"unsupported dtype {entry['dtype']!r} for {entry['name']!r}")
-        dtype = np.dtype(_DTYPES[entry["dtype"]])
-        raw = read(math.prod(entry["shape"]) * dtype.itemsize, f"parameter {entry['name']!r}")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).astype(entry["dtype"])
-        params[entry["name"]] = parameter(arr)
+        raw = read(math.prod(entry["shape"]) * _STORED.itemsize, f"parameter {entry['name']!r}")
+        params[entry["name"]] = parameter(np.frombuffer(raw, dtype=_STORED).reshape(entry["shape"]))
     sections = {
         entry["name"]: read(entry["bytes"], f"section {entry['name']!r}").decode("utf-8")
         for entry in header["sections"]

@@ -15,6 +15,9 @@ import numpy as np
 from .rng import RngStream
 from .tensor import Tensor
 
+# lower bound of the relative error's denominator
+DENOM_FLOOR = 1e-3
+
 
 @dataclass
 class GradCheckReport:
@@ -48,13 +51,12 @@ def grad_check(
     h: float = 1e-5,
     max_coords_per_param: Optional[int] = None,
     rng: Optional[RngStream] = None,
-    denom_floor: float = 1e-3,
 ) -> GradCheckReport:
     """Compare backward() gradients to central differences at step h.
 
     loss_fn must be deterministic in the parameters (no live dropout or
     shuffling). Relative error uses |analytic - numeric| divided by
-    |analytic| + |numeric| floored at denom_floor, so coordinates whose
+    |analytic| + |numeric| floored at DENOM_FLOOR, so coordinates whose
     true gradient is near zero are judged on absolute error instead of
     amplified rounding noise.
     """
@@ -79,7 +81,7 @@ def grad_check(
         for coord in coords:
             numeric = central_difference(scalar_loss, p, coord, h)
             a = float(analytic[name][coord])
-            rel = abs(a - numeric) / max(abs(a) + abs(numeric), denom_floor)
+            rel = abs(a - numeric) / max(abs(a) + abs(numeric), DENOM_FLOOR)
             report.coords_checked += 1
             if rel > worst:
                 worst = rel

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .rng import RngStream
-from .tensor import Tensor, _result, parameter
+from .tensor import Tensor, _result, logistic, parameter
 
 
 def glorot_uniform(rng: RngStream, fan_in: int, fan_out: int, shape: Tuple[int, ...]) -> np.ndarray:
@@ -78,9 +78,9 @@ class LSTM:
         """
         n = self.n_hidden
         gates = xw_t + h_prev @ self.w_h.data
-        acts[:, :2 * n] = _sigmoid(gates[:, :2 * n])
+        acts[:, :2 * n] = logistic(gates[:, :2 * n])
         acts[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
-        acts[:, 3 * n:] = _sigmoid(gates[:, 3 * n:])
+        acts[:, 3 * n:] = logistic(gates[:, 3 * n:])
         i, f, g, o = (acts[:, k * n:(k + 1) * n] for k in range(4))
         c_new = f * c_prev + i * g
         np.tanh(c_new, out=tanh_c)
@@ -156,24 +156,3 @@ class LSTM:
 
     def parameters(self) -> Dict[str, Tensor]:
         return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def flatten_parameters(named: Dict[str, object]) -> Dict[str, Tensor]:
-    """Flatten a nested {name: layer-or-tensor} tree into dotted names."""
-    flat: Dict[str, Tensor] = {}
-    for name, value in named.items():
-        if isinstance(value, Tensor):
-            flat[name] = value
-        elif hasattr(value, "parameters"):
-            for sub, tensor in value.parameters().items():
-                flat[f"{name}.{sub}"] = tensor
-        elif isinstance(value, dict):
-            for sub, tensor in flatten_parameters(value).items():
-                flat[f"{name}.{sub}"] = tensor
-        else:
-            raise TypeError(f"cannot collect parameters from {name}={value!r}")
-    return flat

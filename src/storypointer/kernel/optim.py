@@ -8,21 +8,17 @@ import numpy as np
 
 from .tensor import Tensor
 
+# decay rates of the first and second moment estimates, and the
+# denominator's guard against division by zero
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        params: Dict[str, Tensor],
-        lr: float = 0.002,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Dict[str, Tensor], lr: float = 0.002):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -33,7 +29,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -48,7 +44,7 @@ class Adam:
             v += gg
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_gradients(params: Iterable[Tensor], max_norm: float) -> float:

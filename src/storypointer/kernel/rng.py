@@ -19,17 +19,12 @@ def derive_seed(seed: int, tag: str) -> int:
 
 
 class RngStream:
-    """A PCG64 generator with a draw counter.
-
-    The counter only tracks how many draw calls were made; reproducibility
-    comes from the seed and the call order.
-    """
+    """A PCG64 generator; a seed plus a call order reproduces its draws."""
 
     algorithm = "pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.draws = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, tag: str) -> "RngStream":
@@ -37,27 +32,20 @@ class RngStream:
         return RngStream(derive_seed(self.seed, tag))
 
     def random(self, shape=None) -> np.ndarray:
-        self.draws += 1
         return self._gen.random(shape)
 
-    def uniform(self, low: float, high: float, shape=None, dtype=np.float64) -> np.ndarray:
-        self.draws += 1
-        out = self._gen.uniform(low, high, shape)
-        return np.asarray(out, dtype=dtype)
+    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
+        return np.asarray(self._gen.uniform(low, high, shape))
 
-    def normal(self, loc: float, scale: float, shape=None, dtype=np.float64) -> np.ndarray:
-        self.draws += 1
-        out = self._gen.normal(loc, scale, shape)
-        return np.asarray(out, dtype=dtype)
+    def normal(self, loc: float, scale: float, shape=None) -> np.ndarray:
+        return np.asarray(self._gen.normal(loc, scale, shape))
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         """Integers in [low, high)."""
-        self.draws += 1
         return self._gen.integers(low, high, shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draws += 1
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r}, draws={self.draws})"
+        return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"

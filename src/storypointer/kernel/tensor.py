@@ -6,6 +6,14 @@ that has requires_grad set. Gradients are plain numpy arrays of the same
 shape as their tensor. All math stays in float64 so finite-difference
 checks against the analytic gradients are meaningful.
 
+The op set is the one the pipeline's models train with: `+` and `*`
+(broadcasting, scalars on either side), `@`, tanh, sigmoid, relu and
+gelu, reshape, transpose, swapaxes and indexing, plus the functions
+take_rows, softmax (last axis), layer_norm, dropout, cross_entropy and
+mse_loss. The tests check each op's vector-Jacobian product by seeding
+backward() with a fixed random cotangent and comparing the leaf
+gradients against central differences.
+
 backward() frees the graph as it walks it: once an interior node's closure
 has run, the node drops its `.grad`, its closure and its parents, so the
 activations it saved are released before the walk ends, even while the
@@ -27,6 +35,7 @@ _GRAD_ENABLED = True
 # constants of the tanh approximation to GELU
 _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
+_LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
 @contextmanager
@@ -54,13 +63,13 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = False
         self._parents: Tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -69,10 +78,6 @@ class Tensor:
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -87,9 +92,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add `grad` into `self.grad`.
@@ -175,42 +177,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-ensure_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return ensure_tensor(other) + (-self)
-
-    def __truediv__(self, other) -> "Tensor":
-        other = ensure_tensor(other)
-        out = _result(np.divide(self.data, other.data), (self, other))
-        if out.requires_grad:
-            def backward(grad):
-                if self.requires_grad:
-                    self._accumulate(unbroadcast(grad / other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
-                    )
-            out._backward = backward
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return ensure_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = _result(self.data ** exponent, (self,))
-        if out.requires_grad:
-            def backward(grad):
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-            out._backward = backward
-        return out
-
     def __matmul__(self, other) -> "Tensor":
         other = ensure_tensor(other)
         out = _result(np.matmul(self.data, other.data), (self, other))
@@ -235,7 +201,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
+        value = logistic(self.data)
         out = _result(value, (self,))
         if out.requires_grad:
             out._backward = lambda grad: self._accumulate(grad * value * (1.0 - value))
@@ -283,38 +249,15 @@ class Tensor:
             out._backward = backward
         return out
 
-    # ---- reducing ops / shape ----------------------------------------
+    # ---- shape -------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def backward(grad):
-                self._accumulate(_spread(grad, self.shape, axis, keepdims))
-            out._backward = backward
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.size if axis is None else _axis_count(self.shape, axis)
-        out = _result(self.data.mean(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def backward(grad):
-                self._accumulate(_spread(grad, self.shape, axis, keepdims) / count)
-            out._backward = backward
-        return out
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         out = _result(self.data.reshape(shape), (self,))
         if out.requires_grad:
             out._backward = lambda grad: self._accumulate(grad.reshape(self.shape))
         return out
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
+    def transpose(self, *axes: int) -> "Tensor":
         out = _result(self.data.transpose(axes), (self,))
         if out.requires_grad:
             inverse = tuple(np.argsort(axes))
@@ -346,27 +289,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _axis_count(shape: Tuple[int, ...], axis) -> int:
-    if isinstance(axis, int):
-        axis = (axis,)
-    count = 1
-    for a in axis:
-        count *= shape[a]
-    return count
-
-
-def _spread(grad: np.ndarray, shape: Tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduced gradient back over the reduced axes."""
-    if axis is None:
-        return np.broadcast_to(grad, shape).copy()
-    if not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            grad = np.expand_dims(grad, a)
-    return np.broadcast_to(grad, shape).copy()
-
-
 def ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -391,15 +313,21 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    value = x.data - x.data.max(axis=axis, keepdims=True)
+def logistic(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-z) of a plain array."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    value = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(value, out=value)
-    value /= value.sum(axis=axis, keepdims=True)
+    value /= value.sum(axis=-1, keepdims=True)
     out = _result(value, (x,))
     if out.requires_grad:
         def backward(grad):
             local = grad * value
-            dot = local.sum(axis=axis, keepdims=True)
+            dot = local.sum(axis=-1, keepdims=True)
             np.subtract(grad, dot, out=local)
             local *= value
             x._accumulate(local)
@@ -407,11 +335,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     value = gain.data * xhat
     value += bias.data
@@ -447,34 +375,24 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: Optional[int] = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax logits.
 
     logits has shape (..., C) and targets the matching leading shape.
-    Rows whose target equals ignore_index contribute nothing.
     """
-    targets = np.asarray(targets, dtype=np.int64)
     flat_logits = logits.data.reshape(-1, logits.shape[-1])
-    flat_targets = targets.reshape(-1)
-    if ignore_index is not None:
-        valid = flat_targets != ignore_index
-    else:
-        valid = np.ones(flat_targets.shape, dtype=bool)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy got no valid targets")
+    flat_targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    n = flat_targets.shape[0]
     shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_p = shifted - log_z
-    rows = np.arange(flat_targets.shape[0])
-    picked = np.where(valid, log_p[rows, np.where(valid, flat_targets, 0)], 0.0)
-    out = _result(np.asarray(-picked.sum() / n_valid), (logits,))
+    rows = np.arange(n)
+    out = _result(np.asarray(-log_p[rows, flat_targets].sum() / n), (logits,))
     if out.requires_grad:
         def backward(grad):
             p = np.exp(log_p)
-            p[rows[valid], flat_targets[valid]] -= 1.0
-            p[~valid] = 0.0
-            logits._accumulate((grad * p / n_valid).reshape(logits.shape))
+            p[rows, flat_targets] -= 1.0
+            logits._accumulate((grad * p / n).reshape(logits.shape))
         out._backward = backward
     return out
 

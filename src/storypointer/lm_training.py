@@ -19,6 +19,7 @@ from .transformer import TransformerModel
 from .wordpiece import PAD_ID
 
 MAX_GRAD_NORM = 1.0  # global gradient-norm bound for every optimizer step
+EVAL_BATCH_SIZE = 32  # examples per no-grad batch in evaluate_pretraining
 
 
 @dataclass
@@ -80,7 +81,7 @@ def batch_loss(
 
 
 def evaluate_pretraining(
-    model: TransformerModel, examples: Sequence[PretrainExample], batch_size: int = 32,
+    model: TransformerModel, examples: Sequence[PretrainExample],
 ) -> Tuple[float, float, float]:
     """Mean (joint, mlm, nsp) loss without touching gradients."""
     if not examples:
@@ -88,8 +89,8 @@ def evaluate_pretraining(
     totals = np.zeros(3)
     count = 0
     with no_grad():
-        for start in range(0, len(examples), batch_size):
-            batch = examples[start:start + batch_size]
+        for start in range(0, len(examples), EVAL_BATCH_SIZE):
+            batch = examples[start:start + EVAL_BATCH_SIZE]
             joint, mlm, nsp = batch_loss(model, batch, train=False)
             totals += np.array([float(joint.item()), mlm, nsp]) * len(batch)
             count += len(batch)

@@ -73,20 +73,18 @@ def aggregate_folds(folds: Sequence[MetricSet]) -> Dict[str, Tuple[float, float]
 
 
 def confusion_matrix(
-    actual_buckets: Sequence[int],
-    predicted_buckets: Sequence[int],
-    buckets: Sequence[int] = BUCKETS,
+    actual_buckets: Sequence[int], predicted_buckets: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Counts and row-normalized views; rows = actual, columns = predicted."""
+    """Counts and row-normalized views over BUCKETS; rows = actual, columns = predicted."""
     a = list(actual_buckets)
     p = list(predicted_buckets)
     if len(a) != len(p):
         raise ValueError(f"length mismatch: {len(a)} actuals vs {len(p)} predictions")
-    index = {b: i for i, b in enumerate(buckets)}
-    counts = np.zeros((len(buckets), len(buckets)), dtype=np.int64)
+    index = {b: i for i, b in enumerate(BUCKETS)}
+    counts = np.zeros((len(BUCKETS), len(BUCKETS)), dtype=np.int64)
     for actual, predicted in zip(a, p):
         if actual not in index or predicted not in index:
-            raise ValueError(f"bucket pair ({actual}, {predicted}) outside scheme {tuple(buckets)}")
+            raise ValueError(f"bucket pair ({actual}, {predicted}) outside scheme {BUCKETS}")
         counts[index[actual], index[predicted]] += 1
     row_sums = counts.sum(axis=1, keepdims=True)
     normalized = np.divide(

@@ -109,17 +109,12 @@ def write_fold_report(report: EvalReport, directory) -> List[Path]:
     return written
 
 
-def write_project_table(
-    corpus: LabeledCorpus,
-    report: EvalReport,
-    directory,
-    include_average: bool = False,
-    stem: str = "per_project",
-) -> List[Path]:
-    """Per-project requirement counts, effort moments, and fold MAE.
+def write_project_table(corpus: LabeledCorpus, report: EvalReport, directory) -> List[Path]:
+    """Per-project requirement counts, effort moments, and fold MAE, as
+    `per_project.csv` and its raw twin.
 
-    With include_average an extra final row averages the MAE column,
-    matching the new-project summary layout.
+    A final "avg" row averages the MAE column, matching the new-project
+    summary layout.
     """
     if report.provenance.get("split", {}).get("kind") != "by-project":
         raise ValueError("per-project tables need a by-project evaluation")
@@ -134,10 +129,9 @@ def write_project_table(
             fold.label, len(efforts), float(efforts.mean()),
             float(efforts.std()), fold.metrics.mae,
         ])
-    if include_average:
-        maes = [fold.metrics.mae for fold in report.folds]
-        rows.append(["avg", "", "", "", float(np.mean(maes))])
-    return write_twin_csv(Path(directory), stem, header, rows)
+    maes = [fold.metrics.mae for fold in report.folds]
+    rows.append(["avg", "", "", "", float(np.mean(maes))])
+    return write_twin_csv(Path(directory), "per_project", header, rows)
 
 
 def write_corpus_stats(stats: CorpusStats, directory) -> List[Path]:

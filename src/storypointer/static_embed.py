@@ -29,6 +29,7 @@ from .corpus import (
     tokenize_words,
 )
 from .kernel import RngStream, parameter
+from .kernel.tensor import logistic
 from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 
 NOISE_POWER = 0.75
@@ -170,7 +171,7 @@ def _negative_sampling_step(
     drawn = _draw_noise(rng, cumulative, (len(targets), negatives))
     words = np.column_stack([targets, drawn])
     out = vout[words]
-    f = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", h, out)))
+    f = logistic(np.einsum("bd,bkd->bk", h, out))
     labels = np.zeros(words.shape)
     labels[:, 0] = 1.0
     g = (labels - f) * lr[:, None]

@@ -89,6 +89,14 @@ class TestArchitecture:
         assert total == 30200 + 2550 + 510 + 99
         assert model.head.n_out == 9
 
+    def test_parameters_carry_dotted_layer_names(self):
+        model = EstimatorModel(HeadConfig(), input_dim=8)
+        assert list(model.parameters()) == [
+            "dense1.weight", "dense1.bias", "dense2.weight", "dense2.bias",
+            "head.weight", "head.bias", "lstm.w_x", "lstm.w_h", "lstm.bias",
+        ]
+        assert model.parameters()["lstm.w_h"] is model.lstm.w_h
+
     def test_pooled_mode_drops_the_recurrent_block(self):
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=32)
         assert model.lstm is None

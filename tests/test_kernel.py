@@ -21,13 +21,13 @@ from storypointer.kernel import (
     central_difference,
     clip_gradients,
     derive_seed,
-    flatten_parameters,
     grad_check,
     load_checkpoint,
     mse_loss,
     parameter,
     save_checkpoint,
 )
+from storypointer.kernel.optim import BETA1, BETA2, EPS
 
 
 @pytest.fixture
@@ -86,9 +86,9 @@ def reference_lstm(cell, x, mask):
         o = gates[:, 3 * n:4 * n].sigmoid()
         c_new = f * c + i * g
         h_new = o * c_new.tanh()
-        m = Tensor(mask[:, t:t + 1])
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
+        m, keep = Tensor(mask[:, t:t + 1]), Tensor(1.0 - mask[:, t:t + 1])
+        h = m * h_new + keep * h
+        c = m * c_new + keep * c
         # placed at step t by a constant one-hot over the step axis
         one_hot = np.zeros((1, steps, 1))
         one_hot[0, t, 0] = 1.0
@@ -241,7 +241,7 @@ class TestAdam:
         p = parameter(rng.uniform(-0.5, 0.5, (4, 3)))
         data, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
         opt = Adam({"p": p}, lr=0.01)
-        b1, b2 = opt.beta1, opt.beta2
+        b1, b2 = BETA1, BETA2
         for t in range(1, 6):
             g = rng.normal(0.0, 1.0, (4, 3))
             p.grad = g
@@ -249,7 +249,7 @@ class TestAdam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
-            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + opt.eps)
+            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + EPS)
             np.testing.assert_array_equal(opt.m["p"], m)
             np.testing.assert_array_equal(opt.v["p"], v)
             np.testing.assert_array_equal(p.data, data)
@@ -262,10 +262,7 @@ class TestGradientAliasing:
     def summed(rng, seed=None):
         a = parameter(rng.uniform(-0.5, 0.5, (3, 4)))
         b = parameter(rng.uniform(-0.5, 0.5, (3, 4)))
-        if seed is None:
-            (a + b).sum().backward()
-        else:
-            (a + b).backward(seed)
+        (a + b).backward(np.ones((3, 4)) if seed is None else seed)
         assert np.shares_memory(a.grad, b.grad)  # the case under test
         return a, b
 
@@ -317,7 +314,7 @@ class TestGradCheckHarness:
         x = rng.uniform(-0.5, 0.5, (3,))
 
         def broken_loss():
-            out = (w * Tensor(x)).sum()
+            out = mse_loss(w * Tensor(x), np.zeros(3))
             inner = out._backward
             # sabotage: double every gradient contribution
             out._backward = lambda grad: inner(2.0 * grad)
@@ -453,13 +450,12 @@ class TestCheckpoint:
 
     @given(
         shapes=st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=1, max_size=3),
-        dtype=st.sampled_from(["float64", "float32"]),
         sections=st.dictionaries(st.sampled_from(["vocab", "notes"]), st.text(max_size=12)),
     )
     @settings(max_examples=20, deadline=None)
-    def test_every_prefix_truncation_is_refused(self, shapes, dtype, sections):
+    def test_every_prefix_truncation_is_refused(self, shapes, sections):
         params = {
-            f"p{i}": parameter(np.arange(float(np.prod(shape))).reshape(shape).astype(dtype))
+            f"p{i}": parameter(np.arange(float(np.prod(shape))).reshape(shape))
             for i, shape in enumerate(shapes)
         }
         with tempfile.TemporaryDirectory() as tmp:
@@ -486,13 +482,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["params"][0].update(dtype="int8"),
+        lambda h: h["params"][0].update(dtype="float32"),
         lambda h: h["params"][0].update(shape=[10 ** 15]),
         lambda h: h["params"][0].update(shape="2x2"),
         lambda h: h["sections"].append({"name": "extra"}),
         lambda h: h.pop("meta"),
         lambda h: h.pop("params"),
         lambda h: h.update(format_version=3),
-    ], ids=["unknown-dtype", "oversized-shape", "bad-shape", "bad-section", "no-meta",
+    ], ids=["unknown-dtype", "float32", "oversized-shape", "bad-shape", "bad-section", "no-meta",
             "no-params", "future-version"])
     def test_malformed_header_is_refused(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
@@ -517,12 +514,6 @@ class TestRngStream:
         np.testing.assert_array_equal(a.uniform(-1, 1, (10,)), b.uniform(-1, 1, (10,)))
         np.testing.assert_array_equal(a.permutation(20), b.permutation(20))
 
-    def test_draw_counter_tracks_calls(self):
-        s = RngStream(1)
-        s.random((2,))
-        s.integers(0, 5, (3,))
-        assert s.draws == 2
-
     def test_children_are_stable_and_distinct(self):
         root = RngStream(7)
         again = RngStream(7)
@@ -537,23 +528,3 @@ class TestRngStream:
         second = RngStream(seed).uniform(0, 1, (5,))
         np.testing.assert_array_equal(first, second)
 
-
-class TestFlattenParameters:
-    def test_nested_tree_gets_dotted_names(self, rng):
-        tree = {
-            "encoder": {"proj": Dense(rng, 2, 2)},
-            "head": Dense(rng, 2, 1),
-            "scale": parameter(np.ones(1)),
-        }
-        flat = flatten_parameters(tree)
-        assert set(flat) == {
-            "encoder.proj.weight",
-            "encoder.proj.bias",
-            "head.weight",
-            "head.bias",
-            "scale",
-        }
-
-    def test_unknown_leaf_rejected(self):
-        with pytest.raises(TypeError):
-            flatten_parameters({"x": 3})

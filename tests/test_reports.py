@@ -152,7 +152,7 @@ class TestProjectTable:
         write_project_table(corpus, project_report, tmp_path)
         lines = (tmp_path / "per_project_raw.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "project,n_requirements,effort_mean,effort_std,mae"
-        assert len(lines) == 1 + 3
+        assert len(lines) == 1 + 3 + 1  # header, three projects, the average
         first = lines[1].split(",")
         assert first[0] == "proj0"
         assert int(first[1]) == 12
@@ -160,8 +160,8 @@ class TestProjectTable:
         assert float(first[2]) == pytest.approx(np.mean(efforts))
         assert float(first[3]) == pytest.approx(np.std(efforts))
 
-    def test_average_row_is_optional(self, corpus, project_report, tmp_path):
-        write_project_table(corpus, project_report, tmp_path, include_average=True)
+    def test_last_row_averages_the_mae(self, corpus, project_report, tmp_path):
+        write_project_table(corpus, project_report, tmp_path)
         lines = (tmp_path / "per_project_raw.csv").read_text(encoding="utf-8").splitlines()
         last = lines[-1].split(",")
         assert last[0] == "avg"
