@@ -17,6 +17,7 @@ from storypointer.estimator import (
     train_estimator,
 )
 from storypointer.features import FeatureBatch
+from storypointer.kernel import Tensor, softmax
 from storypointer.kernel.checkpoint import config_from_meta
 from storypointer.kernel.rng import RngStream
 
@@ -168,6 +169,14 @@ class TestPrediction:
         result = predict(model, pooled_batch(np.zeros((1, 4))))[0]
         assert (result.bucket, result.effort, result.raw) == (5, 5.0, 3.0)
         assert int(np.argmax(result.probabilities)) == 3
+
+    def test_softmax_probabilities_are_the_kernel_softmax_of_the_logits(self):
+        model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
+        batch = pooled_batch(np.random.default_rng(1).normal(size=(3, 4)))
+        logits = model.forward_batch(batch).numpy()
+        expected = softmax(Tensor(logits)).numpy()
+        for result, row in zip(predict(model, batch), expected):
+            np.testing.assert_array_equal(result.probabilities, row)
 
     def test_padding_under_mask_does_not_change_sequence_output(self):
         model = EstimatorModel(HeadConfig(), input_dim=5)

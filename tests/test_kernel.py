@@ -514,6 +514,13 @@ class TestRngStream:
         np.testing.assert_array_equal(a.uniform(-1, 1, (10,)), b.uniform(-1, 1, (10,)))
         np.testing.assert_array_equal(a.permutation(20), b.permutation(20))
 
+    def test_uniform_and_normal_draw_float64(self):
+        s = RngStream(5)
+        for draw in (s.uniform(-1.0, 1.0, (2, 3)), s.normal(0.0, 1.0, (4,))):
+            assert draw.dtype == np.float64
+        assert s.uniform(0.0, 1.0).shape == ()
+        assert s.normal(0.0, 1.0).dtype == np.float64
+
     def test_children_are_stable_and_distinct(self):
         root = RngStream(7)
         again = RngStream(7)

@@ -22,6 +22,7 @@ from storypointer.kernel import (
     softmax,
     take_rows,
 )
+from storypointer.kernel.tensor import logistic
 
 
 def fd_grad(scalar_fn, array, h=1e-6):
@@ -83,6 +84,13 @@ class TestElementwiseGrads:
         check_vjp(lambda x: x.sigmoid(), [a])
         check_vjp(lambda x: x.relu(), [a])
         check_vjp(lambda x: x.gelu(), [a])
+
+    def test_sigmoid_value_is_the_shared_logistic(self):
+        z = np.linspace(-40.0, 40.0, 81)
+        expected = 1.0 / (1.0 + np.exp(-z))
+        np.testing.assert_array_equal(logistic(z), expected)
+        np.testing.assert_array_equal(Tensor(z).sigmoid().numpy(), expected)
+        assert logistic(np.array(0.0)) == 0.5
 
 
 GELU_A = 0.044715
@@ -163,6 +171,12 @@ class TestFusedGrads:
         plain = softmax(Tensor(np.array([[0.0, 1.0, 2.0]]))).numpy()
         np.testing.assert_allclose(shifted, plain, atol=1e-12)
 
+    def test_softmax_matches_numpy_over_the_last_axis(self, rng):
+        logits = rng.uniform(-2.0, 2.0, (2, 3, 4))
+        e = np.exp(logits)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(softmax(Tensor(logits)).numpy(), expected, atol=1e-12)
+
     def test_softmax_grad(self, rng):
         logits = rng.uniform(-1.0, 1.0, (2, 3, 4))
         check_vjp(softmax, [logits])
@@ -189,6 +203,14 @@ class TestFusedGrads:
         logits = rng.uniform(-1.0, 1.0, (4, 5))
         targets = np.array([0, 2, 4, 1])
         check_vjp(lambda x: cross_entropy(x, targets), [logits])
+
+    def test_cross_entropy_averages_over_every_leading_position(self, rng):
+        logits = rng.uniform(-1.0, 1.0, (2, 3, 5))
+        targets = np.array([[0, 4, 2], [1, 1, 3]])
+        log_p = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(log_p, targets[..., None], axis=-1)
+        loss = cross_entropy(Tensor(logits), targets).item()
+        np.testing.assert_allclose(loss, -picked.mean(), atol=1e-12)
 
     def test_mse_loss_values_and_grad(self, rng):
         np.testing.assert_allclose(
