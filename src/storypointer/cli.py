@@ -396,15 +396,19 @@ def _cmd_embed(args) -> str:
     )
 
 
+def _head_config(args, output: str) -> HeadConfig:
+    """The head the flags describe; patience is capped at the epoch count."""
+    return HeadConfig(
+        mode=args.mode, output=output, epochs=args.epochs, batch_size=args.batch_size,
+        patience=min(args.patience, args.epochs), learning_rate=args.lr, seed=args.seed,
+    )
+
+
 def _cmd_train(args) -> str:
     _require(args, "embedding")
     corpus, _ = _load_labeled(args)
     featurizer = _load_featurizer(_data_path(args.embedding), args.mode)
-    head = HeadConfig(
-        mode=args.mode, output=args.output, epochs=args.epochs,
-        batch_size=args.batch_size, patience=min(args.patience, args.epochs),
-        learning_rate=args.lr, seed=args.seed,
-    )
+    head = _head_config(args, args.output)
     records = corpus.records
     features = featurizer.featurize([r.text for r in records])
     efforts = np.array([r.effort for r in records])
@@ -431,12 +435,7 @@ def _cmd_evaluate(args) -> str:
     _require(args, "experiment", "embedding")
     corpus, corpus_path = _load_labeled(args)
     featurizer = _load_featurizer(_data_path(args.embedding), args.mode)
-    head = HeadConfig(
-        mode=args.mode, output=EXPERIMENTS[args.experiment]["output"],
-        epochs=args.epochs, batch_size=args.batch_size,
-        patience=min(args.patience, args.epochs),
-        learning_rate=args.lr, seed=args.seed,
-    )
+    head = _head_config(args, EXPERIMENTS[args.experiment]["output"])
     if args.by_project:
         plan = leave_one_project_out(corpus)
     else:

@@ -2,10 +2,12 @@
 
 Sequence inputs run through a masked LSTM whose final state feeds two
 nonlinear dense layers; pooled inputs skip straight to the dense stack.
-The output is either a single linear unit (story points, clamped to
-[1, 100]) or a 9-way softmax over the Planning-Poker buckets. Training
-uses minibatch Adam with early stopping on validation MAE and restores
-the best-epoch parameters.
+The output is either a single linear unit or a 9-way softmax over the
+Planning-Poker buckets. `forward` takes a `FeatureBatch` of the head's
+mode and returns the raw outputs; `predict` turns them into one effort
+per row, as a float64 array: the linear output clamped to [1, 100], or
+the bucket of the most probable class. Training uses minibatch Adam with
+early stopping on validation MAE and restores the best-epoch parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import BUCKETS, bucket_index, bucketize
+from .corpus import BUCKETS, bucket_index
 from .features import FeatureBatch
 from .kernel import (
     LSTM,
@@ -76,14 +78,6 @@ class TrainHistory:
         return self.val_mae[self.best_epoch]
 
 
-@dataclass(frozen=True)
-class PredictionResult:
-    effort: float
-    bucket: int
-    raw: float
-    probabilities: Optional[np.ndarray] = None
-
-
 class EstimatorModel:
     def __init__(self, config: HeadConfig, input_dim: int, source: Optional[dict] = None):
         config.validate()
@@ -118,26 +112,23 @@ class EstimatorModel:
         return {f"{layer}.{name}": tensor for layer, module in layers.items()
                 for name, tensor in module.parameters().items()}
 
-    def forward(self, vectors: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
-        x = Tensor(np.asarray(vectors, dtype=np.float64))
+    def forward(self, batch: FeatureBatch) -> Tensor:
+        """The raw head outputs, (n, 1) or (n, 9), for a batch of the head's mode."""
+        if batch.mode != self.config.mode:
+            raise ValueError(f"feature mode {batch.mode!r} does not match head mode "
+                             f"{self.config.mode!r}")
+        x = Tensor(np.asarray(batch.vectors, dtype=np.float64))
         if self.config.mode == "sequence":
             if x.data.ndim != 3:
                 raise ValueError(f"sequence mode expects (n, t, d) inputs, got {x.shape}")
             if x.shape[-1] != self.input_dim:
                 raise ValueError(f"expected dimension {self.input_dim}, got {x.shape[-1]}")
-            _, final = self.lstm(x, mask)
-            h = final
+            _, h = self.lstm(x, batch.mask)
         else:
             if x.data.ndim != 2 or x.shape[-1] != self.input_dim:
                 raise ValueError(f"pooled mode expects (n, {self.input_dim}) inputs, got {x.shape}")
             h = x
         return self.head(self.dense2(self.dense1(h)))
-
-    def forward_batch(self, batch: FeatureBatch) -> Tensor:
-        if batch.mode != self.config.mode:
-            raise ValueError(f"feature mode {batch.mode!r} does not match head mode "
-                             f"{self.config.mode!r}")
-        return self.forward(batch.vectors, batch.mask)
 
 
 def _snapshot(params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
@@ -150,37 +141,22 @@ def _restore(params: Dict[str, Tensor], snapshot: Dict[str, np.ndarray]) -> None
 
 
 def _training_loss(model: EstimatorModel, batch: FeatureBatch, efforts: np.ndarray) -> Tensor:
-    raw = model.forward_batch(batch)
+    raw = model.forward(batch)
     if model.config.output == "linear":
         return mse_loss(raw.reshape(len(batch)), efforts)
     labels = np.array([bucket_index(e) for e in efforts], dtype=np.int64)
     return cross_entropy(raw, labels)
 
 
-def predict(model: EstimatorModel, batch: FeatureBatch) -> List[PredictionResult]:
+def predict(model: EstimatorModel, batch: FeatureBatch) -> np.ndarray:
+    """One effort per row: the clamped linear output, or the bucket whose
+    softmax probability is largest (ties go to the lowest bucket)."""
     with no_grad():
-        raw = model.forward_batch(batch).numpy()
-    results: List[PredictionResult] = []
+        raw = model.forward(batch).numpy()
     if model.config.output == "linear":
-        for value in raw.reshape(-1):
-            effort = float(np.clip(value, EFFORT_FLOOR, EFFORT_CEIL))
-            results.append(PredictionResult(
-                effort=effort, bucket=bucketize(effort), raw=float(value),
-            ))
-    else:
-        probs = softmax(Tensor(raw)).numpy()
-        for row, p in zip(raw, probs):
-            choice = int(np.argmax(p))  # ties resolve to the lowest bucket
-            value = float(BUCKETS[choice])
-            results.append(PredictionResult(
-                effort=value, bucket=BUCKETS[choice], raw=float(row[choice]),
-                probabilities=p.copy(),
-            ))
-    return results
-
-
-def predict_effort(model: EstimatorModel, batch: FeatureBatch) -> np.ndarray:
-    return np.array([r.effort for r in predict(model, batch)])
+        return np.clip(raw.reshape(-1), EFFORT_FLOOR, EFFORT_CEIL)
+    choice = np.argmax(softmax(Tensor(raw)).numpy(), axis=-1)
+    return np.asarray(BUCKETS, dtype=np.float64)[choice]
 
 
 def train_estimator(
@@ -219,7 +195,7 @@ def train_estimator(
             loss_sum += float(loss.item()) * len(picks)
         history.train_loss.append(loss_sum / len(train_batch))
 
-        val_mae = mae(val_efforts, predict_effort(model, val_batch))
+        val_mae = mae(val_efforts, predict(model, val_batch))
         history.val_mae.append(val_mae)
         if val_mae < best:
             # any strict improvement moves the restore point, but only a

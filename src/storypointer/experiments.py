@@ -19,11 +19,11 @@ from .kernel import RngStream
 from .metrics import MetricSet, aggregate_folds, confusion_matrix, metric_set
 
 EXPERIMENTS = {
-    "E1": {"embedding": "static", "finetuned": False, "output": "linear"},
-    "E2": {"embedding": "static", "finetuned": True, "output": "linear"},
-    "E3": {"embedding": "contextual", "finetuned": False, "output": "linear"},
-    "E4": {"embedding": "contextual", "finetuned": True, "output": "linear"},
-    "E5": {"embedding": "contextual", "finetuned": True, "output": "softmax"},
+    "E1": {"embedding": "static", "output": "linear"},
+    "E2": {"embedding": "static", "output": "linear"},
+    "E3": {"embedding": "contextual", "output": "linear"},
+    "E4": {"embedding": "contextual", "output": "linear"},
+    "E5": {"embedding": "contextual", "output": "softmax"},
 }
 
 
@@ -92,8 +92,6 @@ def run_experiment(
     row_of = {r.id: i for i, r in enumerate(records)}
 
     folds: List[FoldResult] = []
-    all_actual: List[float] = []
-    all_predicted: List[float] = []
     for label, train_records, test_records in plan.rounds(corpus):
         train_rows = [row_of[r.id] for r in train_records]
         test_rows = [row_of[r.id] for r in test_records]
@@ -110,8 +108,7 @@ def run_experiment(
             features.select(val_rows), efforts[val_rows],
         )
 
-        results = predict(model, features.select(test_rows))
-        predicted = np.array([r.effort for r in results])
+        predicted = predict(model, features.select(test_rows))
         actual = efforts[test_rows]
         folds.append(FoldResult(
             label=label,
@@ -121,8 +118,6 @@ def run_experiment(
             best_epoch=history.best_epoch,
             stop_reason=history.stop_reason,
         ))
-        all_actual.extend(actual)
-        all_predicted.extend(predicted)
 
     report = EvalReport(
         experiment=experiment,
@@ -138,9 +133,10 @@ def run_experiment(
         },
     )
     if head_config.output == "softmax":
-        actual_buckets = [bucketize(a) for a in all_actual]
-        predicted_buckets = [bucketize(p) for p in all_predicted]
-        counts, normalized = confusion_matrix(actual_buckets, predicted_buckets)
+        counts, normalized = confusion_matrix(
+            [bucketize(a) for a in np.concatenate([f.actual for f in folds])],
+            [bucketize(p) for p in np.concatenate([f.predicted for f in folds])],
+        )
         report.confusion = counts
         report.confusion_normalized = normalized
     return report

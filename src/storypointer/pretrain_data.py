@@ -29,6 +29,8 @@ from .wordpiece import (
 )
 
 _SENTENCE_SPLIT = re.compile(r"[.\n]+")
+MASK_TOKEN_SHARE = 0.8    # chosen positions replaced by [MASK]
+RANDOM_TOKEN_SHARE = 0.1  # chosen positions replaced by a random token
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,6 @@ def mask_tokens(
     vocab_size: int,
     mask_rate: float,
     rng: RngStream,
-    mask_token_share: float = 0.8,
-    random_token_share: float = 0.1,
 ) -> Tuple[List[int], List[int], List[int]]:
     """Returns (masked ids, chosen positions ascending, original labels)."""
     maskable = [i for i, t in enumerate(token_ids) if t >= N_SPECIALS]
@@ -81,9 +81,9 @@ def mask_tokens(
     for pos in chosen:
         labels.append(out[pos])
         roll = float(rng.random())
-        if roll < mask_token_share:
+        if roll < MASK_TOKEN_SHARE:
             out[pos] = MASK_ID
-        elif roll < mask_token_share + random_token_share:
+        elif roll < MASK_TOKEN_SHARE + RANDOM_TOKEN_SHARE:
             out[pos] = int(rng.integers(N_SPECIALS, vocab_size))
         # else: keep the original token
     return out, chosen, labels

@@ -20,6 +20,7 @@ import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
 
+from .corpus import bucketize
 from .estimator import EstimatorModel, predict
 
 ROUTE = "/estimate"
@@ -49,10 +50,10 @@ class EstimateService:
 
     def estimate(self, text: str) -> dict:
         batch = self.featurizer.featurize([text])
-        result = predict(self.estimator, batch)[0]
+        effort = float(predict(self.estimator, batch)[0])
         return {
-            "effort": result.effort,
-            "class": result.bucket,
+            "effort": effort,
+            "class": bucketize(effort),
             "model_id": self.estimator.model_id,
             "degenerate": bool(batch.degenerate[0]),
         }

@@ -6,13 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from storypointer.corpus import BUCKETS
 from storypointer.estimator import (
     EstimatorModel,
     HeadConfig,
     TrainHistory,
     load_estimator,
     predict,
-    predict_effort,
     save_estimator,
     train_estimator,
 )
@@ -122,7 +122,7 @@ class TestArchitecture:
     def test_input_dimension_is_enforced(self):
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=8)
         with pytest.raises(ValueError):
-            model.forward(np.zeros((3, 5)))
+            model.forward(pooled_batch(np.zeros((3, 5))))
         with pytest.raises(ValueError):
             EstimatorModel(HeadConfig(), input_dim=0)
 
@@ -130,7 +130,7 @@ class TestArchitecture:
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=4)
         seq = sequence_batch(np.zeros((2, 3, 4)), np.ones((2, 3)))
         with pytest.raises(ValueError):
-            model.forward_batch(seq)
+            model.forward(seq)
 
 
 class TestPrediction:
@@ -141,42 +141,36 @@ class TestPrediction:
     def test_linear_output_is_clamped_to_effort_range(self):
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=4)
         batch = pooled_batch(np.zeros((3, 4)))
-        for forced, effort, bucket in [(-3.2, 1.0, 1), (6.0, 6.0, 5), (250.0, 100.0, 100)]:
+        for forced, effort in [(-3.2, 1.0), (6.0, 6.0), (250.0, 100.0)]:
             self.force_output(model, [forced])
-            result = predict(model, batch)[0]
-            assert result.effort == pytest.approx(effort)
-            assert result.bucket == bucket
-            assert result.raw == pytest.approx(forced)
+            efforts = predict(model, batch)
+            assert efforts.dtype == np.float64 and efforts.shape == (3,)
+            np.testing.assert_allclose(efforts, effort, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.forward(batch).numpy(), forced, rtol=0, atol=1e-12)
 
-    def test_softmax_probabilities_sum_to_one(self):
+    def test_softmax_efforts_are_buckets(self):
         model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
-        batch = pooled_batch(np.random.default_rng(0).normal(size=(5, 4)))
-        for result in predict(model, batch):
-            assert result.probabilities.shape == (9,)
-            assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-            assert result.effort in (1, 2, 3, 5, 8, 13, 20, 40, 100)
+        efforts = predict(model, pooled_batch(np.random.default_rng(0).normal(size=(5, 4))))
+        assert efforts.dtype == np.float64 and efforts.shape == (5,)
+        assert set(efforts) <= set(BUCKETS)
 
     def test_uniform_logits_pick_the_smallest_bucket(self):
         model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
         self.force_output(model, np.zeros(9))
-        result = predict(model, pooled_batch(np.zeros((1, 4))))[0]
-        assert result.bucket == 1
-        assert result.effort == pytest.approx(1.0)
+        np.testing.assert_array_equal(predict(model, pooled_batch(np.zeros((2, 4)))), [1.0, 1.0])
 
-    def test_softmax_raw_is_the_logit_of_the_chosen_bucket(self):
+    def test_chosen_bucket_is_the_largest_logit(self):
         model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
         self.force_output(model, [0.0, 1.0, 0.5, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-        result = predict(model, pooled_batch(np.zeros((1, 4))))[0]
-        assert (result.bucket, result.effort, result.raw) == (5, 5.0, 3.0)
-        assert int(np.argmax(result.probabilities)) == 3
+        np.testing.assert_array_equal(predict(model, pooled_batch(np.zeros((1, 4)))), [5.0])
 
-    def test_softmax_probabilities_are_the_kernel_softmax_of_the_logits(self):
+    def test_softmax_effort_is_the_bucket_at_the_kernel_softmax_argmax(self):
         model = EstimatorModel(HeadConfig(mode="pooled", output="softmax"), input_dim=4)
-        batch = pooled_batch(np.random.default_rng(1).normal(size=(3, 4)))
-        logits = model.forward_batch(batch).numpy()
-        expected = softmax(Tensor(logits)).numpy()
-        for result, row in zip(predict(model, batch), expected):
-            np.testing.assert_array_equal(result.probabilities, row)
+        batch = pooled_batch(np.random.default_rng(1).normal(size=(40, 4)))
+        logits = model.forward(batch).numpy()
+        choice = np.argmax(softmax(Tensor(logits)).numpy(), axis=-1)
+        expected = np.array([float(BUCKETS[c]) for c in choice])
+        np.testing.assert_array_equal(predict(model, batch), expected)
 
     def test_padding_under_mask_does_not_change_sequence_output(self):
         model = EstimatorModel(HeadConfig(), input_dim=5)
@@ -185,8 +179,8 @@ class TestPrediction:
         padded = np.concatenate([short, rng.normal(size=(2, 4, 5))], axis=1)
         mask = np.zeros((2, 7))
         mask[:, :3] = 1.0
-        a = model.forward(short, np.ones((2, 3))).numpy()
-        b = model.forward(padded, mask).numpy()
+        a = model.forward(sequence_batch(short, np.ones((2, 3)))).numpy()
+        b = model.forward(sequence_batch(padded, mask)).numpy()
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -237,7 +231,7 @@ class TestTraining:
         history = train_estimator(model, batch, efforts, batch, efforts)
         from storypointer.metrics import mae
 
-        final = mae(efforts, predict_effort(model, batch))
+        final = mae(efforts, predict(model, batch))
         assert final == pytest.approx(history.best_val_mae, abs=1e-9)
 
     def test_training_is_deterministic(self):
@@ -248,7 +242,7 @@ class TestTraining:
         for _ in range(2):
             model = EstimatorModel(config, input_dim=4)
             train_estimator(model, batch, efforts, batch, efforts)
-            runs.append(predict_effort(model, batch))
+            runs.append(predict(model, batch))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_sequence_head_trains_on_variable_lengths(self):
@@ -290,7 +284,7 @@ class TestPersistence:
         assert loaded.config == model.config
         assert loaded.source == model.source
         np.testing.assert_array_equal(
-            predict_effort(loaded, batch), predict_effort(model, batch)
+            predict(loaded, batch), predict(model, batch)
         )
 
     def test_history_rebuilds_from_the_checkpoint_meta(self, tmp_path):

@@ -230,6 +230,20 @@ class TestContextualFeaturizer:
         assert batch.mask.tolist() == [[1.0], [0.0]]
         np.testing.assert_array_equal(batch.vectors[1], np.zeros((1, 16)))
 
+    def test_featurize_builds_no_graph(self, ctx_model, monkeypatch):
+        assert ctx_model.encode(np.array([[1, 5, 2]]))[-2].requires_grad  # the spy can tell
+        seen = []
+        encode = ctx_model.encode
+
+        def spy(*args, **kwargs):
+            outputs = encode(*args, **kwargs)
+            seen.append(outputs[-2].requires_grad)
+            return outputs
+
+        monkeypatch.setattr(ctx_model, "encode", spy)
+        ContextualFeaturizer(ctx_model, mode="pooled").featurize(SENTENCES)
+        assert seen == [False]
+
     def test_long_text_is_truncated_to_window(self, ctx_model):
         long_text = " ".join(["query join table index schema"] * 20)
         featurizer = ContextualFeaturizer(ctx_model, mode="sequence")

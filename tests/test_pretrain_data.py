@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from storypointer.corpus import UnlabeledCorpus
+from storypointer import pretrain_data
 from storypointer.kernel import RngStream
 from storypointer.pretrain_data import (
     PretrainExample,
@@ -94,18 +95,18 @@ class TestMasking:
         for pos in untouched:
             assert masked[pos] == ids[pos]
 
-    def test_pure_mask_share_replaces_all_with_mask(self):
+    def test_pure_mask_share_replaces_all_with_mask(self, monkeypatch):
+        monkeypatch.setattr(pretrain_data, "MASK_TOKEN_SHARE", 1.0)
+        monkeypatch.setattr(pretrain_data, "RANDOM_TOKEN_SHARE", 0.0)
         ids = self.original()
-        masked, positions, _ = mask_tokens(
-            ids, 200, 0.5, RngStream(4), mask_token_share=1.0, random_token_share=0.0
-        )
+        masked, positions, _ = mask_tokens(ids, 200, 0.5, RngStream(4))
         assert all(masked[pos] == MASK_ID for pos in positions)
 
-    def test_pure_random_share_avoids_specials(self):
+    def test_pure_random_share_avoids_specials(self, monkeypatch):
+        monkeypatch.setattr(pretrain_data, "MASK_TOKEN_SHARE", 0.0)
+        monkeypatch.setattr(pretrain_data, "RANDOM_TOKEN_SHARE", 1.0)
         ids = self.original()
-        masked, positions, _ = mask_tokens(
-            ids, 50, 0.5, RngStream(4), mask_token_share=0.0, random_token_share=1.0
-        )
+        masked, positions, _ = mask_tokens(ids, 50, 0.5, RngStream(4))
         for pos in positions:
             assert 5 <= masked[pos] < 50
 

@@ -29,19 +29,23 @@ SENTENCES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def service():
+def trained_service(output: str) -> EstimateService:
     docs = UnlabeledCorpus(documents=SENTENCES * 4)
     embedder = train_static(docs, StaticTrainConfig(mode="cbow", dimension=6, epochs=2, seed=0))
     featurizer = StaticFeaturizer(embedder, mode="pooled")
     batch = featurizer.featurize(SENTENCES * 3)
     efforts = np.tile([2.0, 5.0, 3.0, 8.0], 3)
-    config = HeadConfig(mode="pooled", dense_sizes=(6, 3), epochs=5,
+    config = HeadConfig(mode="pooled", output=output, dense_sizes=(6, 3), epochs=5,
                         patience=5, batch_size=6, seed=0)
     model = EstimatorModel(config, input_dim=6,
                            source={"kind": "static", "model_id": embedder.model_id})
     train_estimator(model, batch, efforts, batch, efforts)
     return EstimateService(model, featurizer)
+
+
+@pytest.fixture(scope="module")
+def service():
+    return trained_service("linear")
 
 
 @contextmanager
@@ -129,6 +133,20 @@ class TestService:
         )
         with pytest.raises(ValueError):
             EstimateService(mismatched, service.featurizer)
+
+
+class TestSoftmaxHead:
+    def test_served_class_is_the_bucket_effort(self):
+        softmax_service = trained_service("softmax")
+        texts = SENTENCES + ["fix login export", ""]
+        with running(softmax_service) as (host, port):
+            for text in texts:
+                status, reply = post(f"http://{host}:{port}", json.dumps({"text": text}).encode())
+                assert status == 200
+                assert reply["class"] in (1, 2, 3, 5, 8, 13, 20, 40, 100)
+                assert reply["class"] == reply["effort"]
+                assert reply["model_id"].startswith("estimator-pooled-softmax-on-")
+                assert reply == softmax_service.estimate(text)
 
 
 class TestEndpoint:
