@@ -255,27 +255,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def get(self, token: str, unknown: str) -> int:
-        return self.index.get(token, self.index[unknown])
-
-
-def build_word_vocab(texts: Sequence[str], min_count: int = 1) -> Vocabulary:
-    """Word vocabulary ordered by descending count, ties lexicographic."""
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter = Counter()
-    for text in texts:
-        counts.update(tokenize_words(text))
-    kept = [(tok, n) for tok, n in counts.items() if n >= min_count]
-    if not kept:
-        raise ValueError(f"no tokens with count >= {min_count}; vocabulary would be empty")
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    return Vocabulary(
-        specials=(PAD_WORD, UNK_WORD),
-        ordered_tokens=[tok for tok, _ in kept],
-        counts={tok: n for tok, n in kept},
-    )
-
 
 @dataclass
 class SplitPlan:

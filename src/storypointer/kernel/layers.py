@@ -24,7 +24,7 @@ class Dense:
     """Affine map with an optional elementwise activation."""
 
     def __init__(self, rng: RngStream, n_in: int, n_out: int, activation: str = "identity"):
-        if activation not in ("identity", "relu", "tanh", "gelu", "sigmoid"):
+        if activation not in ("identity", "relu", "tanh"):
             raise ValueError(f"unknown activation {activation!r}")
         self.n_in = n_in
         self.n_out = n_out
@@ -38,10 +38,6 @@ class Dense:
             out = out.relu()
         elif self.activation == "tanh":
             out = out.tanh()
-        elif self.activation == "gelu":
-            out = out.gelu()
-        elif self.activation == "sigmoid":
-            out = out.sigmoid()
         return out
 
     def parameters(self) -> Dict[str, Tensor]:

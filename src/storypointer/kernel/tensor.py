@@ -25,12 +25,18 @@ from a spent root reaches no leaf.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True  # whether ops record a graph; each thread starts with it on
+
+
+_GRAD_MODE = _GradMode()
 
 # constants of the tanh approximation to GELU
 _GELU_A = 0.044715
@@ -40,14 +46,14 @@ _LN_EPS = 1e-5  # added to the variance in layer_norm
 
 @contextmanager
 def no_grad():
-    """Disable graph construction inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction inside the block (inference mode),
+    in the calling thread only."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -283,7 +289,7 @@ class Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
     return out

@@ -25,8 +25,6 @@ from .metrics import METRIC_NAMES
 def _fmt_display(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and value != value:  # NaN guard
-        return "nan"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.2f}"
     return str(value)

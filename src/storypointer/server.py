@@ -7,15 +7,19 @@ the process serves. Another method on either route gets 405 with an
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
 malformed request gets a 4xx JSON error and the process stays alive.
-A body above MAX_BODY_BYTES is refused unread, and a connection whose
+A body above MAX_BODY_BYTES is refused unread. A connection whose
 client sends nothing for READ_TIMEOUT_S seconds, mid-request or
-between keep-alive requests, is dropped, so a slow or lying client
-cannot hold a handler thread.
+between keep-alive requests, is dropped, and so is one whose body has
+not fully arrived READ_TIMEOUT_S seconds after the body read began, so
+a slow or lying client cannot hold a handler thread. The request line
+and headers are bounded only per read: a client that trickles them
+can still hold a thread.
 """
 
 from __future__ import annotations
 
 import json
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
@@ -91,6 +95,27 @@ def _make_handler(service: EstimateService):
                             close=close, allow=allowed)
             return allowed == method
 
+        def _read_body(self, length: int) -> bytes:
+            """Up to `length` body bytes, which must all arrive within one
+            timeout; a late body raises TimeoutError, on which the base
+            handler drops the connection."""
+            deadline = time.monotonic() + self.timeout
+            chunks = []
+            try:
+                while length > 0:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError("request body not received in time")
+                    self.connection.settimeout(left)
+                    chunk = self.rfile.read1(length)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+                    length -= len(chunk)
+            finally:
+                self.connection.settimeout(self.timeout)
+            return b"".join(chunks)
+
         def do_POST(self) -> None:
             if not self._route_allows("POST", close=True):
                 return
@@ -106,9 +131,7 @@ def _make_handler(service: EstimateService):
                 self._reply(413, {"error": f"body is larger than {MAX_BODY_BYTES} bytes"},
                             close=True)
                 return
-            # a client silent for READ_TIMEOUT_S makes this raise TimeoutError,
-            # on which the base handler drops the connection
-            raw = self.rfile.read(length)
+            raw = self._read_body(length)
             if len(raw) < length:
                 self._reply(400, {"error": "body is shorter than Content-Length"}, close=True)
                 return

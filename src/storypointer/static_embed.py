@@ -14,6 +14,7 @@ absent from it keep bitwise-identical vectors.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +25,6 @@ from .corpus import (
     UNK_WORD,
     UnlabeledCorpus,
     Vocabulary,
-    build_word_vocab,
     clean_text,
     tokenize_words,
 )
@@ -56,6 +56,8 @@ class StaticTrainConfig:
             raise ValueError("dimension, window, and negatives must all be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 
 
 class StaticEmbeddingModel:
@@ -78,12 +80,8 @@ class StaticEmbeddingModel:
 
 def _sentence_ids(cleaned: Sequence[str], vocab: Vocabulary) -> List[List[int]]:
     """Cleaned texts as id lists; out-of-vocabulary words dropped."""
-    unk = vocab.index[UNK_WORD]
-    sentences = []
-    for text in cleaned:
-        ids = [vocab.get(tok, UNK_WORD) for tok in tokenize_words(text)]
-        sentences.append([i for i in ids if i != unk])
-    return sentences
+    index = vocab.index
+    return [[index[tok] for tok in tokenize_words(text) if tok in index] for text in cleaned]
 
 
 def _noise_distribution(vocab_size: int, counts_by_id: Dict[int, int]) -> np.ndarray:
@@ -225,23 +223,59 @@ def _train_sgd(
             epoch_callback(model, epoch)
 
 
+def _grow_and_train(
+    vocab: Vocabulary, vectors_in: np.ndarray, vectors_out: np.ndarray, config: StaticTrainConfig,
+    corpus: UnlabeledCorpus, grow_rng: RngStream, train_rng: RngStream,
+    epoch_callback: Optional[Callable[[StaticEmbeddingModel, int], None]] = None,
+) -> StaticEmbeddingModel:
+    """Append the corpus's new words to the vocabulary, then train on the corpus.
+
+    A new word occurs at least `min_count` times and is not yet in the
+    vocabulary; new words follow the old ones by descending count, ties
+    in word order. Each entry without a row gets an input row drawn from
+    `grow_rng` and a zero output row. The noise distribution counts this
+    corpus alone, so entries it never mentions are neither sampled nor
+    updated.
+    """
+    cleaned = [clean_text(doc) for doc in corpus.documents]
+    counts = Counter(tok for text in cleaned for tok in tokenize_words(text))
+    if not counts:
+        raise ValueError("corpus is empty after cleaning")
+    known = {tok: n for tok, n in counts.items() if tok in vocab.index or n >= config.min_count}
+    if not known:
+        raise ValueError(f"no word occurs min_count={config.min_count} times "
+                         "or is already in the vocabulary")
+    new_words = sorted((tok for tok in known if tok not in vocab.index), key=lambda tok: (-known[tok], tok))
+    merged = Counter(vocab.counts)
+    merged.update(known)
+    grown = Vocabulary(vocab.specials, vocab.tokens[len(vocab.specials):] + new_words, merged)
+
+    d = vectors_in.shape[1]
+    rows = len(grown) - len(vectors_in)
+    model = StaticEmbeddingModel(
+        grown,
+        np.vstack([vectors_in, grow_rng.uniform(-0.5 / d, 0.5 / d, (rows, d))]),
+        np.vstack([vectors_out, np.zeros((rows, d))]),
+        config,
+    )
+    counts_by_id = {grown.index[tok]: n for tok, n in known.items()}
+    _train_sgd(model, _sentence_ids(cleaned, grown), counts_by_id, config.epochs, train_rng, epoch_callback)
+    return model
+
+
 def train_static(
     corpus: UnlabeledCorpus,
     config: StaticTrainConfig,
     epoch_callback: Optional[Callable[[StaticEmbeddingModel, int], None]] = None,
 ) -> StaticEmbeddingModel:
+    """Train from a vocabulary of the specials alone; see `_grow_and_train`."""
     config.validate()
-    cleaned = [clean_text(doc) for doc in corpus.documents]
-    vocab = build_word_vocab(cleaned, min_count=config.min_count)
     rng = RngStream(config.seed)
-    d = config.dimension
-    vectors_in = rng.child("init").uniform(-0.5 / d, 0.5 / d, (len(vocab), d))
-    vectors_out = np.zeros((len(vocab), d))
-    model = StaticEmbeddingModel(vocab, vectors_in, vectors_out, config)
-    sentences = _sentence_ids(cleaned, vocab)
-    counts_by_id = {vocab.index[t]: c for t, c in vocab.counts.items()}
-    _train_sgd(model, sentences, counts_by_id, config.epochs, rng.child("train"), epoch_callback)
-    return model
+    empty = np.zeros((0, config.dimension))
+    return _grow_and_train(
+        Vocabulary((PAD_WORD, UNK_WORD), [], {}), empty, empty, config, corpus,
+        rng.child("init"), rng.child("train"), epoch_callback,
+    )
 
 
 def finetune_static(
@@ -252,52 +286,15 @@ def finetune_static(
 ) -> StaticEmbeddingModel:
     """Extend the vocabulary with the new corpus and continue training.
 
-    The negative-sampling noise distribution is built from the new
-    corpus alone, so vocabulary entries it never mentions are neither
-    sampled nor updated.
+    Words absent from the new corpus keep bitwise-identical vectors.
     """
     if extra_epochs < 1:
         raise ValueError("extra_epochs must be >= 1")
-    cleaned = [clean_text(doc) for doc in corpus.documents]
-    new_counts: Dict[str, int] = {}
-    for text in cleaned:
-        for tok in tokenize_words(text):
-            new_counts[tok] = new_counts.get(tok, 0) + 1
-    if not new_counts:
-        raise ValueError("fine-tuning corpus is empty after cleaning")
-
-    vocab = model.vocabulary
-    fresh = [
-        (tok, n) for tok, n in new_counts.items()
-        if n >= model.config.min_count and tok not in vocab.index
-    ]
-    fresh.sort(key=lambda item: (-item[1], item[0]))
-    fresh_tokens = {tok for tok, _ in fresh}
-    merged_counts = dict(vocab.counts)
-    for tok, n in new_counts.items():
-        if tok in vocab.index or tok in fresh_tokens:
-            merged_counts[tok] = merged_counts.get(tok, 0) + n
-    new_vocab = Vocabulary(
-        specials=vocab.specials,
-        ordered_tokens=[t for t in vocab.tokens if t not in vocab.specials] + [t for t, _ in fresh],
-        counts=merged_counts,
-    )
-
-    d = model.dimension
     rng = RngStream(seed)
-    grown_in = np.vstack([
-        model.vectors_in.copy(),
-        rng.child("grow").uniform(-0.5 / d, 0.5 / d, (len(fresh), d)) if fresh else np.zeros((0, d)),
-    ])
-    grown_out = np.vstack([model.vectors_out.copy(), np.zeros((len(fresh), d))])
-    tuned = StaticEmbeddingModel(new_vocab, grown_in, grown_out, replace(model.config, epochs=extra_epochs))
-
-    sentences = _sentence_ids(cleaned, new_vocab)
-    counts_by_id = {
-        new_vocab.index[t]: n for t, n in new_counts.items() if t in new_vocab.index
-    }
-    _train_sgd(tuned, sentences, counts_by_id, extra_epochs, rng.child("train"))
-    return tuned
+    return _grow_and_train(
+        model.vocabulary, model.vectors_in, model.vectors_out,
+        replace(model.config, epochs=extra_epochs), corpus, rng.child("grow"), rng.child("train"),
+    )
 
 
 def embed_word(model: StaticEmbeddingModel, token: str) -> Optional[np.ndarray]:
@@ -346,8 +343,8 @@ def make_frozen_batch(model: StaticEmbeddingModel, corpus: UnlabeledCorpus, seed
                 for ctx_word in context:
                     negatives = tuple(_draw_negatives(rng, cumulative, config.negatives, ctx_word))
                     batch.append(((center,), ctx_word, negatives))
-            if len(batch) >= limit:
-                return batch
+            if len(batch) >= limit:  # a skip-gram center adds several pairs
+                return batch[:limit]
     if not batch:
         raise ValueError("corpus yields no training pairs inside the window")
     return batch

@@ -9,10 +9,10 @@ which keeps induction deterministic without a tie-break RNG.
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .corpus import UnlabeledCorpus, clean_text
+from .corpus import UnlabeledCorpus, clean_text, tokenize_words
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -24,10 +24,6 @@ N_SPECIALS = len(SPECIALS)  # ids below this are specials; the rest are real pie
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(N_SPECIALS)
 CONTINUATION = "##"
 MAX_WORD_CHARS = 200  # longer words are uncoverable and become [UNK]
-
-# words are runs of the cleaned alphabet; any other non-space character
-# stands alone so uncoverable input degrades to [UNK] instead of vanishing
-_WORD_SPLIT = re.compile(r"[a-z0-9\-]+|[^\sa-z0-9\-]")
 
 Pair = Tuple[str, str]
 
@@ -49,10 +45,6 @@ class WordPieceVocab:
         return piece in self.index
 
 
-def split_words(text: str) -> List[str]:
-    return _WORD_SPLIT.findall(text.lower())
-
-
 def _char_pieces(word: str) -> List[str]:
     return [word[0]] + [CONTINUATION + c for c in word[1:]]
 
@@ -71,10 +63,7 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
     first word in corpus order is earliest, then to the pair that comes
     first in that word's current segmentation.
     """
-    word_counts: Dict[str, int] = {}
-    for doc in corpus.documents:
-        for word in split_words(clean_text(doc)):
-            word_counts[word] = word_counts.get(word, 0) + 1
+    word_counts = Counter(word for doc in corpus.documents for word in tokenize_words(clean_text(doc)))
     if not word_counts:
         raise ValueError("corpus has no words after cleaning")
 
@@ -175,7 +164,7 @@ def tokenize_word(vocab: WordPieceVocab, word: str) -> Optional[List[str]]:
 def piece_ids(vocab: WordPieceVocab, text: str) -> List[int]:
     """Unframed piece ids of cleaned text; each uncoverable word is one [UNK]."""
     ids: List[int] = []
-    for word in split_words(text):
+    for word in tokenize_words(text):
         pieces = tokenize_word(vocab, word)
         if pieces is None:
             ids.append(UNK_ID)

@@ -5,7 +5,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import signal
 import struct
+import subprocess
+import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -483,6 +489,13 @@ FAILURES = {
         "evaluate", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
         "--mode", "pooled", "--kfold", "2", "--epochs", "1",
         "--config", write_config(tmp, "experiment = E9\n")], "E9"),
+    "pretrain-static-min-count-zero": (lambda root, tmp: [
+        "pretrain-static", "--corpus", root / "stories.csv", "--epochs", "1",
+        "--min-count", "0"], "min_count"),
+    "evaluate-config-by-project": (lambda root, tmp: [
+        "evaluate", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
+        "--experiment", "E1", "--mode", "pooled", "--epochs", "1",
+        "--config", write_config(tmp, "by_project = maybe\n")], "maybe"),
     "serve-port-out-of-range": (lambda root, tmp: [
         "serve", "--model", root / "estimator.ckpt", "--embedding", root / "static.ckpt",
         "--bind", "127.0.0.1:99999"], "99999"),
@@ -507,6 +520,47 @@ class TestErrorBoundary:
         assert (tmp_path / "out" / "manifest.json").exists()
         assert not (run_dir / "bundle").exists()
         assert text.strip() == "report bundle -> out"
+
+
+class TestConfigBoolean:
+    def test_by_project_yes_runs_a_by_project_evaluate(self, trained, tmp_path, capsys):
+        eval_out = tmp_path / "eval"
+        code, out, _ = run(["evaluate", "--corpus", trained / "stories.csv", "--experiment", "E1",
+                            "--embedding", trained / "static.ckpt", "--out", eval_out,
+                            "--mode", "pooled", "--epochs", "1",
+                            "--config", write_config(tmp_path, "by_project = yes\n")], capsys)
+        assert code == 0
+        assert "E1 over 3 rounds" in out  # one round per project
+        assert (eval_out / "E1" / "per_project.csv").exists()
+
+
+class TestRealServe:
+    def test_serves_healthz_and_exits_130_on_sigint(self, trained):
+        """`storypointer serve` in its own process, with the real serve loop."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "storypointer.cli", "serve",
+             "--model", str(trained / "estimator.ckpt"),
+             "--embedding", str(trained / "static.ckpt"), "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            announce = proc.stdout.readline()
+            address = re.search(r"http://(\S+)/estimate", announce)
+            assert address, announce
+            with urllib.request.urlopen(f"http://{address.group(1)}/healthz", timeout=10) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read()) == {"status": "ok"}
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130
+        assert "Traceback" not in err
 
 
 COMMON = ["--config", "--seed", "--out"]

@@ -1,4 +1,4 @@
-"""Corpus ingestion, cleaning, vocabulary, split, and bucket tests."""
+"""Corpus ingestion, cleaning, split, and bucket tests."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from storypointer.corpus import (
     BUCKETS,
-    PAD_WORD,
-    UNK_WORD,
     LabeledCorpus,
     RequirementRecord,
     bucket_index,
     bucketize,
-    build_word_vocab,
     clean_text,
     corpus_stats,
     kfold_split,
@@ -79,30 +76,6 @@ class TestTokenizeAndPad:
         assert tokenize_words("man went store") == ["man", "went", "store"]
         assert tokenize_words("") == []
         assert tokenize_words("a a b") == ["a", "a", "b"]
-
-
-class TestWordVocab:
-    def test_count_then_lexicographic_order(self):
-        vocab = build_word_vocab(["a a b"], min_count=1)
-        assert vocab.tokens == [PAD_WORD, UNK_WORD, "a", "b"]
-
-    def test_min_count_filters(self):
-        vocab = build_word_vocab(["a a b"], min_count=2)
-        assert vocab.tokens == [PAD_WORD, UNK_WORD, "a"]
-        assert vocab.get("b", UNK_WORD) == vocab.index[UNK_WORD]
-
-    def test_empty_vocabulary_rejected(self):
-        with pytest.raises(ValueError):
-            build_word_vocab(["x y"], min_count=3)
-
-    def test_tie_broken_lexicographically(self):
-        vocab = build_word_vocab(["beta alpha", "alpha beta"], min_count=1)
-        assert vocab.tokens[2:] == ["alpha", "beta"]
-
-    def test_specials_have_smallest_indices(self):
-        vocab = build_word_vocab(["w"], min_count=1)
-        assert vocab.index[PAD_WORD] == 0
-        assert vocab.index[UNK_WORD] == 1
 
 
 class TestLoadLabeled:

@@ -261,6 +261,43 @@ class TestHardening:
                 assert liar.recv(1024) == b""  # closed without a reply
                 assert time.monotonic() - start < 5.0
 
+    def test_trickled_body_is_dropped_while_others_are_served(self, service, monkeypatch):
+        timeout = 0.5
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", timeout)
+        body = json.dumps({"text": "a trickled story"}).encode()
+        with running(service) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as slow:
+                stop = threading.Event()
+
+                def trickle():  # each byte within the timeout, the body as a whole not
+                    for byte in body:
+                        if stop.wait(0.2):
+                            return
+                        try:
+                            slow.sendall(bytes([byte]))
+                        except OSError:  # the server has dropped the connection
+                            return
+
+                slow.sendall(b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body))
+                start = time.monotonic()
+                trickler = threading.Thread(target=trickle)
+                trickler.start()
+                try:
+                    status, _ = post(f"http://{host}:{port}", json.dumps({"text": "fix it"}).encode())
+                    assert status == 200
+                    try:
+                        reply = slow.recv(1024)
+                    except ConnectionResetError:
+                        reply = b""
+                    elapsed = time.monotonic() - start
+                finally:
+                    stop.set()
+                    trickler.join(timeout=10)
+        assert not trickler.is_alive()
+        assert reply == b""  # closed without a reply
+        assert elapsed < 2 * timeout
+
     def test_get_with_a_body_ends_its_connection(self, address):
         with socket.create_connection(address, timeout=10) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello"

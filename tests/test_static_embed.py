@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storypointer.corpus import PAD_WORD, UNK_WORD, UnlabeledCorpus, Vocabulary
+from storypointer.corpus import PAD_WORD, UNK_WORD, UnlabeledCorpus, Vocabulary, clean_text
 from storypointer.kernel import RngStream
 from storypointer.static_embed import (
     CHUNK,
@@ -17,6 +17,7 @@ from storypointer.static_embed import (
     _negative_sampling_step,
     _noise_distribution,
     _scatter_add,
+    _sentence_ids,
     cosine,
     embed_word,
     finetune_static,
@@ -115,6 +116,21 @@ class TestTrainStatic:
         assert len(trajectory) == 10
         assert all(later < earlier for earlier, later in zip(trajectory, trajectory[1:]))
 
+    def test_skipgram_frozen_batch_pairs_a_center_with_one_context_word(self):
+        corpus = synthetic_corpus(10)
+        config = quick_config(mode="skipgram", epochs=1, window=2)
+        model = train_static(corpus, config)
+        sentences = _sentence_ids([clean_text(doc) for doc in corpus.documents], model.vocabulary)
+        near = {(s[i], s[j]) for s in sentences for i in range(len(s)) for j in range(len(s))
+                if 0 < abs(i - j) <= config.window}
+        batch = make_frozen_batch(model, corpus, seed=3, limit=40)
+        assert len(batch) == 40
+        for hidden, target, negatives in batch:
+            assert len(hidden) == 1
+            assert (hidden[0], target) in near
+            assert target not in negatives
+            assert len(negatives) <= config.negatives
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             quick_config(mode="glove").validate()
@@ -122,11 +138,42 @@ class TestTrainStatic:
             quick_config(window=0).validate()
         with pytest.raises(ValueError):
             quick_config(epochs=0).validate()
+        with pytest.raises(ValueError, match="min_count"):
+            quick_config(min_count=0).validate()
 
     def test_all_values_finite(self):
         model = train_static(synthetic_corpus(10), quick_config(epochs=5))
         assert np.all(np.isfinite(model.vectors_in))
         assert np.all(np.isfinite(model.vectors_out))
+
+
+class TestWordVocab:
+    def test_count_then_lexicographic_order(self):
+        model = train_static(UnlabeledCorpus(documents=["db db sql"]), quick_config(epochs=1))
+        assert model.vocabulary.tokens == [PAD_WORD, UNK_WORD, "db", "sql"]
+
+    def test_tie_broken_lexicographically(self):
+        model = train_static(UnlabeledCorpus(documents=["beta alpha", "alpha beta"]), quick_config(epochs=1))
+        assert model.vocabulary.tokens[2:] == ["alpha", "beta"]
+
+    def test_min_count_filters(self):
+        corpus = UnlabeledCorpus(documents=["db cache db sql cache"])
+        model = train_static(corpus, quick_config(epochs=1, min_count=2))
+        assert model.vocabulary.tokens == [PAD_WORD, UNK_WORD, "cache", "db"]
+        assert model.vocabulary.counts == {"cache": 2, "db": 2}
+
+    def test_specials_have_smallest_indices(self):
+        model = train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1))
+        assert model.vocabulary.index[PAD_WORD] == 0
+        assert model.vocabulary.index[UNK_WORD] == 1
+
+    def test_no_word_reaching_min_count_rejected(self):
+        with pytest.raises(ValueError, match="min_count=3"):
+            train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1, min_count=3))
+
+    def test_empty_after_cleaning_rejected(self):
+        with pytest.raises(ValueError, match="empty after cleaning"):
+            train_static(UnlabeledCorpus(documents=["the of and"]), quick_config(epochs=1))
 
 
 class TestFinetuneStatic:
@@ -139,6 +186,13 @@ class TestFinetuneStatic:
         assert len(tuned.vocabulary) == before + len(grown)
         vec = embed_word(tuned, "sqoop")
         assert vec is not None and np.all(np.isfinite(vec))
+
+    def test_new_words_follow_the_old_by_count_then_word(self):
+        base = train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1))
+        extra = UnlabeledCorpus(documents=["zeta alpha zeta db", "alpha zeta beta"])
+        tuned = finetune_static(base, extra, extra_epochs=1)
+        assert tuned.vocabulary.tokens == [PAD_WORD, UNK_WORD, "db", "sql", "zeta", "alpha", "beta"]
+        assert tuned.vocabulary.counts == {"db": 2, "sql": 1, "zeta": 3, "alpha": 2, "beta": 1}
 
     def test_base_only_words_bitwise_unchanged(self):
         base = train_static(synthetic_corpus(10), quick_config(epochs=2))

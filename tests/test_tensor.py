@@ -7,6 +7,8 @@ backward() with a fixed random cotangent w and differencing the scalar
 sum(f(x) * w), formed in numpy.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,60 @@ class TestGraphMechanics:
             y = x * 2.0
         assert not y.requires_grad
         assert y._parents == ()
+
+    def test_no_grad_windows_of_two_threads_stay_apart(self):
+        """A enters, then B, then A leaves: B's window still records no
+        graph, and after both leave every thread records graphs again."""
+        x = parameter(np.ones(3))
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(10)
+                seen["a inside"] = (x * 2.0).requires_grad
+            a_out.set()
+            seen["a after"] = (x * 2.0).requires_grad
+
+        def thread_b():
+            assert a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(10)
+                seen["b inside after a left"] = (x * 2.0).requires_grad
+            seen["b after"] = (x * 2.0).requires_grad
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == {"a inside": False, "a after": True,
+                        "b inside after a left": False, "b after": True}
+        assert (x * 2.0).requires_grad
+
+    def test_thread_outside_a_window_records_a_graph(self):
+        x = parameter(np.ones(3))
+        inside, done = threading.Event(), threading.Event()
+
+        def hold_a_window():
+            with no_grad():
+                inside.set()
+                done.wait(10)
+
+        holder = threading.Thread(target=hold_a_window)
+        holder.start()
+        try:
+            assert inside.wait(10)
+            y = x * 2.0
+        finally:
+            done.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert y.requires_grad
+        assert x in y._parents
 
     def test_non_float_input_promoted(self):
         t = Tensor(np.array([1, 2, 3]))
