@@ -27,7 +27,7 @@ import numpy as np
 from .corpus import clean_text, tokenize_words
 from .kernel import no_grad
 from .static_embed import StaticEmbeddingModel, embed_word
-from .transformer import TransformerModel
+from .transformer import TransformerModel, pad_batch
 from .wordpiece import N_SPECIALS, tokenize_wordpiece
 
 MODES = ("sequence", "pooled")
@@ -154,9 +154,7 @@ class ContextualFeaturizer:
         with no_grad():  # the encoder is frozen: keep no graph of its activations
             for start in range(0, len(framed), CHUNK_SIZE):
                 chunk = framed[start:start + CHUNK_SIZE]
-                batch = np.zeros((len(chunk), max(len(ids) for ids in chunk)), dtype=np.int64)
-                for j, ids in enumerate(chunk):
-                    batch[j, : len(ids)] = ids
+                batch = pad_batch(chunk)
                 layer = self.model.encode(batch)[-2].numpy()
                 rows.extend(layer[j][batch[j] >= N_SPECIALS] for j in range(len(chunk)))
                 fallbacks.extend(layer[:, 0])  # the [CLS] rows

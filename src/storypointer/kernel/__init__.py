@@ -16,7 +16,6 @@ from .tensor import (
     no_grad,
     parameter,
     softmax,
-    take_rows,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "parameter",
     "save_checkpoint",
     "softmax",
-    "take_rows",
 ]

@@ -8,8 +8,9 @@ checks against the analytic gradients are meaningful.
 
 The op set is the one the pipeline's models train with: `+` and `*`
 (broadcasting, scalars on either side), `@`, tanh, sigmoid, relu and
-gelu, reshape, transpose, swapaxes and indexing, plus the functions
-take_rows, softmax (last axis), layer_norm, dropout, cross_entropy and
+gelu, reshape, transpose and indexing (the one gather: integer-array
+indices pick rows, and duplicates accumulate in backward), plus the
+functions softmax (last axis), layer_norm, dropout, cross_entropy and
 mse_loss. The tests check each op's vector-Jacobian product by seeding
 backward() with a fixed random cotangent and comparing the leaf
 gradients against central differences.
@@ -270,12 +271,6 @@ class Tensor:
             out._backward = lambda grad: self._accumulate(grad.transpose(inverse))
         return out
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = _result(np.swapaxes(self.data, a, b), (self,))
-        if out.requires_grad:
-            out._backward = lambda grad: self._accumulate(np.swapaxes(grad, a, b))
-        return out
-
     def __getitem__(self, idx) -> "Tensor":
         out = _result(self.data[idx], (self,))
         if out.requires_grad:
@@ -304,19 +299,6 @@ def parameter(data) -> Tensor:
     t = Tensor(np.array(data, dtype=np.float64, copy=True))
     t.requires_grad = True
     return t
-
-
-def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a 2-d table by integer id; duplicates accumulate."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = _result(table.data[ids], (table,))
-    if out.requires_grad:
-        def backward(grad):
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids.reshape(-1), grad.reshape(-1, table.shape[-1]))
-            table._accumulate(full)
-        out._backward = backward
-    return out
 
 
 def logistic(z: np.ndarray) -> np.ndarray:

@@ -15,8 +15,7 @@ import numpy as np
 from .corpus import UnlabeledCorpus
 from .kernel import Adam, RngStream, Tensor, clip_gradients, cross_entropy, no_grad
 from .pretrain_data import PretrainExample, create_pretraining_data
-from .transformer import TransformerModel
-from .wordpiece import PAD_ID
+from .transformer import TransformerModel, pad_batch
 
 MAX_GRAD_NORM = 1.0  # global gradient-norm bound for every optimizer step
 EVAL_BATCH_SIZE = 32  # examples per no-grad batch in evaluate_pretraining
@@ -34,25 +33,12 @@ class PretrainHistory:
         self.nsp.append(nsp)
 
 
-def _batch_arrays(batch: Sequence[PretrainExample]):
-    ids = np.array([e.token_ids for e in batch], dtype=np.int64)
-    segments = np.array([e.segment_ids for e in batch], dtype=np.int64)
-    # Appended padding cannot change real-token representations, so the
-    # batch is trimmed to its longest real sequence purely for speed.
-    lengths = (ids != PAD_ID).sum(axis=1)
-    seq_len = max(2, int(lengths.max()))
-    return ids[:, :seq_len], segments[:, :seq_len], seq_len
-
-
-def _masked_targets(batch: Sequence[PretrainExample], seq_len: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Masked positions flattened over (batch, seq_len), and their labels."""
-    flat_positions = []
-    labels = []
-    for row, example in enumerate(batch):
-        for pos, label in zip(example.masked_positions, example.masked_labels):
-            flat_positions.append(row * seq_len + pos)
-            labels.append(label)
-    return np.array(flat_positions, dtype=np.int64), np.array(labels, dtype=np.int64)
+def _masked_targets(batch: Sequence[PretrainExample]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch rows, positions and original labels of every masked token."""
+    targets = [(row, pos, label) for row, example in enumerate(batch)
+               for pos, label in zip(example.masked_positions, example.masked_labels)]
+    rows, positions, labels = np.array(targets, dtype=np.int64).reshape(-1, 3).T
+    return rows, positions, labels
 
 
 def batch_loss(
@@ -64,14 +50,14 @@ def batch_loss(
     """Joint loss tensor plus float MLM and NSP components."""
     if not batch:
         raise ValueError("empty batch")
-    ids, segments, seq_len = _batch_arrays(batch)
-    outputs = model.encode(ids, segments, train=train, rng=rng)
-    final = outputs[-1]
+    ids = pad_batch([e.token_ids for e in batch])
+    segments = pad_batch([e.segment_ids for e in batch])
+    final = model.encode(ids, segments, train=train, rng=rng)[-1]
 
-    flat_positions, labels = _masked_targets(batch, seq_len)
+    rows, positions, labels = _masked_targets(batch)
     if not labels.size:
         raise ValueError("batch contains no masked positions")
-    mlm = cross_entropy(model.mlm_logits(final, flat_positions), labels)
+    mlm = cross_entropy(model.mlm_logits(final, rows, positions), labels)
 
     nsp_labels = np.array([1 if e.is_next else 0 for e in batch], dtype=np.int64)
     nsp = cross_entropy(model.nsp_logits(final), nsp_labels)

@@ -3,7 +3,8 @@
 Documents are split into sentences on periods and newlines before
 cleaning (cleaning erases the punctuation the splitter needs), then
 each sentence is cleaned and subword-tokenized. Every example frames
-two sentences as [CLS] A [SEP] B [SEP]; half the time B really follows
+two sentences as [CLS] A [SEP] B [SEP], unpadded (the encoder's batches
+are padded by `transformer.pad_batch`); half the time B really follows
 A, half the time B comes from a different document. Masking selects
 round(rate x maskable) positions, at least one when anything is
 maskable, and replaces 80% with [MASK], 10% with a random non-special
@@ -22,7 +23,6 @@ from .wordpiece import (
     CLS_ID,
     MASK_ID,
     N_SPECIALS,
-    PAD_ID,
     SEP_ID,
     WordPieceVocab,
     piece_ids,
@@ -137,9 +137,6 @@ def create_pretraining_data(
         first, second = _truncate_pair(first, second, max_len)
         ids = [CLS_ID] + first + [SEP_ID] + second + [SEP_ID]
         segments = [0] * (len(first) + 2) + [1] * (len(second) + 1)
-        pad = max_len - len(ids)
-        ids.extend([PAD_ID] * pad)
-        segments.extend([0] * pad)
         masked_ids, positions, labels = mask_tokens(ids, len(vocab), mask_rate, rng)
         examples.append(
             PretrainExample(

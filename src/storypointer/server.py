@@ -7,13 +7,19 @@ the process serves. Another method on either route gets 405 with an
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
 malformed request gets a 4xx JSON error and the process stays alive.
-A body above MAX_BODY_BYTES is refused unread. A connection whose
-client sends nothing for READ_TIMEOUT_S seconds, mid-request or
-between keep-alive requests, is dropped, and so is one whose body has
-not fully arrived READ_TIMEOUT_S seconds after the body read began, so
-a slow or lying client cannot hold a handler thread. The request line
-and headers are bounded only per read: a client that trickles them
-can still hold a thread.
+
+A body is framed by one Content-Length of ASCII digits alone. A request
+with any Transfer-Encoding gets 501, and a POST without Content-Length
+411, each closing the connection, so no body bytes can be read as the
+next request. A body above MAX_BODY_BYTES is refused unread. A client
+that leaves while its reply is written ends its connection quietly.
+
+A connection whose client sends nothing for READ_TIMEOUT_S seconds,
+mid-request or between keep-alive requests, is dropped, and so is one
+whose body has not fully arrived READ_TIMEOUT_S seconds after the body
+read began, so a slow or lying client cannot hold a handler thread. The
+request line and headers are bounded only per read: a client that
+trickles them can still hold a thread.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .corpus import bucketize
 from .estimator import EstimatorModel, predict
@@ -81,8 +87,11 @@ def _make_handler(service: EstimateService):
                 self.send_header("Allow", allow)
             if close:  # the rest of the stream is not read, or not trusted
                 self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            try:
+                self.end_headers()
+                self.wfile.write(body)
+            except (BrokenPipeError, ConnectionResetError):
+                self.close_connection = True  # the client has gone; nothing to report
 
         def _route_allows(self, method: str, close: bool) -> bool:
             """Replies 404 or 405 unless the path answers `method`; `close`
@@ -116,16 +125,32 @@ def _make_handler(service: EstimateService):
                 self.connection.settimeout(self.timeout)
             return b"".join(chunks)
 
-        def do_POST(self) -> None:
-            if not self._route_allows("POST", close=True):
-                return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                self._reply(400, {"error": "Content-Length must be a non-negative integer"},
+        def _body_length(self, required: bool) -> Optional[int]:
+            """The length the request declares for its body, or None after an
+            error reply that closes the connection: any Transfer-Encoding
+            (501), no Content-Length where `required` (411), or one that is
+            not ASCII digits (400). A request without either has no body."""
+            if "Transfer-Encoding" in self.headers:
+                self._reply(501, {"error": "Transfer-Encoding is not supported; "
+                                           "send Content-Length"}, close=True)
+                return None
+            declared = self.headers.get_all("Content-Length", [])
+            if not declared:
+                if required:
+                    self._reply(411, {"error": "Content-Length is required"}, close=True)
+                    return None
+                return 0
+            if len(declared) > 1 or not (declared[0].isascii() and declared[0].isdigit()):
+                self._reply(400, {"error": "Content-Length must be one run of ASCII digits"},
                             close=True)
+                return None
+            digits = declared[0].lstrip("0")
+            # more digits than int() parses is past MAX_BODY_BYTES anyway
+            return int(digits or "0") if len(digits) <= 18 else MAX_BODY_BYTES + 1
+
+        def do_POST(self) -> None:
+            length = self._body_length(required=True)
+            if length is None or not self._route_allows("POST", close=True):
                 return
             if length > MAX_BODY_BYTES:
                 self._reply(413, {"error": f"body is larger than {MAX_BODY_BYTES} bytes"},
@@ -143,15 +168,20 @@ def _make_handler(service: EstimateService):
                 self._reply(400, {"error": str(exc)})
                 return
             try:
-                self._reply(200, service.estimate(payload["text"]))
+                result = service.estimate(payload["text"])
             except Exception:  # a bad request must not kill the server
                 traceback.print_exc()
                 self._reply(500, {"error": "internal error"})
+                return
+            self._reply(200, result)
 
         def do_GET(self) -> None:
+            length = self._body_length(required=False)
+            if length is None:
+                return
             # a GET body is never read, so one that declares a body ends its
             # connection instead of being parsed as the next request
-            close = self.headers.get("Content-Length", "0").strip() != "0"
+            close = length != 0
             if self._route_allows("GET", close=close):
                 self._reply(200, {"status": "ok"}, close=close)
 

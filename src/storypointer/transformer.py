@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .kernel import (
     layer_norm,
     parameter,
     softmax,
-    take_rows,
 )
 from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
                                 save_checkpoint)
@@ -49,6 +48,14 @@ class TransformerConfig:
             raise ValueError("need at least 1 layer and a non-trivial vocabulary")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+
+
+def pad_batch(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Id rows right-padded with [PAD] to the longest: the encoder's (batch, seq) input."""
+    batch = np.full((len(rows), max(len(row) for row in rows)), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        batch[i, :len(row)] = row
+    return batch
 
 
 def _param_table(c: TransformerConfig) -> Dict[str, Tuple[str, Tuple[int, ...]]]:
@@ -126,16 +133,16 @@ class TransformerModel:
     ) -> List[Tensor]:
         """All layer outputs: [embedding sum, encoder 1, ..., encoder L].
 
-        `token_ids` and `segment_ids` are (batch, seq); [PAD] positions
-        are masked out of attention.
+        `token_ids` and `segment_ids` are (batch, seq), as `pad_batch` builds
+        them; [PAD] positions are masked out of attention.
         """
         c = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
         _, seq_len = token_ids.shape
         if seq_len > c.max_len:
             raise ValueError(f"sequence length {seq_len} exceeds max_len {c.max_len}")
-        if segment_ids is None:
-            segment_ids = np.zeros_like(token_ids)
+        segment_ids = (np.zeros_like(token_ids) if segment_ids is None
+                       else np.asarray(segment_ids, dtype=np.int64))
         attention_mask = (token_ids != PAD_ID).astype(np.float64)
 
         rate = c.dropout if train else 0.0
@@ -144,9 +151,9 @@ class TransformerModel:
         p = self.params
 
         embedded = (
-            take_rows(p["emb.token"], token_ids)
+            p["emb.token"][token_ids]
             + p["emb.position"][:seq_len]
-            + take_rows(p["emb.segment"], segment_ids)
+            + p["emb.segment"][segment_ids]
         )
         outputs = [embedded]
         x = layer_norm(embedded, p["emb.ln.gain"], p["emb.ln.bias"])
@@ -169,7 +176,7 @@ class TransformerModel:
         q = heads(x @ p[f"layer{i}.attn.wq"] + p[f"layer{i}.attn.bq"])
         k = heads(x @ p[f"layer{i}.attn.wk"] + p[f"layer{i}.attn.bk"])
         v = heads(x @ p[f"layer{i}.attn.wv"] + p[f"layer{i}.attn.bv"])
-        scores = q @ k.swapaxes(-1, -2) * (1.0 / math.sqrt(head_dim)) + mask_bias
+        scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(head_dim)) + mask_bias
         probs = dropout(softmax(scores), rate, rng)
         context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq_len, hidden)
         attn_out = context @ p[f"layer{i}.attn.wo"] + p[f"layer{i}.attn.bo"]
@@ -186,15 +193,13 @@ class TransformerModel:
 
     # ---- heads --------------------------------------------------------
 
-    def mlm_logits(self, final_layer: Tensor, flat_positions: np.ndarray) -> Tensor:
-        """Vocabulary logits at selected (batch*seq) flattened positions."""
+    def mlm_logits(self, final_layer: Tensor, rows: np.ndarray, positions: np.ndarray) -> Tensor:
+        """Vocabulary logits at the (row, position) pairs of `final_layer`."""
         p = self.params
-        batch, seq_len, hidden = final_layer.shape
-        flat = final_layer.reshape(batch * seq_len, hidden)
-        h = take_rows(flat, np.asarray(flat_positions, dtype=np.int64))
+        h = final_layer[rows, positions]
         h = (h @ p["mlm.dense.w"] + p["mlm.dense.b"]).gelu()
         h = layer_norm(h, p["mlm.ln.gain"], p["mlm.ln.bias"])
-        return h @ p["emb.token"].swapaxes(0, 1) + p["mlm.bias"]
+        return h @ p["emb.token"].transpose(1, 0) + p["mlm.bias"]
 
     def nsp_logits(self, final_layer: Tensor) -> Tensor:
         p = self.params

@@ -14,12 +14,14 @@ import sys
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from storypointer.cli import build_parser, main
 from storypointer.estimator import TrainHistory
 from storypointer.kernel import parameter
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
+from storypointer.transformer import load_transformer
 
 VERBS = ["add", "fix", "migrate", "update", "refactor", "support"]
 NOUNS = ["login form", "billing export", "search index", "report cache",
@@ -290,6 +292,42 @@ class TestTrainHistory:
         assert text == json.dumps(history, indent=2) + "\n"
         _, meta, _ = load_checkpoint(trained / "estimator.ckpt")
         assert meta["history"] == history
+
+
+@pytest.fixture(scope="module")
+def finetuned(trained, tmp_path_factory):
+    """`finetune-ctx` run on the trained encoder; returns its output directory."""
+    out = tmp_path_factory.mktemp("finetuned")
+    assert main(["finetune-ctx", "--model", str(trained / "encoder.ckpt"),
+                 "--unlabeled", str(trained / "docs.txt"), "--epochs", "1",
+                 "--out", str(out)]) == 0
+    return out
+
+
+class TestContextualCommands:
+    def test_finetune_ctx_changes_parameters_not_pieces(self, trained, finetuned):
+        before = load_transformer(trained / "encoder.ckpt")
+        after = load_transformer(finetuned / "encoder_finetuned.ckpt")
+        _, meta, _ = load_checkpoint(finetuned / "encoder_finetuned.ckpt")
+        assert meta["kind"] == "transformer_lm"
+        assert after.config == before.config
+        assert after.vocab.pieces == before.vocab.pieces
+        assert {k: p.shape for k, p in after.params.items()} == \
+            {k: p.shape for k, p in before.params.items()}
+        assert any(not np.array_equal(after.params[k].data, before.params[k].data)
+                   for k in before.params)
+
+    def test_embed_writes_one_row_per_record(self, trained, finetuned, tmp_path, capsys):
+        code, out, err = run(["embed", "--corpus", trained / "stories.csv",
+                              "--model", finetuned / "encoder_finetuned.ckpt",
+                              "--out", tmp_path], capsys)
+        assert code == 0, err
+        assert "embedded 30 requirements at dimension 8" in out
+        with open(tmp_path / "embeddings.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id"] + [f"dim{i}" for i in range(8)]
+        assert [row[0] for row in rows[1:]] == [f"REQ-{i:03d}" for i in range(30)]
+        assert all(len(row) == 9 for row in rows[1:])
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:

@@ -150,6 +150,31 @@ class TestLoadLabeled:
         assert len(corpus) == 1
         assert corpus.records[0].degenerate
 
+    def test_invalid_json_line_is_one_rejection(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id": "A", "project": "P", "text": "add login form", "effort": 3}\n'
+            '{"id": "B", "project": "P", "text": "cut off\n'
+            '{"id": "C", "project": "P", "text": "fix the cart", "effort": 5}\n'
+        )
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["A", "C"]
+        assert len(corpus.rejections) == 1
+        assert corpus.rejections[0].where == "c.jsonl:2"
+        assert corpus.rejections[0].reason.startswith("invalid json: ")
+
+    def test_line_missing_effort_is_one_rejection(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id": "A", "project": "P", "text": "add login form"}\n'
+            '{"id": "B", "project": "P", "text": "fix the cart", "effort": 5}\n'
+        )
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["B"]
+        assert len(corpus.rejections) == 1
+        assert corpus.rejections[0].where == "c.jsonl:1"
+        assert corpus.rejections[0].reason == "missing keys ['effort']"
+
     def test_jsonl_roundtrip(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text('{"id": "A", "project": "P", "text": "Fix the bug!", "effort": 2}\n')

@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -318,6 +319,97 @@ class TestHardening:
             status, out = post(f"http://{host}:{port}", json.dumps({"text": "x"}).encode())
         assert status == 500
         assert out == {"error": "internal error"}
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+SMUGGLED = b"%x\r\n%s\r\n0\r\n\r\n" % (len(HEALTHZ), HEALTHZ)  # a chunk holding a request
+
+
+def replies_to(address, request: bytes) -> bytes:
+    """Every byte the server sends back, up to its close, for `request`
+    followed by a well-formed GET /healthz on the same connection."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request + HEALTHZ)
+        return b"".join(iter(lambda: sock.recv(4096), b""))
+
+
+class TestFraming:
+    """A request whose body the server cannot frame by one Content-Length of
+    digits gets one error reply and its connection closed, so no body byte
+    is ever parsed as the next request."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"POST /estimate HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+         + SMUGGLED, 501),
+        (b"POST /estimate HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n"
+         b"Content-Length: 31\r\n\r\n" + SMUGGLED, 501),
+        (b"GET /healthz HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+         + SMUGGLED, 501),
+        (b"GET /healthz HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: identity\r\n\r\n", 501),
+        (b'POST /estimate HTTP/1.1\r\nHost: test\r\n\r\n{"text": "a"}', 411),
+        (b"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: 13\r\n"
+         b'Content-Length: 14\r\n\r\n{"text": "a"}', 400),
+        (b"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: 1" + b"0" * 5000
+         + b"\r\n\r\n", 413),
+    ], ids=["post-chunked", "post-chunked-and-length", "get-chunked", "get-identity",
+            "post-no-length", "two-lengths", "5001-digit-length"])
+    def test_unframeable_request_gets_one_reply_and_a_close(self, address, request_bytes, status):
+        replies = replies_to(address, request_bytes)
+        assert replies.startswith(b"HTTP/1.1 %d " % status)
+        assert replies.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in replies
+
+    @pytest.mark.parametrize("declared", ["+13", " 13 ", "1_3"])
+    def test_content_length_must_be_ascii_digits(self, address, declared):
+        request = (f"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: {declared}\r\n\r\n"
+                   .encode("ascii") + b'{"text": "a"}')
+        replies = replies_to(address, request)
+        assert replies.startswith(b"HTTP/1.1 400 ")
+        assert replies.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in replies
+
+    def test_leading_zeros_are_digits(self, address):
+        body = b'{"text": "a"}'
+        assert raw_post(address, body, declared="00013") == 200
+
+    def test_client_gone_while_the_reply_is_written_is_quiet(self, capsys):
+        asked, gone, handled = threading.Event(), threading.Event(), threading.Event()
+
+        class AnswersAfterTheClientLeft:
+            def estimate(self, text):
+                asked.set()
+                gone.wait(10)
+                return {"effort": 1.0}
+
+        server = build_server(AnswersAfterTheClientLeft(), port=0)
+        process = server.process_request_thread
+
+        def process_then_signal(*args):  # the handler thread's outermost frame
+            try:
+                process(*args)
+            finally:
+                handled.set()
+
+        server.process_request_thread = process_then_signal
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                             b'Content-Length: 13\r\n\r\n{"text": "a"}')
+                assert asked.wait(10)
+                # closing with a zero linger time resets the connection
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            time.sleep(0.2)  # the reset reaches the server before the reply is written
+            gone.set()
+            assert handled.wait(10)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        # no traceback of a failed estimate, nor of a 500 written to a dead socket
+        assert capsys.readouterr().err == ""
 
 
 JSON_VALUES = st.recursive(

@@ -22,7 +22,6 @@ from storypointer.kernel import (
     no_grad,
     parameter,
     softmax,
-    take_rows,
 )
 from storypointer.kernel.tensor import logistic
 
@@ -149,12 +148,20 @@ class TestShapeGrads:
         check_vjp(lambda x: x.reshape(2, 12).transpose(1, 0), [a])
         check_vjp(lambda x: x.reshape(2, 2, 3, 2).transpose(0, 2, 1, 3), [a])
         check_vjp(lambda x: x[:, 2:5], [a])
-        check_vjp(lambda x: x.swapaxes(0, 1), [a])
+        check_vjp(lambda x: x.reshape(2, 2, 3, 2).transpose(0, 1, 3, 2), [a])
 
-    def test_take_rows_accumulates_duplicates(self, rng):
+    def test_indexing_by_ids_accumulates_duplicates(self, rng):
         table = rng.uniform(-0.5, 0.5, (5, 3))
-        ids = np.array([0, 2, 2, 4])
-        check_vjp(lambda t: take_rows(t, ids), [table])
+        ids = np.array([[0, 2], [2, 4]])
+        check_vjp(lambda t: t[ids], [table])
+        t = parameter(table)
+        t[ids].backward(np.ones((2, 2, 3)))
+        np.testing.assert_array_equal(t.grad[:, 0], [1.0, 0.0, 2.0, 0.0, 1.0])
+
+    def test_indexing_by_row_and_position_pairs(self, rng):
+        states = rng.uniform(-0.5, 0.5, (2, 4, 3))
+        rows, positions = np.array([0, 1, 1, 0]), np.array([1, 3, 3, 2])
+        check_vjp(lambda t: t[rows, positions], [states])
 
 
 class TestFusedGrads:

@@ -18,6 +18,7 @@ from storypointer.transformer import (
     TransformerConfig,
     TransformerModel,
     load_transformer,
+    pad_batch,
     save_transformer,
 )
 from storypointer.wordpiece import (
@@ -127,6 +128,20 @@ class TestEncodeShapes:
             model.encode(framed([5, 6]), train=True)
 
 
+class TestPadBatch:
+    def test_rows_are_right_padded_to_the_longest(self):
+        rows = [(CLS_ID, 5, SEP_ID), [CLS_ID, SEP_ID], (CLS_ID, 6, 7, SEP_ID)]
+        batch = pad_batch(rows)
+        assert batch.dtype == np.int64
+        np.testing.assert_array_equal(batch, [
+            [CLS_ID, 5, SEP_ID, PAD_ID],
+            [CLS_ID, SEP_ID, PAD_ID, PAD_ID],
+            [CLS_ID, 6, 7, SEP_ID],
+        ])
+        # segment rows of equal length come back unpadded
+        np.testing.assert_array_equal(pad_batch([(0, 1, 1), (0, 0, 1)]), [[0, 1, 1], [0, 0, 1]])
+
+
 class TestPaddingInvariance:
     def test_appended_padding_leaves_real_tokens_unchanged(self):
         model = tiny_model(layers=2, max_len=12)
@@ -152,8 +167,8 @@ class TestPaddingInvariance:
             assert np.max(np.abs(a - b)) <= 1e-6
 
 
-def small_examples(vocab, n=24, seq_len=12, seed=0):
-    """Hand-rolled examples over the word vocabulary."""
+def small_examples(vocab, n=24, seed=0):
+    """Hand-rolled unpadded examples over the word vocabulary."""
     rng = RngStream(seed)
     examples = []
     for i in range(n):
@@ -163,9 +178,6 @@ def small_examples(vocab, n=24, seq_len=12, seed=0):
         b = [int(rng.integers(5, len(vocab))) for _ in range(n_b)]
         ids = [CLS_ID] + a + [SEP_ID] + b + [SEP_ID]
         segments = [0] * (n_a + 2) + [1] * (n_b + 1)
-        pad = seq_len - len(ids)
-        ids += [PAD_ID] * pad
-        segments += [0] * pad
         position = 1 + int(rng.integers(0, n_a))
         examples.append(
             PretrainExample(
@@ -228,10 +240,8 @@ class TestLossDecomposition:
         model = tiny_model(hidden=16, heads=2)
         examples = small_examples(model.vocab, n=6, seed=8)
         _, _, nsp = batch_loss(model, examples)
-        ids = np.array([e.token_ids for e in examples])
-        lengths = (ids != PAD_ID).sum(axis=1)
-        trimmed = ids[:, : lengths.max()]
-        final = model.encode(trimmed, np.array([e.segment_ids for e in examples])[:, : lengths.max()])[-1]
+        final = model.encode(pad_batch([e.token_ids for e in examples]),
+                             pad_batch([e.segment_ids for e in examples]))[-1]
         logits = model.nsp_logits(final).numpy()
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -272,7 +282,7 @@ class TestGradients:
         graph pinned by `joint` would hold about the whole peak rise.
         """
         model = tiny_model(layers=2, hidden=32, heads=2, ff=64, max_len=24, dropout=0.1)
-        examples = small_examples(model.vocab, n=8, seq_len=24, seed=3)
+        examples = small_examples(model.vocab, n=8, seed=3)
         tracemalloc.start()  # counts from zero: held and peak are the rise
         try:
             joint, _, _ = batch_loss(model, examples, train=True, rng=RngStream(1))
