@@ -194,6 +194,9 @@ def load_labeled(path) -> LabeledCorpus:
                 except json.JSONDecodeError as exc:
                     rejections.append(Rejection(where, f"invalid json: {exc.msg}"))
                     continue
+                if not isinstance(obj, dict):
+                    rejections.append(Rejection(where, "not a JSON object"))
+                    continue
                 missing = [k for k in ("id", "project", "text", "effort") if k not in obj]
                 if missing:
                     rejections.append(Rejection(where, f"missing keys {missing}"))

@@ -14,17 +14,19 @@ with any Transfer-Encoding gets 501, and a POST without Content-Length
 next request. A body above MAX_BODY_BYTES is refused unread. A client
 that leaves while its reply is written ends its connection quietly.
 
-A connection whose client sends nothing for READ_TIMEOUT_S seconds,
-mid-request or between keep-alive requests, is dropped, and so is one
-whose body has not fully arrived READ_TIMEOUT_S seconds after the body
-read began, so a slow or lying client cannot hold a handler thread. The
-request line and headers are bounded only per read: a client that
-trickles them can still hold a thread.
+Each request must arrive whole, request line, headers and body, within
+READ_TIMEOUT_S seconds of the moment the handler starts waiting for its
+request line, so the wait between keep-alive requests counts too. A
+connection that misses this deadline is dropped without a reply, so a
+slow, trickling or lying client cannot hold a handler thread. A reply is
+written under the socket timeout that the request's last read left.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -37,6 +39,21 @@ ROUTE = "/estimate"
 ALLOWED = {ROUTE: "POST", "/healthz": "GET"}  # the one method each route answers
 MAX_BODY_BYTES = 1 << 20
 READ_TIMEOUT_S = 30.0
+
+
+class _DeadlineSocketIO(socket.SocketIO):
+    """Socket reads that must all finish by one deadline: each read waits
+    at most the time left, and a read after the deadline raises
+    TimeoutError, on which the base handler drops the connection."""
+
+    deadline = 0.0  # time.monotonic() value; set per request
+
+    def readinto(self, b):
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not received in time")
+        self._sock.settimeout(left)
+        return super().readinto(b)
 
 
 class EstimateService:
@@ -72,7 +89,16 @@ class EstimateService:
 def _make_handler(service: EstimateService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        timeout = READ_TIMEOUT_S  # set on the socket of every connection
+
+        def setup(self) -> None:
+            super().setup()
+            self.rfile.close()
+            self._reader = _DeadlineSocketIO(self.connection, "rb")
+            self.rfile = io.BufferedReader(self._reader)
+
+        def handle_one_request(self) -> None:
+            self._reader.deadline = time.monotonic() + READ_TIMEOUT_S
+            super().handle_one_request()
 
         def log_message(self, fmt, *args):  # keep request logs out of stdout
             pass
@@ -103,27 +129,6 @@ def _make_handler(service: EstimateService):
                 self._reply(405, {"error": f"{self.path} answers {allowed} only"},
                             close=close, allow=allowed)
             return allowed == method
-
-        def _read_body(self, length: int) -> bytes:
-            """Up to `length` body bytes, which must all arrive within one
-            timeout; a late body raises TimeoutError, on which the base
-            handler drops the connection."""
-            deadline = time.monotonic() + self.timeout
-            chunks = []
-            try:
-                while length > 0:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        raise TimeoutError("request body not received in time")
-                    self.connection.settimeout(left)
-                    chunk = self.rfile.read1(length)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-                    length -= len(chunk)
-            finally:
-                self.connection.settimeout(self.timeout)
-            return b"".join(chunks)
 
         def _body_length(self, required: bool) -> Optional[int]:
             """The length the request declares for its body, or None after an
@@ -156,7 +161,7 @@ def _make_handler(service: EstimateService):
                 self._reply(413, {"error": f"body is larger than {MAX_BODY_BYTES} bytes"},
                             close=True)
                 return
-            raw = self._read_body(length)
+            raw = self.rfile.read(length)
             if len(raw) < length:
                 self._reply(400, {"error": "body is shorter than Content-Length"}, close=True)
                 return

@@ -109,14 +109,6 @@ def _draw_noise(rng: RngStream, cumulative: np.ndarray, shape) -> np.ndarray:
     return np.minimum(drawn, len(cumulative) - 1)
 
 
-def _draw_negatives(rng: RngStream, cumulative: np.ndarray, count: int, exclude: int) -> List[int]:
-    return [int(d) for d in _draw_noise(rng, cumulative, count) if int(d) != exclude]
-
-
-def _log_sigmoid(x: float) -> float:
-    return -float(np.logaddexp(0.0, -x))
-
-
 def _flatten(sentences: List[List[int]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The corpus as one id array, plus each position's sentence bounds [first, stop)."""
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
@@ -144,6 +136,24 @@ def _context_windows(
         & (index < stop[positions, None])
     )
     return np.where(valid, index, positions[:, None]), valid
+
+
+def _pairs(
+    mode: str, flat: np.ndarray, positions: np.ndarray, index: np.ndarray, valid: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The training pairs of the context windows `_context_windows` returns.
+
+    Per pair: its row of `positions`, the hidden ids whose masked mean
+    is its input vector, that mask, and its target id. CBOW pairs each
+    position that has context with its center. Skip-gram pairs each
+    center with each of its context words, in position order, then
+    offset order.
+    """
+    if mode == "cbow":
+        rows = np.flatnonzero(valid.any(axis=1))
+        return rows, flat[index[rows]], valid[rows], flat[positions[rows]]
+    rows, k = np.nonzero(valid)
+    return rows, flat[positions[rows]][:, None], np.ones((len(rows), 1), dtype=bool), flat[index[rows, k]]
 
 
 def _scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -203,22 +213,12 @@ def _train_sgd(
             index, valid = _context_windows(first, stop, positions, reach, config.window)
             if not valid.any():
                 continue
-            context = flat[index]
-            if config.mode == "cbow":
-                rows = np.flatnonzero(valid.any(axis=1))
-                context, valid = context[rows], valid[rows]
-                count = valid.sum(axis=1)
-                h = np.einsum("bk,bkd->bd", valid / count[:, None], vin[context])
-                step = _negative_sampling_step(
-                    vout, h, flat[positions[rows]], lr[rows], rng, cumulative, config.negatives)
-                r, k = np.nonzero(valid)
-                _scatter_add(vin, context[r, k], step[r] / count[r, None])
-            else:
-                r, k = np.nonzero(valid)
-                centers = flat[positions[r]]
-                step = _negative_sampling_step(
-                    vout, vin[centers], context[r, k], lr[r], rng, cumulative, config.negatives)
-                _scatter_add(vin, centers, step)
+            rows, hidden, mask, targets = _pairs(config.mode, flat, positions, index, valid)
+            count = mask.sum(axis=1)
+            h = np.einsum("bk,bkd->bd", mask / count[:, None], vin[hidden])
+            step = _negative_sampling_step(vout, h, targets, lr[rows], rng, cumulative, config.negatives)
+            r, k = np.nonzero(mask)
+            _scatter_add(vin, hidden[r, k], step[r] / count[r, None])
         if epoch_callback is not None:
             epoch_callback(model, epoch)
 
@@ -315,52 +315,39 @@ def cosine(model: StaticEmbeddingModel, first: str, second: str) -> float:
     return float(a @ b / denom)
 
 
-FrozenPair = Tuple[Tuple[int, ...], int, Tuple[int, ...]]  # (hidden ids, target, negatives)
+FrozenBatch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # (hidden ids, mask, targets, negatives)
 
 
-def make_frozen_batch(model: StaticEmbeddingModel, corpus: UnlabeledCorpus, seed: int, limit: int = 64) -> List[FrozenPair]:
-    """A fixed set of training pairs with pre-drawn negatives.
+def make_frozen_batch(model: StaticEmbeddingModel, corpus: UnlabeledCorpus, seed: int, limit: int = 64) -> FrozenBatch:
+    """The corpus's first `limit` training pairs, with pre-drawn negatives.
 
+    The pairs are the trainer's, over full-reach windows: hidden ids,
+    their mask and the targets, plus `negatives` noise draws per pair.
     Evaluating `frozen_batch_loss` on this batch across epochs tracks
     optimization progress without the noise of resampled negatives.
     """
-    rng = RngStream(seed)
-    vocab = model.vocabulary
-    sentences = _sentence_ids([clean_text(doc) for doc in corpus.documents], vocab)
-    counts_by_id = {vocab.index[t]: c for t, c in vocab.counts.items()}
-    cumulative = _noise_distribution(len(vocab), counts_by_id)
-    config = model.config
-    batch: List[FrozenPair] = []
-    for sent in sentences:
-        for i, center in enumerate(sent):
-            context = sent[max(0, i - config.window):i] + sent[i + 1:i + config.window + 1]
-            if not context:
-                continue
-            if config.mode == "cbow":
-                negatives = tuple(_draw_negatives(rng, cumulative, config.negatives, center))
-                batch.append((tuple(context), center, negatives))
-            else:
-                for ctx_word in context:
-                    negatives = tuple(_draw_negatives(rng, cumulative, config.negatives, ctx_word))
-                    batch.append(((center,), ctx_word, negatives))
-            if len(batch) >= limit:  # a skip-gram center adds several pairs
-                return batch[:limit]
-    if not batch:
+    vocab, config = model.vocabulary, model.config
+    cumulative = _noise_distribution(len(vocab), {vocab.index[t]: c for t, c in vocab.counts.items()})
+    flat, first, stop = _flatten(_sentence_ids([clean_text(doc) for doc in corpus.documents], vocab))
+    positions = np.arange(len(flat))
+    reach = np.full(len(flat), config.window)
+    index, valid = _context_windows(first, stop, positions, reach, config.window)
+    _, hidden, mask, targets = (part[:limit] for part in _pairs(config.mode, flat, positions, index, valid))
+    if not len(targets):
         raise ValueError("corpus yields no training pairs inside the window")
-    return batch
+    return hidden, mask, targets, _draw_noise(RngStream(seed), cumulative, (len(targets), config.negatives))
 
 
-def frozen_batch_loss(model: StaticEmbeddingModel, batch: Sequence[FrozenPair]) -> float:
-    """Mean negative-sampling loss of the fixed batch under current vectors."""
-    vin, vout = model.vectors_in, model.vectors_out
-    total = 0.0
-    for hidden_ids, target, negatives in batch:
-        h = vin[list(hidden_ids)].mean(axis=0)
-        loss = -_log_sigmoid(float(h @ vout[target]))
-        for neg in negatives:
-            loss -= _log_sigmoid(-float(h @ vout[neg]))
-        total += loss
-    return total / len(batch)
+def frozen_batch_loss(model: StaticEmbeddingModel, batch: FrozenBatch) -> float:
+    """Mean negative-sampling loss of the fixed batch under current vectors.
+
+    A negative equal to its pair's target adds nothing.
+    """
+    hidden, mask, targets, negatives = batch
+    h = np.einsum("bk,bkd->bd", mask / mask.sum(axis=1, keepdims=True), model.vectors_in[hidden])
+    positive = np.logaddexp(0.0, -np.einsum("bd,bd->b", h, model.vectors_out[targets]))
+    negative = np.logaddexp(0.0, np.einsum("bd,bkd->bk", h, model.vectors_out[negatives]))
+    return float((positive + np.where(negatives == targets[:, None], 0.0, negative).sum(axis=1)).mean())
 
 
 def save_static(model: StaticEmbeddingModel, path) -> None:

@@ -175,6 +175,33 @@ class TestLoadLabeled:
         assert corpus.rejections[0].where == "c.jsonl:1"
         assert corpus.rejections[0].reason == "missing keys ['effort']"
 
+    def test_non_object_lines_are_rejections(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '3\n'
+            '[1, 2]\n'
+            '"id project text effort"\n'
+            '{"id": "B", "project": "P", "text": "fix the cart", "effort": 5}\n'
+        )
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["B"]
+        assert [(r.where, r.reason) for r in corpus.rejections] == [
+            (f"c.jsonl:{n}", "not a JSON object") for n in (1, 2, 3)]
+
+    def test_blank_jsonl_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\n{"id": "A", "project": "P", "text": "t", "effort": 2}\n  \n')
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["A"] and corpus.rejections == []
+
+    @pytest.mark.parametrize("effort", ['"nan"', '"inf"', '"-Infinity"'])
+    def test_non_finite_effort_rejected(self, tmp_path, effort):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "A", "project": "P", "text": "t", "effort": %s}\n' % effort)
+        corpus = load_labeled(path)
+        assert len(corpus) == 0
+        assert corpus.rejections[0].reason.startswith("non-finite effort")
+
     def test_jsonl_roundtrip(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text('{"id": "A", "project": "P", "text": "Fix the bug!", "effort": 2}\n')
@@ -200,6 +227,11 @@ class TestLoadUnlabeled:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"text": "from json"}\nplain line\n')
         assert load_unlabeled(path).documents == ["from json", "plain line"]
+
+    def test_brace_line_that_is_not_json_is_kept_as_text(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"text": "cut off\n')
+        assert load_unlabeled(path).documents == ['{"text": "cut off']
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "docs.txt"

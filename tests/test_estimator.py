@@ -126,6 +126,13 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             EstimatorModel(HeadConfig(), input_dim=0)
 
+    def test_sequence_inputs_must_be_three_dimensional_at_the_input_dimension(self):
+        model = EstimatorModel(HeadConfig(), input_dim=4)
+        with pytest.raises(ValueError, match=r"expects \(n, t, d\)"):
+            model.forward(sequence_batch(np.zeros((2, 4)), np.ones(2)))
+        with pytest.raises(ValueError, match="expected dimension 4, got 5"):
+            model.forward(sequence_batch(np.zeros((2, 3, 5)), np.ones((2, 3))))
+
     def test_feature_mode_must_match(self):
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=4)
         seq = sequence_batch(np.zeros((2, 3, 4)), np.ones((2, 3)))

@@ -262,16 +262,19 @@ class TestHardening:
                 assert liar.recv(1024) == b""  # closed without a reply
                 assert time.monotonic() - start < 5.0
 
-    def test_trickled_body_is_dropped_while_others_are_served(self, service, monkeypatch):
-        timeout = 0.5
-        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", timeout)
-        body = json.dumps({"text": "a trickled story"}).encode()
+    TRICKLE_TIMEOUT_S = 0.5
+
+    def trickle(self, service, upfront: bytes, trickled: bytes):
+        """Sends `upfront`, then `trickled` one byte every 0.2 s, each byte
+        within the read timeout but the request as a whole not; meanwhile
+        another client must be served. Returns what the trickling client
+        got back and how long the server took to answer or drop it."""
         with running(service) as (host, port):
             with socket.create_connection((host, port), timeout=10) as slow:
                 stop = threading.Event()
 
-                def trickle():  # each byte within the timeout, the body as a whole not
-                    for byte in body:
+                def trickle():
+                    for byte in trickled:
                         if stop.wait(0.2):
                             return
                         try:
@@ -279,8 +282,7 @@ class TestHardening:
                         except OSError:  # the server has dropped the connection
                             return
 
-                slow.sendall(b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
-                             b"Content-Length: %d\r\n\r\n" % len(body))
+                slow.sendall(upfront)
                 start = time.monotonic()
                 trickler = threading.Thread(target=trickle)
                 trickler.start()
@@ -296,8 +298,23 @@ class TestHardening:
                     stop.set()
                     trickler.join(timeout=10)
         assert not trickler.is_alive()
+        return reply, elapsed
+
+    def test_trickled_body_is_dropped_while_others_are_served(self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", self.TRICKLE_TIMEOUT_S)
+        body = json.dumps({"text": "a trickled story"}).encode()
+        reply, elapsed = self.trickle(service, b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                                               b"Content-Length: %d\r\n\r\n" % len(body), body)
         assert reply == b""  # closed without a reply
-        assert elapsed < 2 * timeout
+        assert elapsed < 2 * self.TRICKLE_TIMEOUT_S
+
+    def test_trickled_headers_are_dropped_while_others_are_served(self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", self.TRICKLE_TIMEOUT_S)
+        body = json.dumps({"text": "a story behind slow headers"}).encode()
+        reply, elapsed = self.trickle(service, b"POST /estimate HTTP/1.1\r\n",
+                                      b"Host: test\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        assert reply == b""  # closed without a reply
+        assert elapsed < 2 * self.TRICKLE_TIMEOUT_S
 
     def test_get_with_a_body_ends_its_connection(self, address):
         with socket.create_connection(address, timeout=10) as sock:

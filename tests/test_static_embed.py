@@ -12,10 +12,11 @@ from storypointer.static_embed import (
     StaticEmbeddingModel,
     StaticTrainConfig,
     _context_windows,
-    _draw_negatives,
+    _draw_noise,
     _flatten,
     _negative_sampling_step,
     _noise_distribution,
+    _pairs,
     _scatter_add,
     _sentence_ids,
     cosine,
@@ -123,13 +124,54 @@ class TestTrainStatic:
         sentences = _sentence_ids([clean_text(doc) for doc in corpus.documents], model.vocabulary)
         near = {(s[i], s[j]) for s in sentences for i in range(len(s)) for j in range(len(s))
                 if 0 < abs(i - j) <= config.window}
-        batch = make_frozen_batch(model, corpus, seed=3, limit=40)
-        assert len(batch) == 40
-        for hidden, target, negatives in batch:
-            assert len(hidden) == 1
-            assert (hidden[0], target) in near
-            assert target not in negatives
-            assert len(negatives) <= config.negatives
+        hidden, mask, targets, negatives = make_frozen_batch(model, corpus, seed=3, limit=40)
+        assert hidden.shape == mask.shape == (40, 1) and mask.all()
+        assert all(pair in near for pair in zip(hidden[:, 0].tolist(), targets.tolist()))
+        assert negatives.shape == (40, config.negatives)
+
+    def test_frozen_batch_below_limit_holds_every_pair_with_one_draw_each(self):
+        corpus = UnlabeledCorpus(documents=["db sql cache", "solo", "db cache"])
+        model = train_static(corpus, quick_config(epochs=1, window=1))
+        hidden, mask, targets, negatives = make_frozen_batch(model, corpus, seed=3)
+        ids = model.vocabulary.index
+        assert targets.tolist() == [ids[w] for w in ("db", "sql", "cache", "db", "cache")]
+        assert [row[keep].tolist() for row, keep in zip(hidden, mask)] == [
+            [ids["sql"]], [ids["db"], ids["cache"]], [ids["sql"]], [ids["cache"]], [ids["db"]]]
+        # the uniforms of one draw per pair, in pair order
+        vocab = model.vocabulary
+        cumulative = _noise_distribution(len(vocab), {ids[t]: c for t, c in vocab.counts.items()})
+        rng = RngStream(3)
+        expected = [_draw_noise(rng, cumulative, model.config.negatives) for _ in targets]
+        np.testing.assert_array_equal(negatives, expected)
+
+    def test_frozen_batch_without_pairs_is_rejected(self):
+        model = train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1))
+        with pytest.raises(ValueError, match="pairs"):
+            make_frozen_batch(model, UnlabeledCorpus(documents=["db", "sql"]), seed=3)
+
+    @pytest.mark.parametrize("mode", ["cbow", "skipgram"])
+    def test_frozen_batch_loss_is_the_mean_loss_per_pair(self, mode):
+        corpus = synthetic_corpus(10)
+        model = train_static(corpus, quick_config(mode=mode, epochs=2))
+        hidden, mask, targets, negatives = make_frozen_batch(model, corpus, seed=3)
+        negatives[::3, 0] = targets[::3]
+        expected = []
+        for ids, keep, target, drawn in zip(hidden, mask, targets, negatives):
+            h = model.vectors_in[ids[keep]].mean(axis=0)
+            loss = np.logaddexp(0.0, -h @ model.vectors_out[target])
+            for negative in drawn[drawn != target]:
+                loss += np.logaddexp(0.0, h @ model.vectors_out[negative])
+            expected.append(loss)
+        value = frozen_batch_loss(model, (hidden, mask, targets, negatives))
+        assert value == pytest.approx(np.mean(expected), rel=1e-12)
+
+    def test_a_negative_equal_to_its_target_adds_nothing(self):
+        corpus = synthetic_corpus(10)
+        model = train_static(corpus, quick_config(epochs=2))
+        hidden, mask, targets, negatives = make_frozen_batch(model, corpus, seed=3)
+        hits = np.column_stack([targets, negatives[:, 1:]])
+        assert (frozen_batch_loss(model, (hidden, mask, targets, hits))
+                == frozen_batch_loss(model, (hidden, mask, targets, negatives[:, 1:])))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -215,6 +257,11 @@ class TestFinetuneStatic:
         with pytest.raises(ValueError, match="empty"):
             finetune_static(base, UnlabeledCorpus(documents=["the of and"]), extra_epochs=1)
 
+    def test_fewer_than_one_extra_epoch_rejected(self):
+        base = train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1))
+        with pytest.raises(ValueError, match="extra_epochs"):
+            finetune_static(base, UnlabeledCorpus(documents=["db sql"]), extra_epochs=0)
+
     def test_deterministic_under_seed(self):
         base = train_static(synthetic_corpus(10), quick_config(epochs=2))
         extra = UnlabeledCorpus(documents=["db sql sqoop", "sqoop moves rows"])
@@ -281,6 +328,18 @@ class TestChunkedUpdates:
         assert not np.array_equal(model.vectors_in[model.vocabulary.index["db"]],
                                   initial[model.vocabulary.index["db"]])
 
+    def test_pairs_of_one_sentence(self):
+        flat, first, stop = _flatten([[10, 11, 12]])
+        positions = np.arange(3)
+        index, valid = _context_windows(first, stop, positions, np.ones(3, dtype=np.int64), 1)
+        rows, hidden, mask, targets = _pairs("cbow", flat, positions, index, valid)
+        assert rows.tolist() == [0, 1, 2] and targets.tolist() == [10, 11, 12]
+        assert [row[keep].tolist() for row, keep in zip(hidden, mask)] == [[11], [10, 12], [11]]
+        # skip-gram: in position order, then offset order
+        rows, hidden, mask, targets = _pairs("skipgram", flat, positions, index, valid)
+        assert rows.tolist() == [0, 1, 1, 2] and mask.shape == (4, 1) and mask.all()
+        assert list(zip(hidden[:, 0].tolist(), targets.tolist())) == [(10, 11), (11, 10), (11, 12), (12, 11)]
+
     def test_scatter_add_sums_repeated_ids_like_add_at(self):
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 6, 40)
@@ -317,7 +376,7 @@ class TestNoiseDraws:
                              ids=["zero", "below-one"])
     def test_every_draw_is_a_word_of_nonzero_weight(self, value, expected):
         cumulative = self.cumulative()
-        assert _draw_negatives(FixedDraws(value), cumulative, 3, exclude=-1) == [expected] * 3
+        assert _draw_noise(FixedDraws(value), cumulative, 3).tolist() == [expected] * 3
         vout = np.zeros((self.VOCAB, 2))
         rows = 4
         _negative_sampling_step(vout, np.ones((rows, 2)), np.full(rows, 5), np.full(rows, 0.1),

@@ -1,5 +1,6 @@
 """Encoder forward/backward behavior and pretraining loops."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,13 @@ class TestLossDecomposition:
         with pytest.raises(ValueError):
             batch_loss(model, [])
 
+    def test_batch_without_masked_positions_is_rejected(self):
+        model = tiny_model()
+        unmasked = dataclasses.replace(small_examples(model.vocab, n=1)[0],
+                                       masked_positions=(), masked_labels=())
+        with pytest.raises(ValueError, match="no masked positions"):
+            batch_loss(model, [unmasked])
+
 
 class TestGradients:
     def test_tiny_encoder_matches_central_differences(self):
@@ -332,6 +340,13 @@ class TestPretraining:
         model = tiny_model()
         with pytest.raises(ValueError):
             pretrain(model, [], epochs=1)
+        with pytest.raises(ValueError, match="no examples"):
+            evaluate_pretraining(model, [])
+
+    def test_negative_epochs_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="non-negative"):
+            pretrain(model, small_examples(model.vocab, n=2), epochs=-1)
 
 
 class TestFinetuning:
