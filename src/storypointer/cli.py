@@ -458,7 +458,12 @@ def _cmd_evaluate(args) -> str:
 
 def _cmd_predict(args) -> str:
     _require(args, "model", "embedding", "text")
-    return json.dumps(_load_service(args).estimate(args.text))
+    estimate = _load_service(args).estimate(args.text)
+    try:
+        return json.dumps(estimate, allow_nan=False)
+    except ValueError:  # NaN and infinity have no JSON form
+        raise CommandError(
+            f"the model estimated a non-finite effort ({estimate['effort']})") from None
 
 
 def _cmd_serve(args) -> str:

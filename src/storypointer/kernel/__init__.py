@@ -8,10 +8,12 @@ from .optim import Adam, clip_gradients
 from .rng import RngStream, derive_seed
 from .tensor import (
     Tensor,
+    attention_scores,
     cross_entropy,
     dropout,
     ensure_tensor,
     layer_norm,
+    linear,
     mse_loss,
     no_grad,
     parameter,
@@ -25,6 +27,7 @@ __all__ = [
     "LSTM",
     "RngStream",
     "Tensor",
+    "attention_scores",
     "central_difference",
     "clip_gradients",
     "cross_entropy",
@@ -34,6 +37,7 @@ __all__ = [
     "glorot_uniform",
     "grad_check",
     "layer_norm",
+    "linear",
     "load_checkpoint",
     "mse_loss",
     "no_grad",

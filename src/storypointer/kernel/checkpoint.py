@@ -6,6 +6,9 @@ header order, then any named text sections (UTF-8), then the 32-byte
 sha256 digest of every byte before it. The header carries the format
 version, parameter names/shapes/dtypes (always "float64"), text-section
 names and byte lengths, and free-form metadata.
+
+Every parameter value is finite: a NaN or an infinity is refused at save
+and at load, so a diverged model is never written or served.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ def save_checkpoint(
     The bytes go to a temporary name (".tmp" appended) in the same
     directory, which os.replace then moves into place. A failure before
     the move leaves any previous checkpoint as it was and removes the
-    temporary file.
+    temporary file. A parameter holding a NaN or an infinity is refused
+    with a ValueError before anything is written.
     """
     path = Path(path)
+    _require_finite(path, params)
     names = sorted(params)
     sections = sections or {}
     section_bytes = {name: text.encode("utf-8") for name, text in sections.items()}
@@ -90,16 +95,27 @@ def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:
     header that does not describe the layout above, or whose digest
     does not match the bytes before it is refused with a ValueError
     naming the path. Structural errors are reported before the digest
-    is compared.
+    is compared, and a sealed parameter holding a NaN or an infinity
+    after it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         try:
-            return _read_container(fh, os.fstat(fh.fileno()).st_size)
+            params, meta, sections = _read_container(fh, os.fstat(fh.fileno()).st_size)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except (KeyError, TypeError) as exc:  # a header entry of the wrong shape
             raise ValueError(f"{path}: malformed header entry ({exc!r})") from None
+    _require_finite(path, params)
+    return params, meta, sections
+
+
+def _require_finite(path: Path, params: Dict[str, Tensor]) -> None:
+    """Raises ValueError naming `path` and the first parameter, by name,
+    that holds a NaN or an infinity."""
+    for name in sorted(params):
+        if not np.isfinite(params[name].data).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
 
 
 def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .rng import RngStream
-from .tensor import Tensor, _result, logistic, parameter
+from .tensor import Tensor, _result, linear, logistic, parameter
 
 
 def glorot_uniform(rng: RngStream, fan_in: int, fan_out: int, shape: Tuple[int, ...]) -> np.ndarray:
@@ -33,7 +33,7 @@ class Dense:
         self.bias = parameter(np.zeros(n_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight + self.bias
+        out = linear(x, self.weight, self.bias)
         if self.activation == "relu":
             out = out.relu()
         elif self.activation == "tanh":

@@ -10,10 +10,18 @@ The op set is the one the pipeline's models train with: `+` and `*`
 (broadcasting, scalars on either side), `@`, tanh, sigmoid, relu and
 gelu, reshape, transpose and indexing (the one gather: integer-array
 indices pick rows, and duplicates accumulate in backward), plus the
-functions softmax (last axis), layer_norm, dropout, cross_entropy and
+functions linear (x @ w + b), attention_scores (q @ kT * scale +
+mask_bias), softmax (last axis), layer_norm, dropout, cross_entropy and
 mse_loss. The tests check each op's vector-Jacobian product by seeding
 backward() with a fixed random cotangent and comparing the leaf
 gradients against central differences.
+
+A fused node saves only the arrays its backward reads: a node's value
+lives as long as a consumer holds it as a parent, so a composition would
+keep each intermediate it passes through. linear and attention_scores
+run the numpy operations of the compositions they replace, in the same
+order, so their values and gradients are bitwise those of the
+compositions. Dropout's saved keep mask is bool.
 
 backward() frees the graph as it walks it: once an interior node's closure
 has run, the node drops its `.grad`, its closure and its parents, so the
@@ -323,6 +331,52 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map x @ w + b as one node; b broadcasts over the product.
+
+    The bias is added into the product in place, and backward reads only
+    x and w, so neither the bare product nor the sum is kept for it.
+    """
+    value = np.matmul(x.data, w.data)
+    value += b.data
+    out = _result(value, (x, w, b))
+    if out.requires_grad:
+        def backward(grad):
+            if b.requires_grad:
+                b._accumulate(unbroadcast(grad, b.shape))
+            if x.requires_grad:
+                gx = np.matmul(grad, np.swapaxes(w.data, -1, -2))
+                x._accumulate(unbroadcast(gx, x.shape))
+            if w.requires_grad:
+                gw = np.matmul(np.swapaxes(x.data, -1, -2), grad)
+                w._accumulate(unbroadcast(gw, w.shape))
+        out._backward = backward
+    return out
+
+
+def attention_scores(q: Tensor, k: Tensor, scale: float, mask_bias: np.ndarray) -> Tensor:
+    """Scaled dot-product scores q @ kT * scale + mask_bias as one node.
+
+    q and k are (..., seq, head_dim); `mask_bias` is a constant array that
+    broadcasts over the (..., seq_q, seq_k) scores. Backward reads only q
+    and k, so no score array is kept for it.
+    """
+    value = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    value *= scale
+    value += mask_bias
+    out = _result(value, (q, k))
+    if out.requires_grad:
+        def backward(grad):
+            grad = grad * scale
+            if q.requires_grad:
+                q._accumulate(unbroadcast(np.matmul(grad, k.data), q.shape))
+            if k.requires_grad:
+                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), grad), -1, -2)
+                k._accumulate(unbroadcast(gk, k.shape))
+        out._backward = backward
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
@@ -355,7 +409,7 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
+    keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask's bytes
     scale = 1.0 / (1.0 - rate)
     out = _result(x.data * keep * scale, (x,))
     if out.requires_grad:

@@ -7,6 +7,8 @@ the process serves. Another method on either route gets 405 with an
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
 malformed request gets a 4xx JSON error and the process stays alive.
+Every reply body is valid JSON: a reply that would hold a NaN or an
+infinity, such as a non-finite estimate, becomes a 500 error instead.
 
 A body is framed by one Content-Length of ASCII digits alone. A request
 with any Transfer-Encoding gets 501, and a POST without Content-Length
@@ -105,7 +107,10 @@ def _make_handler(service: EstimateService):
 
         def _reply(self, status: int, payload: dict, close: bool = False,
                    allow: str = "") -> None:
-            body = json.dumps(payload).encode("utf-8")
+            try:
+                body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            except ValueError:  # NaN and infinity have no JSON form
+                status, body = 500, b'{"error": "the reply holds a non-finite number"}'
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))

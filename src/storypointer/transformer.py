@@ -18,8 +18,10 @@ import numpy as np
 from .kernel import (
     RngStream,
     Tensor,
+    attention_scores,
     dropout,
     layer_norm,
+    linear,
     parameter,
     softmax,
 )
@@ -158,13 +160,13 @@ class TransformerModel:
         outputs = [embedded]
         x = layer_norm(embedded, p["emb.ln.gain"], p["emb.ln.bias"])
         x = dropout(x, rate, rng)
-        mask_bias = Tensor((1.0 - attention_mask)[:, None, None, :] * -1e9)
+        mask_bias = (1.0 - attention_mask)[:, None, None, :] * -1e9
         for i in range(c.layers):
             x = self._block(x, i, mask_bias, rate, rng)
             outputs.append(x)
         return outputs
 
-    def _block(self, x: Tensor, i: int, mask_bias: Tensor, rate: float, rng) -> Tensor:
+    def _block(self, x: Tensor, i: int, mask_bias: np.ndarray, rate: float, rng) -> Tensor:
         p = self.params
         c = self.config
         batch, seq_len, hidden = x.shape
@@ -173,19 +175,19 @@ class TransformerModel:
         def heads(t: Tensor) -> Tensor:
             return t.reshape(batch, seq_len, c.heads, head_dim).transpose(0, 2, 1, 3)
 
-        q = heads(x @ p[f"layer{i}.attn.wq"] + p[f"layer{i}.attn.bq"])
-        k = heads(x @ p[f"layer{i}.attn.wk"] + p[f"layer{i}.attn.bk"])
-        v = heads(x @ p[f"layer{i}.attn.wv"] + p[f"layer{i}.attn.bv"])
-        scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(head_dim)) + mask_bias
+        q = heads(linear(x, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"]))
+        k = heads(linear(x, p[f"layer{i}.attn.wk"], p[f"layer{i}.attn.bk"]))
+        v = heads(linear(x, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"]))
+        scores = attention_scores(q, k, 1.0 / math.sqrt(head_dim), mask_bias)
         probs = dropout(softmax(scores), rate, rng)
         context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq_len, hidden)
-        attn_out = context @ p[f"layer{i}.attn.wo"] + p[f"layer{i}.attn.bo"]
+        attn_out = linear(context, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"])
         x = layer_norm(
             x + dropout(attn_out, rate, rng),
             p[f"layer{i}.attn.ln.gain"], p[f"layer{i}.attn.ln.bias"],
         )
-        ff = (x @ p[f"layer{i}.ff.w1"] + p[f"layer{i}.ff.b1"]).gelu()
-        ff = ff @ p[f"layer{i}.ff.w2"] + p[f"layer{i}.ff.b2"]
+        ff = linear(x, p[f"layer{i}.ff.w1"], p[f"layer{i}.ff.b1"]).gelu()
+        ff = linear(ff, p[f"layer{i}.ff.w2"], p[f"layer{i}.ff.b2"])
         return layer_norm(
             x + dropout(ff, rate, rng),
             p[f"layer{i}.ff.ln.gain"], p[f"layer{i}.ff.ln.bias"],
@@ -197,15 +199,15 @@ class TransformerModel:
         """Vocabulary logits at the (row, position) pairs of `final_layer`."""
         p = self.params
         h = final_layer[rows, positions]
-        h = (h @ p["mlm.dense.w"] + p["mlm.dense.b"]).gelu()
+        h = linear(h, p["mlm.dense.w"], p["mlm.dense.b"]).gelu()
         h = layer_norm(h, p["mlm.ln.gain"], p["mlm.ln.bias"])
-        return h @ p["emb.token"].transpose(1, 0) + p["mlm.bias"]
+        return linear(h, p["emb.token"].transpose(1, 0), p["mlm.bias"])
 
     def nsp_logits(self, final_layer: Tensor) -> Tensor:
         p = self.params
         cls = final_layer[:, 0, :]
-        pooled = (cls @ p["nsp.pooler.w"] + p["nsp.pooler.b"]).tanh()
-        return pooled @ p["nsp.w"] + p["nsp.b"]
+        pooled = linear(cls, p["nsp.pooler.w"], p["nsp.pooler.b"]).tanh()
+        return linear(pooled, p["nsp.w"], p["nsp.b"])
 
 
 def save_transformer(model: TransformerModel, path) -> None:

@@ -550,6 +550,14 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert needle in err
 
+    def test_non_finite_estimate_is_one_error_line(self, trained, capsys, monkeypatch):
+        monkeypatch.setattr("storypointer.server.predict",
+                            lambda model, batch: np.array([np.nan]))
+        code, out, err = run(["predict", "--model", trained / "estimator.ckpt",
+                              "--embedding", trained / "static.ckpt", "--text", "fix it"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the model estimated a non-finite effort (nan)\n"
+
     def test_report_writes_an_explicit_out_named_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_dir = fake_run(tmp_path / "run")

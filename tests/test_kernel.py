@@ -499,6 +499,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "sha256" not in str(refused.value)  # refused for the header, not the digest
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_is_refused_at_save(self, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": parameter(np.ones(2))})
+        diverged = {"a": parameter(np.ones(2)), "w": parameter(np.array([1.0, bad]))}
+        with pytest.raises(ValueError, match=r"^\S*model\.ckpt: parameter 'w' holds a non-finite value$"):
+            save_checkpoint(path, diverged)
+        loaded, _, _ = load_checkpoint(path)  # the previous checkpoint is untouched
+        np.testing.assert_array_equal(loaded["w"].data, np.ones(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_non_finite_parameter_is_refused_at_load_under_a_valid_digest(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"a": parameter(np.ones(2)), "w": parameter(np.ones(2))})
+        blob = path.read_bytes()
+        body = blob[:-48] + np.array([np.nan]).astype("<f8").tobytes() + blob[-40:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())  # resealed: only the value is bad
+        with pytest.raises(ValueError, match=r"^\S*model\.ckpt: parameter 'w' holds a non-finite value$"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_are_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": parameter(np.ones(2))})

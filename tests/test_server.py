@@ -337,6 +337,13 @@ class TestHardening:
         assert status == 500
         assert out == {"error": "internal error"}
 
+    def test_non_finite_estimate_is_a_500_with_a_json_body(self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "predict", lambda model, batch: np.array([np.nan]))
+        with running(service) as (host, port):
+            status, out = post(f"http://{host}:{port}", json.dumps({"text": "x"}).encode())
+        assert status == 500
+        assert out == {"error": "the reply holds a non-finite number"}
+
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
 SMUGGLED = b"%x\r\n%s\r\n0\r\n\r\n" % (len(HEALTHZ), HEALTHZ)  # a chunk holding a request

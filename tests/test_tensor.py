@@ -15,9 +15,11 @@ import pytest
 from storypointer.kernel import (
     RngStream,
     Tensor,
+    attention_scores,
     cross_entropy,
     dropout,
     layer_norm,
+    linear,
     mse_loss,
     no_grad,
     parameter,
@@ -57,6 +59,12 @@ def check_vjp(f, arrays, rtol=1e-5, atol=1e-7):
 
     for leaf, array in zip(leaves, arrays):
         np.testing.assert_allclose(leaf.grad, fd_grad(projected, array), rtol=rtol, atol=atol)
+
+
+def assert_same_bits(actual, expected):
+    """Equal shapes and identical float64 bit patterns (so -0.0 != 0.0)."""
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 @pytest.fixture
@@ -233,6 +241,66 @@ class TestFusedGrads:
         check_vjp(lambda p: mse_loss(p, target), [pred])
 
 
+def padded_key_bias(seq_len, lengths):
+    """The encoder's additive attention bias: -1e9 on keys past each length."""
+    real = np.arange(seq_len)[None, :] < np.asarray(lengths)[:, None]
+    return (1.0 - real)[:, None, None, :] * -1e9
+
+
+class TestFusedAffineAndScores:
+    """`linear` and `attention_scores` are single nodes with the gradients,
+    and the bits, of the compositions they replace."""
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_linear_grad(self, rng, x_shape):
+        arrays = [rng.uniform(-0.5, 0.5, x_shape), rng.uniform(-0.5, 0.5, (4, 5)),
+                  rng.uniform(-0.5, 0.5, (5,))]
+        check_vjp(linear, arrays)
+
+    def test_attention_scores_grad_under_a_padded_key_mask(self, rng):
+        q = rng.uniform(-0.5, 0.5, (2, 2, 3, 4))
+        k = rng.uniform(-0.5, 0.5, (2, 2, 3, 4))
+        mask = padded_key_bias(3, [3, 2])
+        # through the softmax, so the -1e9 entries do not swamp the differences
+        check_vjp(lambda a, b: softmax(attention_scores(a, b, 0.5, mask)), [q, k])
+
+    @staticmethod
+    def run(f, arrays, cotangent_seed=7):
+        leaves = [parameter(a) for a in arrays]
+        out = f(*leaves)
+        out.backward(RngStream(cotangent_seed).uniform(-1.0, 1.0, out.shape))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("x_shape", [(6, 8), (3, 6, 8)])
+    def test_linear_matches_the_unfused_composition_bitwise(self, rng, x_shape):
+        arrays = [rng.normal(0.0, 1.0, x_shape), rng.normal(0.0, 1.0, (8, 5)),
+                  rng.normal(0.0, 1.0, (5,))]
+        fused, fused_grads = self.run(linear, arrays)
+        plain, plain_grads = self.run(lambda x, w, b: x @ w + b, arrays)
+        assert_same_bits(fused, plain)
+        for got, want in zip(fused_grads, plain_grads):
+            assert_same_bits(got, want)
+
+    def test_attention_scores_match_the_unfused_composition_bitwise(self, rng):
+        q = rng.normal(0.0, 1.0, (3, 2, 5, 4))
+        k = rng.normal(0.0, 1.0, (3, 2, 5, 4))
+        mask = padded_key_bias(5, [5, 3, 1])
+        scale = 1.0 / np.sqrt(4)
+        fused, fused_grads = self.run(lambda a, b: attention_scores(a, b, scale, mask), [q, k])
+        plain, plain_grads = self.run(
+            lambda a, b: a @ b.transpose(0, 1, 3, 2) * scale + Tensor(mask), [q, k])
+        assert_same_bits(fused, plain)
+        for got, want in zip(fused_grads, plain_grads):
+            assert_same_bits(got, want)
+
+    def test_backward_saves_no_array_besides_its_inputs(self, rng):
+        x, w, b = (parameter(rng.uniform(-1.0, 1.0, shape)) for shape in [(2, 3), (3, 4), (4,)])
+        q, k = (parameter(rng.uniform(-1.0, 1.0, (1, 2, 3, 4))) for _ in range(2))
+        for out in (linear(x, w, b), attention_scores(q, k, 0.5, padded_key_bias(3, [2]))):
+            saved = [cell.cell_contents for cell in out._backward.__closure__]
+            assert not any(isinstance(value, np.ndarray) for value in saved), saved
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         x = Tensor(rng.uniform(-1.0, 1.0, (4, 4)))
@@ -256,6 +324,20 @@ class TestDropout:
     def test_invalid_rate_rejected(self, rng):
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(3)), 1.0, rng)
+
+    def test_mask_is_bool_and_gives_the_bits_of_a_float_mask(self, rng):
+        data = rng.normal(0.0, 1.0, (40, 30))
+        x = parameter(data)
+        out = dropout(x, 0.3, RngStream(8))
+        saved = [cell.cell_contents for cell in out._backward.__closure__
+                 if isinstance(cell.cell_contents, np.ndarray)]
+        assert [array.dtype for array in saved] == [np.dtype(bool)]
+        keep = (RngStream(8).random(data.shape) >= 0.3).astype(np.float64)
+        scale = 1.0 / 0.7
+        assert_same_bits(out.data, data * keep * scale)
+        cotangent = rng.normal(0.0, 1.0, data.shape)
+        out.backward(cotangent)
+        assert_same_bits(x.grad, cotangent * keep * scale)
 
 
 class TestGraphMechanics:
