@@ -48,8 +48,8 @@ class LSTM:
     """Single-layer LSTM over (batch, time, features) inputs.
 
     Gate order in the stacked weight matrices is input, forget, cell,
-    output. A per-step mask keeps the previous state on padded steps so
-    trailing pads cannot change the final state.
+    output. Each row's final state is the state after its last real step,
+    read at its length, so trailing pads cannot change it.
 
     A whole sequence is one autograd node. The input projection of every
     step is one matmul before the time loop, the loop runs in plain numpy
@@ -83,41 +83,39 @@ class LSTM:
         return o * tanh_c, c_new
 
     def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Run the full sequence; returns (all hidden states, final hidden).
+        """Run the full sequence; returns (hidden state after each step, final hidden).
 
-        mask has shape (batch, time) with 1.0 on real steps, 0.0 on pads.
+        mask has shape (batch, time): each row is its real steps (nonzero)
+        followed by trailing pads (0.0), and None means every step is real.
+        The final hidden of a row is its state after its last real step, or
+        the zero initial state for a row of pads only. The states a row
+        reaches past its length are computed but mean nothing.
         """
         batch, steps, n_in = x.shape
         n = self.n_hidden
         w_x, w_h = self.w_x.data, self.w_h.data
-        m = np.ones((batch, steps)) if mask is None else np.asarray(mask, dtype=np.float64)
-        keep = 1.0 - m
+        lengths = np.full(batch, steps) if mask is None else np.count_nonzero(mask, axis=1)
         x2d = x.data.reshape(batch * steps, n_in)
         xw = x2d @ w_x
         xw += self.bias.data
         xw = xw.reshape(batch, steps, 4 * n)
 
-        hidden = np.empty((batch, steps, n))     # hidden state after each step's mask blend
-        outputs = _result(hidden, (x, self.w_x, self.w_h, self.bias))
+        states = np.zeros((batch, steps + 1, n))  # the zero initial state, then each step's
+        node = _result(states, (x, self.w_x, self.w_h, self.bias))
         # backward needs every step's activations and cell state; inference keeps one step
-        kept = steps if outputs.requires_grad else 1
+        kept = steps if node.requires_grad else 1
         acts = np.empty((batch, kept, 4 * n))
         tanh_c = np.empty((batch, kept, n))
-        cells = np.empty((batch, kept, n))       # cell state after each step's mask blend
-        h = np.zeros((batch, n))
+        cells = np.empty((batch, kept, n))       # cell state after each step
         c = np.zeros((batch, n))
         for t in range(steps):
             k = min(t, kept - 1)
-            h_new, c_new = self.step(xw[:, t], h, c, acts[:, k], tanh_c[:, k])
-            m_t, keep_t = m[:, t:t + 1], keep[:, t:t + 1]
-            h = m_t * h_new + keep_t * h
-            c = m_t * c_new + keep_t * c
-            hidden[:, t] = h
+            states[:, t + 1], c = self.step(xw[:, t], states[:, t], c, acts[:, k], tanh_c[:, k])
             cells[:, k] = c
 
-        if outputs.requires_grad:
+        if node.requires_grad:
             def backward(grad):
-                # dh, dc: gradient reaching the blended state after step t
+                # dh, dc: gradient reaching the state after step t
                 d_gates = np.empty((batch, steps, 4 * n))
                 dh = np.zeros((batch, n))
                 dc = np.zeros((batch, n))
@@ -125,30 +123,27 @@ class LSTM:
                     i, f, g, o = (acts[:, t, k * n:(k + 1) * n] for k in range(4))
                     tc = tanh_c[:, t]
                     c_prev = cells[:, t - 1] if t else 0.0
-                    m_t, keep_t = m[:, t:t + 1], keep[:, t:t + 1]
-                    dh = dh + grad[:, t]
-                    dh_new = m_t * dh
-                    dc_new = m_t * dc + dh_new * o * (1.0 - tc * tc)
+                    dh = dh + grad[:, t + 1]
+                    dc = dc + dh * o * (1.0 - tc * tc)
                     d = d_gates[:, t]
-                    d[:, :n] = dc_new * g * i * (1.0 - i)
-                    d[:, n:2 * n] = dc_new * c_prev * f * (1.0 - f)
-                    d[:, 2 * n:3 * n] = dc_new * i * (1.0 - g * g)
-                    d[:, 3 * n:] = dh_new * tc * o * (1.0 - o)
-                    dh = keep_t * dh + d @ w_h.T
-                    dc = keep_t * dc + dc_new * f
+                    d[:, :n] = dc * g * i * (1.0 - i)
+                    d[:, n:2 * n] = dc * c_prev * f * (1.0 - f)
+                    d[:, 2 * n:3 * n] = dc * i * (1.0 - g * g)
+                    d[:, 3 * n:] = dh * tc * o * (1.0 - o)
+                    dh = d @ w_h.T
+                    dc = dc * f
                 flat = d_gates.reshape(batch * steps, 4 * n)
                 if self.w_x.requires_grad:
                     self.w_x._accumulate(x2d.T @ flat)
                 if self.w_h.requires_grad:
-                    h_prev = np.zeros_like(hidden)    # the state entering each step
-                    h_prev[:, 1:] = hidden[:, :-1]
-                    self.w_h._accumulate(h_prev.reshape(batch * steps, n).T @ flat)
+                    h_prev = states[:, :-1].reshape(batch * steps, n)  # the state entering each step
+                    self.w_h._accumulate(h_prev.T @ flat)
                 if self.bias.requires_grad:
                     self.bias._accumulate(flat.sum(axis=0))
                 if x.requires_grad:
                     x._accumulate((flat @ w_x.T).reshape(x.shape))
-            outputs._backward = backward
-        return outputs, outputs[:, -1]
+            node._backward = backward
+        return node[:, 1:], node[np.arange(batch), lengths]
 
     def parameters(self) -> Dict[str, Tensor]:
         return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}

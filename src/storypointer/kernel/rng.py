@@ -21,8 +21,6 @@ def derive_seed(seed: int, tag: str) -> int:
 class RngStream:
     """A PCG64 generator; a seed plus a call order reproduces its draws."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
@@ -46,6 +44,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"

@@ -188,6 +188,10 @@ def _negative_sampling_step(
     return np.einsum("bk,bkd->bd", g, out)
 
 
+# A diverging run overflows the logistic's exp (1 / (1 + inf) is still the
+# right 0.0) and may sum infinities of both signs; its vectors are refused
+# after the epoch rather than warned about on every chunk.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_sgd(
     model: StaticEmbeddingModel,
     sentences: List[List[int]],
@@ -219,6 +223,8 @@ def _train_sgd(
             step = _negative_sampling_step(vout, h, targets, lr[rows], rng, cumulative, config.negatives)
             r, k = np.nonzero(mask)
             _scatter_add(vin, hidden[r, k], step[r] / count[r, None])
+        if not (np.isfinite(vin).all() and np.isfinite(vout).all()):
+            raise ValueError(f"static embedding training diverged: non-finite vectors after epoch {epoch + 1}")
         if epoch_callback is not None:
             epoch_callback(model, epoch)
 

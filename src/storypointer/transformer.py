@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,13 +101,19 @@ def _param_table(c: TransformerConfig) -> Dict[str, Tuple[str, Tuple[int, ...]]]
 
 class TransformerModel:
     def __init__(self, config: TransformerConfig, vocab: WordPieceVocab,
-                 params: Optional[Dict[str, Tensor]] = None):
+                 params: Optional[Dict[str, Union[Tensor, np.ndarray]]] = None):
+        """Given `params` must have the config's names and shapes; each array
+        among them becomes a new parameter, each tensor is used as it is."""
         config.validate()
         if config.vocab_size != len(vocab):
             raise ValueError(f"config vocab_size {config.vocab_size} != vocabulary {len(vocab)}")
         self.config = config
         self.vocab = vocab
-        self.params = params if params is not None else self._init_params()
+        if params is None:
+            params = self._init_params()
+        require_params(params, {name: shape for name, (_, shape) in _param_table(config).items()},
+                       "encoder")
+        self.params = {name: p if isinstance(p, Tensor) else parameter(p) for name, p in params.items()}
 
     def _init_params(self) -> Dict[str, Tensor]:
         rng = RngStream(self.config.seed).child("init")
@@ -227,8 +233,6 @@ def transformer_from_parts(params, meta, sections) -> TransformerModel:
     if "vocab" not in sections:
         raise ValueError("checkpoint has no vocab section")
     vocab = WordPieceVocab(sections["vocab"].splitlines())
-    shapes = {name: shape for name, (_, shape) in _param_table(config).items()}
-    require_params(params, shapes, "encoder")
     return TransformerModel(config, vocab, params=params)
 
 

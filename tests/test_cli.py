@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,15 @@ class TestConfigMerging:
         code, out, _ = run(["stats", "--corpus", "stories.csv", "--out", tmp_path / "s"], capsys)
         assert code == 0
         assert "30 records" in out
+
+    def test_a_relative_corpus_missing_under_the_data_dir_is_one_error_line(
+            self, corpus_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SE3M_DATA_DIR", str(corpus_csv.parent))
+        code, _, err = run(["stats", "--corpus", "absent.csv", "--out", tmp_path / "s"], capsys)
+        assert code == 1
+        assert err.startswith("error: cannot load corpus") and err.count("\n") == 1, err
+        assert "absent.csv" in err
 
 
 class TestPipelineArtifacts:
@@ -534,6 +544,15 @@ FAILURES = {
         "evaluate", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
         "--experiment", "E1", "--mode", "pooled", "--epochs", "1",
         "--config", write_config(tmp, "by_project = maybe\n")], "maybe"),
+    "evaluate-kfold-one": (lambda root, tmp: [
+        "evaluate", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
+        "--experiment", "E1", "--mode", "pooled", "--epochs", "1", "--kfold", "1"], "k must be >= 2"),
+    "train-batch-size-zero": (lambda root, tmp: [
+        "train", "--corpus", root / "stories.csv", "--embedding", root / "static.ckpt",
+        "--mode", "pooled", "--epochs", "1", "--batch-size", "0"], "batch_size"),
+    "stats-config-unreadable": (lambda root, tmp: [
+        "stats", "--corpus", root / "stories.csv", "--config", tmp / "absent.cfg"],
+        "cannot read config file"),
     "serve-port-out-of-range": (lambda root, tmp: [
         "serve", "--model", root / "estimator.ckpt", "--embedding", root / "static.ckpt",
         "--bind", "127.0.0.1:99999"], "99999"),
@@ -558,6 +577,20 @@ class TestErrorBoundary:
         assert (code, out) == (1, "")
         assert err == "error: the model estimated a non-finite effort (nan)\n"
 
+    @pytest.mark.parametrize("lr,epoch", [("1e20", 2), ("1e300", 1)])
+    def test_diverging_static_training_is_one_error_line(self, trained, tmp_path, capsys, lr, epoch):
+        out = tmp_path / "static"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, err = run(["pretrain-static", "--corpus", trained / "stories.csv",
+                                   "--dimension", "16", "--epochs", "2", "--lr", lr,
+                                   "--out", out], capsys)
+        assert (code, text) == (1, "")
+        assert err == ("error: static embedding training diverged: "
+                       f"non-finite vectors after epoch {epoch}\n")
+        assert [str(w.message) for w in caught] == []  # no overflow warning either
+        assert not out.exists()
+
     def test_report_writes_an_explicit_out_named_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_dir = fake_run(tmp_path / "run")
@@ -578,6 +611,16 @@ class TestConfigBoolean:
         assert code == 0
         assert "E1 over 3 rounds" in out  # one round per project
         assert (eval_out / "E1" / "per_project.csv").exists()
+
+    def test_by_project_false_runs_a_kfold_evaluate(self, trained, tmp_path, capsys):
+        eval_out = tmp_path / "eval"
+        code, out, _ = run(["evaluate", "--corpus", trained / "stories.csv", "--experiment", "E1",
+                            "--embedding", trained / "static.ckpt", "--out", eval_out,
+                            "--mode", "pooled", "--epochs", "1", "--kfold", "2",
+                            "--config", write_config(tmp_path, "by_project = false\n")], capsys)
+        assert code == 0
+        assert "E1 over 2 rounds" in out
+        assert not (eval_out / "E1" / "per_project.csv").exists()
 
 
 class TestRealServe:

@@ -96,6 +96,10 @@ class TestValidationCarve:
         with pytest.raises(ValueError):
             carve_validation(records[:1], 0.1, seed=0)
 
+    def test_a_fraction_that_would_take_every_record_leaves_one_to_train(self):
+        train_idx, val_idx = carve_validation(make_corpus(n=2).records, 0.9, seed=0)
+        assert (len(train_idx), len(val_idx)) == (1, 1)
+
     def test_seed_changes_the_carve(self, corpus):
         a = carve_validation(corpus.records, 0.2, seed=1)
         b = carve_validation(corpus.records, 0.2, seed=2)

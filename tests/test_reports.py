@@ -216,6 +216,14 @@ class TestBundle:
         assert comparison[0] == "model,mae,mae_std,mse,mse_std,mdae,mdae_std"
         assert len(comparison) == 3  # header plus both evaluations
 
+    def test_csv_files_at_the_run_root_are_copied(self, kfold_report, corpus, tmp_path):
+        run = tmp_path / "run"
+        write_fold_report(kfold_report, run / "E1")
+        write_corpus_stats(corpus_stats(corpus), run)
+        bundle = emit_report(run)
+        for name in ("summary.csv", "words_hist.csv", "effort_hist.csv"):
+            assert (bundle / name).read_bytes() == (run / name).read_bytes()
+
     def test_empty_run_directory_is_an_error(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(tmp_path)

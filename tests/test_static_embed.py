@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from storypointer.corpus import PAD_WORD, UNK_WORD, UnlabeledCorpus, Vocabulary, clean_text
 from storypointer.kernel import RngStream
+from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.static_embed import (
     CHUNK,
     StaticEmbeddingModel,
@@ -397,6 +398,25 @@ class TestEmbedWord:
         assert embed_word(model, UNK_WORD) is None
 
 
+class TestCosine:
+    def test_a_word_out_of_vocabulary_is_a_key_error(self):
+        model = tiny_model(["red"], [[1.0, 2.0]])
+        with pytest.raises(KeyError, match="plaid"):
+            cosine(model, "red", "plaid")
+
+    def test_a_zero_vector_has_cosine_zero(self):
+        model = tiny_model(["red", "blank"], [[1.0, 2.0], [0.0, 0.0]])
+        assert cosine(model, "red", "blank") == 0.0
+
+
+def resaved(path, edit):
+    """The static checkpoint at `path` loaded, changed by `edit` and saved again."""
+    params, meta, sections = load_checkpoint(path)
+    edit(params, meta, sections)
+    save_checkpoint(path, params, meta=meta, sections=sections)
+    return path
+
+
 class TestStaticCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = train_static(synthetic_corpus(10), quick_config(epochs=2))
@@ -412,16 +432,35 @@ class TestStaticCheckpoint:
         model = tiny_model(["red"], [[1.0, 2.0]])
         path = tmp_path / "static.ckpt"
         save_static(model, path)
-        from storypointer.kernel.checkpoint import load_checkpoint
-
         _, _, sections = load_checkpoint(path)
         lines = sections["vocab"].strip().splitlines()
         assert lines[0] == f"{PAD_WORD}\t0\t0"
         assert lines[2] == "red\t1\t2"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda params, meta, sections: params.pop("vectors_out"),
+         "needs the parameters vectors_in and vectors_out"),
+        (lambda params, meta, sections: sections.update(
+            vocab="".join(sections["vocab"].splitlines(keepends=True)[:-1])),
+         "must be [|]V[|] x d"),
+        (lambda params, meta, sections: sections.update(
+            vocab=sections["vocab"].replace("blue\t1\t3", "red\t1\t3")),
+         "tokens must be unique"),
+    ], ids=["no-vectors-out", "vocab-rows-unlike-tables", "duplicate-token"])
+    def test_inconsistent_checkpoint_is_refused(self, tmp_path, edit, message):
+        path = tmp_path / "static.ckpt"
+        save_static(tiny_model(["red", "blue"], [[1.0, 2.0], [3.0, 4.0]]), path)
+        with pytest.raises(ValueError, match=message):
+            load_static(resaved(path, edit))
+
+    def test_an_integer_learning_rate_in_the_meta_is_accepted(self, tmp_path):
+        path = tmp_path / "static.ckpt"
+        save_static(tiny_model(["red"], [[1.0, 2.0]]), path)
+        resaved(path, lambda params, meta, sections: meta["config"].update(learning_rate=1))
+        assert load_static(path).config.learning_rate == 1
+
     def test_wrong_kind_rejected(self, tmp_path):
         from storypointer.kernel import parameter
-        from storypointer.kernel.checkpoint import save_checkpoint
 
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, {"w": parameter(np.ones(2))}, meta={"kind": "other"})

@@ -8,6 +8,7 @@ import pytest
 
 from storypointer.corpus import UnlabeledCorpus
 from storypointer.kernel import RngStream, grad_check
+from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.lm_training import (
     batch_loss,
     evaluate_pretraining,
@@ -21,6 +22,7 @@ from storypointer.transformer import (
     load_transformer,
     pad_batch,
     save_transformer,
+    transformer_from_parts,
 )
 from storypointer.wordpiece import (
     CLS_ID,
@@ -424,6 +426,29 @@ class TestFinetuning:
         assert model.vocab.pieces == vocab_before
         assert len(history.joint) == 2
 
+    def test_a_copy_built_from_arrays_finetunes_and_leaves_its_source_intact(self):
+        base = tiny_model(layers=1, hidden=16, heads=2, ff=24)
+        before = {name: t.numpy().copy() for name, t in base.params.items()}
+        # the construction the fine-tuning-ordering acceptance criterion uses
+        tuned = TransformerModel(base.config, base.vocab, params={
+            name: t.numpy().copy() for name, t in base.params.items()
+        })
+        history = finetune_lm(tuned, self.corpus(), epochs=2, seed=1)
+        assert len(history.joint) == 2
+        assert any(not np.array_equal(before[name], t.numpy()) for name, t in tuned.params.items())
+        for name, value in before.items():
+            np.testing.assert_array_equal(value, base.params[name].numpy())
+
+    def test_parameters_of_the_wrong_shape_are_refused(self):
+        base = tiny_model()
+        params = {name: t.numpy() for name, t in base.params.items()}
+        params["nsp.b"] = np.zeros(3)
+        with pytest.raises(ValueError, match="nsp.b has shape"):
+            TransformerModel(base.config, base.vocab, params=params)
+        del params["nsp.b"]
+        with pytest.raises(ValueError, match=r"missing \['nsp.b'\]"):
+            TransformerModel(base.config, base.vocab, params=params)
+
 
 class TestCheckpointing:
     def test_roundtrip_reproduces_encodings_bitwise(self, tmp_path):
@@ -440,8 +465,22 @@ class TestCheckpointing:
             model.encode(ids)[-1].numpy(), loaded.encode(ids)[-1].numpy()
         )
 
+    def test_loading_keeps_the_checkpoints_parameter_tensors(self, tmp_path):
+        path = tmp_path / "encoder.ckpt"
+        save_transformer(tiny_model(), path)
+        params, meta, sections = load_checkpoint(path)
+        loaded = transformer_from_parts(params, meta, sections)
+        assert all(loaded.params[name] is tensor for name, tensor in params.items())
+
+    def test_checkpoint_without_a_vocab_section_is_rejected(self, tmp_path):
+        path = tmp_path / "encoder.ckpt"
+        model = tiny_model()
+        save_checkpoint(path, model.params, meta={
+            "kind": "transformer_lm", "config": dataclasses.asdict(model.config)})
+        with pytest.raises(ValueError, match="no vocab section"):
+            load_transformer(path)
+
     def test_wrong_checkpoint_kind_is_rejected(self, tmp_path):
-        from storypointer.kernel.checkpoint import save_checkpoint
         from storypointer.kernel import parameter
 
         path = tmp_path / "other.ckpt"
