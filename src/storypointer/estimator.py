@@ -159,6 +159,10 @@ def predict(model: EstimatorModel, batch: FeatureBatch) -> np.ndarray:
     return np.asarray(BUCKETS, dtype=np.float64)[choice]
 
 
+# A diverging head overflows its squares and matmuls and may sum
+# infinities of both signs; it is refused after the epoch rather than
+# warned about on every minibatch.
+@np.errstate(over="ignore", invalid="ignore")
 def train_estimator(
     model: EstimatorModel,
     train_batch: FeatureBatch,
@@ -166,7 +170,11 @@ def train_estimator(
     val_batch: FeatureBatch,
     val_efforts: Sequence[float],
 ) -> TrainHistory:
-    """Minibatch Adam with patience-based early stopping on validation MAE."""
+    """Minibatch Adam with patience-based early stopping on validation MAE.
+
+    Raises ValueError after the first epoch whose train loss or validation
+    MAE is not finite.
+    """
     train_efforts = np.asarray(train_efforts, dtype=np.float64)
     val_efforts = np.asarray(val_efforts, dtype=np.float64)
     if len(train_batch) == 0 or len(val_batch) == 0:
@@ -197,6 +205,9 @@ def train_estimator(
 
         val_mae = mae(val_efforts, predict(model, val_batch))
         history.val_mae.append(val_mae)
+        if not (np.isfinite(history.train_loss[-1]) and np.isfinite(val_mae)):
+            raise ValueError(f"head training diverged: train loss {history.train_loss[-1]} "
+                             f"and validation MAE {val_mae} after epoch {epoch + 1}")
         if val_mae < best:
             # any strict improvement moves the restore point, but only a
             # material one (> epsilon) resets the patience counter
@@ -211,8 +222,6 @@ def train_estimator(
             history.stop_reason = "patience"
             break
 
-    if history.best_epoch < 0:
-        history.best_epoch = 0
     _restore(params, best_params)
     return history
 

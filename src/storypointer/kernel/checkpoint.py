@@ -173,11 +173,11 @@ def require_params(params: Dict[str, Tensor], shapes: Dict[str, Tuple[int, ...]]
     each with its shape; `model` names the model in the message."""
     missing, unknown = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
     if missing or unknown:
-        raise ValueError(f"checkpoint parameters do not match the configured {model}: "
+        raise ValueError(f"parameters do not match the configured {model}: "
                          f"missing {missing}, unknown {unknown}")
     for name, shape in shapes.items():
         if params[name].shape != shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {params[name].shape}, "
+            raise ValueError(f"parameter {name} has shape {params[name].shape}, "
                              f"the configured {model} needs {shape}")
 
 

@@ -51,11 +51,14 @@ class LSTM:
     output. Each row's final state is the state after its last real step,
     read at its length, so trailing pads cannot change it.
 
-    A whole sequence is one autograd node. The input projection of every
-    step is one matmul before the time loop, the loop runs in plain numpy
-    and caches the gate activations, and the backward pass is hand-written
-    backpropagation through time whose weight gradients are one matmul
-    over the stacked steps.
+    A whole sequence is one autograd node, run packed: the rows are sorted
+    longest first and their real steps laid out time-major, so step t
+    runs on the prefix of rows whose length exceeds t and no pad step is
+    ever computed. The input projection of every real step is one matmul
+    before the time loop, the loop runs in plain numpy and caches the gate
+    activations, and the backward pass is hand-written backpropagation
+    through time over the same prefixes, whose weight gradients are one
+    matmul over the packed steps.
     """
 
     def __init__(self, rng: RngStream, n_in: int, n_hidden: int):
@@ -88,60 +91,82 @@ class LSTM:
         mask has shape (batch, time): each row is its real steps (nonzero)
         followed by trailing pads (0.0), and None means every step is real.
         The final hidden of a row is its state after its last real step, or
-        the zero initial state for a row of pads only. The states a row
-        reaches past its length are computed but mean nothing.
+        the zero initial state for a row of pads only. The states past a
+        row's length are never computed: they stay zero and mean nothing.
         """
         batch, steps, n_in = x.shape
         n = self.n_hidden
         w_x, w_h = self.w_x.data, self.w_h.data
         lengths = np.full(batch, steps) if mask is None else np.count_nonzero(mask, axis=1)
-        x2d = x.data.reshape(batch * steps, n_in)
-        xw = x2d @ w_x
+        # the packed layout: rows longest first, then step t holds the
+        # sizes[t] rows whose length exceeds t, at packed positions
+        # offsets[t]:offsets[t + 1]
+        order = np.argsort(-lengths, kind="stable")
+        sizes = np.count_nonzero(lengths > np.arange(steps)[:, None], axis=1)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        times = np.repeat(np.arange(steps), sizes)
+        ranks = np.arange(offsets[-1]) - offsets[times]
+        rows = order[ranks]  # the batch row of each packed position
+        x_packed = x.data[rows, times]
+        xw = x_packed @ w_x
         xw += self.bias.data
-        xw = xw.reshape(batch, steps, 4 * n)
 
+        # hs and cells hold the zero initial states of all rows, then the
+        # packed steps; the state entering step t's row r is at start[t] + r
+        # and the state it leaves at start[t + 1] + r
+        start = np.concatenate(([0], batch + offsets[:-1]))
+        hs = np.zeros((batch + offsets[-1], n))
         states = np.zeros((batch, steps + 1, n))  # the zero initial state, then each step's
         node = _result(states, (x, self.w_x, self.w_h, self.bias))
         # backward needs every step's activations and cell state; inference keeps one step
-        kept = steps if node.requires_grad else 1
-        acts = np.empty((batch, kept, 4 * n))
-        tanh_c = np.empty((batch, kept, n))
-        cells = np.empty((batch, kept, n))       # cell state after each step
+        keep = node.requires_grad
+        acts = np.empty((offsets[-1] if keep else batch, 4 * n))
+        tanh_c = np.empty((len(acts), n))
+        cells = np.zeros((len(hs), n)) if keep else None
         c = np.zeros((batch, n))
         for t in range(steps):
-            k = min(t, kept - 1)
-            states[:, t + 1], c = self.step(xw[:, t], states[:, t], c, acts[:, k], tanh_c[:, k])
-            cells[:, k] = c
+            s, prev, here = sizes[t], start[t], start[t + 1]
+            k = offsets[t] if keep else 0
+            hs[here:here + s], c = self.step(xw[offsets[t]:offsets[t + 1]], hs[prev:prev + s],
+                                             c[:s], acts[k:k + s], tanh_c[k:k + s])
+            if keep:
+                cells[here:here + s] = c
+        states[rows, times + 1] = hs[batch:]
 
-        if node.requires_grad:
+        if keep:
             def backward(grad):
-                # dh, dc: gradient reaching the state after step t
-                d_gates = np.empty((batch, steps, 4 * n))
-                dh = np.zeros((batch, n))
-                dc = np.zeros((batch, n))
+                # dh, dc: gradient reaching the states a step leaves, for the
+                # rows still active at the step after it
+                d_gates = np.empty_like(acts)
+                grad_packed = grad[rows, times + 1]
+                dh = dc = np.zeros((0, n))
                 for t in reversed(range(steps)):
-                    i, f, g, o = (acts[:, t, k * n:(k + 1) * n] for k in range(4))
-                    tc = tanh_c[:, t]
-                    c_prev = cells[:, t - 1] if t else 0.0
-                    dh = dh + grad[:, t + 1]
-                    dc = dc + dh * o * (1.0 - tc * tc)
-                    d = d_gates[:, t]
-                    d[:, :n] = dc * g * i * (1.0 - i)
-                    d[:, n:2 * n] = dc * c_prev * f * (1.0 - f)
-                    d[:, 2 * n:3 * n] = dc * i * (1.0 - g * g)
-                    d[:, 3 * n:] = dh * tc * o * (1.0 - o)
+                    s, prev, a = sizes[t], start[t], offsets[t]
+                    i, f, g, o = (acts[a:a + s, k * n:(k + 1) * n] for k in range(4))
+                    tc = tanh_c[a:a + s]
+                    c_prev = cells[prev:prev + s]
+                    dh_t = grad_packed[a:a + s]
+                    dh_t[:len(dh)] += dh
+                    dc_t = dh_t * o * (1.0 - tc * tc)
+                    dc_t[:len(dc)] += dc
+                    d = d_gates[a:a + s]
+                    d[:, :n] = dc_t * g * i * (1.0 - i)
+                    d[:, n:2 * n] = dc_t * c_prev * f * (1.0 - f)
+                    d[:, 2 * n:3 * n] = dc_t * i * (1.0 - g * g)
+                    d[:, 3 * n:] = dh_t * tc * o * (1.0 - o)
                     dh = d @ w_h.T
-                    dc = dc * f
-                flat = d_gates.reshape(batch * steps, 4 * n)
+                    dc = dc_t * f
                 if self.w_x.requires_grad:
-                    self.w_x._accumulate(x2d.T @ flat)
+                    self.w_x._accumulate(x_packed.T @ d_gates)
                 if self.w_h.requires_grad:
-                    h_prev = states[:, :-1].reshape(batch * steps, n)  # the state entering each step
-                    self.w_h._accumulate(h_prev.T @ flat)
+                    h_prev = states[rows, times]  # the state entering each packed step
+                    self.w_h._accumulate(h_prev.T @ d_gates)
                 if self.bias.requires_grad:
-                    self.bias._accumulate(flat.sum(axis=0))
+                    self.bias._accumulate(d_gates.sum(axis=0))
                 if x.requires_grad:
-                    x._accumulate((flat @ w_x.T).reshape(x.shape))
+                    dx = np.zeros(x.shape)
+                    dx[rows, times] = d_gates @ w_x.T
+                    x._accumulate(dx)
             node._backward = backward
         return node[:, 1:], node[np.arange(batch), lengths]
 

@@ -22,6 +22,7 @@ from storypointer.cli import build_parser, main
 from storypointer.estimator import TrainHistory
 from storypointer.kernel import parameter
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
+from storypointer.static_embed import load_static, save_static
 from storypointer.transformer import load_transformer
 
 VERBS = ["add", "fix", "migrate", "update", "refactor", "support"]
@@ -590,6 +591,23 @@ class TestErrorBoundary:
                        f"non-finite vectors after epoch {epoch}\n")
         assert [str(w.message) for w in caught] == []  # no overflow warning either
         assert not out.exists()
+
+    def test_diverging_head_training_is_one_error_line(self, trained, tmp_path, capsys):
+        # vectors this large stay finite, so the checkpoint loads, but the head's loss does not
+        static = load_static(trained / "static.ckpt")
+        static.vectors_in *= 1e200
+        save_static(static, tmp_path / "huge.ckpt")
+        out = tmp_path / "head"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, err = run(["train", "--corpus", trained / "stories.csv",
+                                   "--embedding", tmp_path / "huge.ckpt", "--mode", "pooled",
+                                   "--epochs", "3", "--out", out], capsys)
+        assert (code, text) == (1, "")
+        assert err == ("error: head training diverged: train loss inf "
+                       "and validation MAE nan after epoch 1\n")
+        assert [str(w.message) for w in caught] == []
+        assert not (out / "estimator.ckpt").exists() and not (out / "history.json").exists()
 
     def test_report_writes_an_explicit_out_named_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Effort head contracts: sizing, clamping, training, persistence."""
 
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,7 @@ from storypointer.estimator import (
     train_estimator,
 )
 from storypointer.features import FeatureBatch
-from storypointer.kernel import Tensor, softmax
+from storypointer.kernel import Tensor, mse_loss, softmax
 from storypointer.kernel.checkpoint import config_from_meta
 from storypointer.kernel.rng import RngStream
 
@@ -191,6 +192,60 @@ class TestPrediction:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+class TestSequenceRowsAndPads:
+    """The LSTM sorts rows by length and runs no pad step; through the head,
+    neither the row order nor extra pad columns may move a result."""
+
+    LENGTHS = np.array([4, 0, 2, 5, 1, 2])  # unsorted, with a tie and an all-pad row
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        config = HeadConfig(dense_sizes=(6, 3), lstm_hidden=5, seed=0)
+        self.model = EstimatorModel(config, input_dim=3)
+        self.model.head.bias.data[:] = 10.0  # keep predictions off the clamp
+        self.mask = (np.arange(5) < self.LENGTHS[:, None]) * 1.0
+        self.vectors = rng.normal(size=(6, 5, 3)) * self.mask[:, :, None]
+        self.efforts = rng.uniform(1.0, 20.0, 6)
+        self.batch = FeatureBatch("sequence", self.vectors, self.mask, self.LENGTHS == 0)
+
+    def test_predictions_do_not_depend_on_row_order(self):
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        expected = predict(self.model, self.batch)
+        assert len(set(expected)) == len(expected)
+        np.testing.assert_allclose(predict(self.model, self.batch.select(perm)), expected[perm],
+                                   rtol=0, atol=1e-12)
+
+    def test_extra_pad_columns_do_not_change_predictions(self):
+        padded = FeatureBatch("sequence", np.concatenate([self.vectors, np.zeros((6, 7, 3))], axis=1),
+                              np.concatenate([self.mask, np.zeros((6, 7))], axis=1),
+                              self.batch.degenerate)
+        np.testing.assert_allclose(predict(self.model, padded), predict(self.model, self.batch),
+                                   rtol=0, atol=1e-12)
+
+    def test_an_all_pad_row_changes_no_other_row(self):
+        real = np.flatnonzero(self.LENGTHS)
+        expected = predict(self.model, self.batch)
+        np.testing.assert_allclose(predict(self.model, self.batch.select(real)), expected[real],
+                                   rtol=0, atol=1e-12)
+        # the all-pad row reads the zero initial state wherever it sits
+        np.testing.assert_allclose(predict(self.model, self.batch.select([1])), expected[[1]],
+                                   rtol=0, atol=1e-12)
+
+    def test_training_gradients_do_not_depend_on_row_order(self):
+        def gradients(rows):
+            params = self.model.parameters()
+            for p in params.values():
+                p.grad = None
+            picked = self.batch.select(rows)
+            mse_loss(self.model.forward(picked).reshape(len(rows)), self.efforts[rows]).backward()
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        ordered, permuted = gradients(np.arange(6)), gradients(np.array([3, 0, 5, 1, 4, 2]))
+        for name, grad in ordered.items():
+            assert np.abs(grad).max() > 0.0, name
+            np.testing.assert_allclose(permuted[name], grad, rtol=0, atol=1e-12)
+
+
 class TestTraining:
     def test_memorizes_a_small_pooled_set(self):
         batch, efforts = toy_regression(n=16, dim=6, seed=1)
@@ -265,6 +320,17 @@ class TestTraining:
         history = train_estimator(model, batch, efforts, batch, efforts)
         assert len(history.train_loss) == len(history.val_mae)
         assert np.isfinite(history.train_loss).all()
+
+    def test_diverging_training_is_refused_naming_the_epoch(self):
+        batch, efforts = toy_regression(n=12, dim=4, seed=6)
+        huge = pooled_batch(batch.vectors * 1e200)
+        config = HeadConfig(mode="pooled", dense_sizes=(6, 3), epochs=3, patience=3, seed=0)
+        model = EstimatorModel(config, input_dim=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^head training diverged: .* after epoch 1$"):
+                train_estimator(model, huge, efforts, huge, efforts)
+        assert [str(w.message) for w in caught] == []  # numpy's overflow warnings are silenced
 
     def test_empty_sets_are_rejected(self):
         batch, efforts = toy_regression(n=4, dim=3)

@@ -1,5 +1,6 @@
 """Layers, Adam, the grad-check harness, checkpoints, and rng streams."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from storypointer.kernel import (
     grad_check,
     load_checkpoint,
     mse_loss,
+    no_grad,
     parameter,
     save_checkpoint,
 )
@@ -164,33 +166,65 @@ class TestLSTM:
             # the all-pad row's final state is the initial one, so its inputs get no gradient
             np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
 
-    def test_fused_matches_stepwise_tensor_reference(self, rng):
+    @pytest.mark.parametrize("steps, lengths", [
+        (5, [5, 3, 0, 1]),         # MIXED_MASK: full, trailing pads, all pad, one step
+        (5, [2, 5, 2, 4, 5, 1]),   # unsorted, with ties
+        (5, [3, 0, 5]),            # an all-pad row
+        (4, None),                 # mask=None: every step is real
+        (6, [3, 1, 3, 2]),         # no row reaches the last step
+        (5, [3]),                  # a batch of one row
+    ], ids=["mixed", "unsorted-ties", "all-pad-row", "no-mask", "none-reach-steps", "one-row"])
+    def test_fused_matches_stepwise_tensor_reference(self, rng, steps, lengths):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
-        x = rng.uniform(-1.0, 1.0, (4, 5, 3))
-        target = rng.uniform(-0.5, 0.5, (4, 5, 4))
-        final_target = rng.uniform(-0.5, 0.5, (4, 4))
-        # the states past a row's length mean nothing, so the loss weights them by zero
-        real = MIXED_MASK[:, :, None]
+        batch = 3 if lengths is None else len(lengths)
+        mask = None if lengths is None else (np.arange(steps) < np.array(lengths)[:, None]) * 1.0
+        real = np.ones((batch, steps)) if mask is None else mask
+        x = rng.uniform(-1.0, 1.0, (batch, steps, 3))
+        target = rng.uniform(-0.5, 0.5, (batch, steps, 4))
+        final_target = rng.uniform(-0.5, 0.5, (batch, 4))
         runs = []
-        for forward in (cell, lambda x_, m: reference_lstm(cell, x_, m)):
+        for forward in (cell, lambda x_, m: reference_lstm(cell, x_, real)):
             for p in cell.parameters().values():
                 p.grad = None
             xt = parameter(x)
-            outputs, final = forward(xt, MIXED_MASK)
-            (mse_loss(outputs * Tensor(real), target * real) + mse_loss(final, final_target)).backward()
+            outputs, final = forward(xt, mask)
+            # the reference carries a row's last state through its pads, so
+            # the loss weights the states past a row's length by zero
+            weight = real[:, :, None]
+            (mse_loss(outputs * Tensor(weight), target * weight) + mse_loss(final, final_target)).backward()
             grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
             runs.append((outputs.numpy().copy(), final.numpy().copy(), grads, xt.grad.copy()))
         (out, final, grads, dx), (ref_out, ref_final, ref_grads, ref_dx) = runs
-        # summation order differs (hoisted input GEMM, stacked weight
+        # summation order differs (hoisted input GEMM, packed weight
         # gradients), so agreement is to a float64 tolerance, not bitwise
         tol = dict(rtol=0.0, atol=1e-10)
-        steps = MIXED_MASK > 0
-        np.testing.assert_allclose(out[steps], ref_out[steps], **tol)
+        np.testing.assert_allclose(out[real > 0], ref_out[real > 0], **tol)
+        # the states past a row's length are never computed
+        np.testing.assert_array_equal(out[real == 0], 0.0)
         np.testing.assert_allclose(final, ref_final, **tol)
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], **tol)
         np.testing.assert_allclose(dx, ref_dx, **tol)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["train", "inference"])
+    def test_each_step_runs_only_the_rows_inside_their_length(self, rng, monkeypatch, grad):
+        cell = LSTM(rng, 3, 4)
+        lengths = np.array([2, 0, 4, 2, 1])
+        mask = (np.arange(6) < lengths[:, None]) * 1.0
+        rows_per_step = []
+        step = LSTM.step
+
+        def spy(self, xw_t, h_prev, c_prev, acts, tanh_c):
+            rows_per_step.append(len(xw_t))
+            assert len(h_prev) == len(c_prev) == len(acts) == len(tanh_c) == len(xw_t)
+            return step(self, xw_t, h_prev, c_prev, acts, tanh_c)
+
+        monkeypatch.setattr(LSTM, "step", spy)
+        with contextlib.nullcontext() if grad else no_grad():
+            _, final = cell(Tensor(rng.uniform(-0.5, 0.5, (5, 6, 3))), mask=mask)
+        assert final.requires_grad == grad
+        assert rows_per_step == [int(np.count_nonzero(lengths > t)) for t in range(6)]
 
 
 class TestAdam:
