@@ -194,6 +194,9 @@ def load_labeled(path) -> LabeledCorpus:
                 except json.JSONDecodeError as exc:
                     rejections.append(Rejection(where, f"invalid json: {exc.msg}"))
                     continue
+                except RecursionError:
+                    rejections.append(Rejection(where, "invalid json: nested too deeply"))
+                    continue
                 if not isinstance(obj, dict):
                     rejections.append(Rejection(where, "not a JSON object"))
                     continue
@@ -222,7 +225,7 @@ def load_unlabeled(path) -> UnlabeledCorpus:
                 try:
                     obj = json.loads(line)
                     text = str(obj.get("text", "")).strip()
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     text = line
             else:
                 text = line

@@ -1,7 +1,8 @@
 """Effort estimation head: LSTM or dense stack over embedded requirements.
 
-Sequence inputs run through a masked LSTM whose final state feeds two
-nonlinear dense layers; pooled inputs skip straight to the dense stack.
+Sequence inputs run through a masked LSTM, which returns only each row's
+final state, and that state feeds two nonlinear dense layers; pooled
+inputs skip straight to the dense stack.
 The output is either a single linear unit or a 9-way softmax over the
 Planning-Poker buckets. `forward` takes a `FeatureBatch` of the head's
 mode and returns the raw outputs; `predict` turns them into one effort
@@ -123,7 +124,7 @@ class EstimatorModel:
                 raise ValueError(f"sequence mode expects (n, t, d) inputs, got {x.shape}")
             if x.shape[-1] != self.input_dim:
                 raise ValueError(f"expected dimension {self.input_dim}, got {x.shape[-1]}")
-            _, h = self.lstm(x, batch.mask)
+            h = self.lstm(x, batch.mask)
         else:
             if x.data.ndim != 2 or x.shape[-1] != self.input_dim:
                 raise ValueError(f"pooled mode expects (n, {self.input_dim}) inputs, got {x.shape}")

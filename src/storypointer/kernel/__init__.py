@@ -11,7 +11,6 @@ from .tensor import (
     attention_scores,
     cross_entropy,
     dropout,
-    ensure_tensor,
     layer_norm,
     linear,
     mse_loss,
@@ -33,7 +32,6 @@ __all__ = [
     "cross_entropy",
     "derive_seed",
     "dropout",
-    "ensure_tensor",
     "glorot_uniform",
     "grad_check",
     "layer_norm",

@@ -136,7 +136,10 @@ def _read_container(fh, size: int) -> Tuple[Dict[str, Tensor], dict, Dict[str, s
         raise ValueError(f"not a parameter container (bad magic {magic!r})")
     digest.update(magic)
     (header_len,) = struct.unpack("<I", read(4, "header length"))
-    header = json.loads(read(header_len, "header").decode("utf-8"))
+    try:
+        header = json.loads(read(header_len, "header").decode("utf-8"))
+    except RecursionError:
+        raise ValueError("the header is nested too deeply") from None
     if not (isinstance(header, dict) and all(k in header for k in _HEADER_KEYS)
             and isinstance(header["meta"], dict)):
         raise ValueError(f"the header needs the keys {_HEADER_KEYS}, with an object as meta")

@@ -51,14 +51,15 @@ class LSTM:
     output. Each row's final state is the state after its last real step,
     read at its length, so trailing pads cannot change it.
 
-    A whole sequence is one autograd node, run packed: the rows are sorted
-    longest first and their real steps laid out time-major, so step t
-    runs on the prefix of rows whose length exceeds t and no pad step is
-    ever computed. The input projection of every real step is one matmul
-    before the time loop, the loop runs in plain numpy and caches the gate
-    activations, and the backward pass is hand-written backpropagation
-    through time over the same prefixes, whose weight gradients are one
-    matmul over the packed steps.
+    A whole sequence is one autograd node whose value is each row's final
+    state, run packed: the rows are sorted longest first and their real
+    steps laid out time-major, so step t runs on the prefix of rows whose
+    length exceeds t and no pad step is ever computed. The input
+    projection of every real step is one matmul before the time loop, the
+    loop runs in plain numpy and caches the gate activations, and the
+    backward pass is hand-written backpropagation through time over the
+    same prefixes, whose weight gradients are one matmul over the packed
+    steps.
     """
 
     def __init__(self, rng: RngStream, n_in: int, n_hidden: int):
@@ -85,14 +86,13 @@ class LSTM:
         np.tanh(c_new, out=tanh_c)
         return o * tanh_c, c_new
 
-    def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Run the full sequence; returns (hidden state after each step, final hidden).
+    def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        """Run the full sequence; returns the (batch, hidden) final states.
 
         mask has shape (batch, time): each row is its real steps (nonzero)
         followed by trailing pads (0.0), and None means every step is real.
-        The final hidden of a row is its state after its last real step, or
-        the zero initial state for a row of pads only. The states past a
-        row's length are never computed: they stay zero and mean nothing.
+        The final state of a row is its state after its last real step, or
+        the zero initial state for a row of pads only.
         """
         batch, steps, n_in = x.shape
         n = self.n_hidden
@@ -116,8 +116,8 @@ class LSTM:
         # and the state it leaves at start[t + 1] + r
         start = np.concatenate(([0], batch + offsets[:-1]))
         hs = np.zeros((batch + offsets[-1], n))
-        states = np.zeros((batch, steps + 1, n))  # the zero initial state, then each step's
-        node = _result(states, (x, self.w_x, self.w_h, self.bias))
+        final = np.empty((batch, n))
+        node = _result(final, (x, self.w_x, self.w_h, self.bias))
         # backward needs every step's activations and cell state; inference keeps one step
         keep = node.requires_grad
         acts = np.empty((offsets[-1] if keep else batch, 4 * n))
@@ -131,22 +131,23 @@ class LSTM:
                                              c[:s], acts[k:k + s], tanh_c[k:k + s])
             if keep:
                 cells[here:here + s] = c
-        states[rows, times + 1] = hs[batch:]
+        # rank r's final state is at start[length] + r: its zero initial state if all pads
+        final[order] = hs[start[lengths[order]] + np.arange(batch)]
 
         if keep:
             def backward(grad):
                 # dh, dc: gradient reaching the states a step leaves, for the
                 # rows still active at the step after it
                 d_gates = np.empty_like(acts)
-                grad_packed = grad[rows, times + 1]
+                grad_sorted = grad[order]
                 dh = dc = np.zeros((0, n))
                 for t in reversed(range(steps)):
                     s, prev, a = sizes[t], start[t], offsets[t]
                     i, f, g, o = (acts[a:a + s, k * n:(k + 1) * n] for k in range(4))
                     tc = tanh_c[a:a + s]
                     c_prev = cells[prev:prev + s]
-                    dh_t = grad_packed[a:a + s]
-                    dh_t[:len(dh)] += dh
+                    # the rows past len(dh) end at this step, so their final gradient enters here
+                    dh_t = np.concatenate((dh, grad_sorted[len(dh):s]))
                     dc_t = dh_t * o * (1.0 - tc * tc)
                     dc_t[:len(dc)] += dc
                     d = d_gates[a:a + s]
@@ -159,7 +160,7 @@ class LSTM:
                 if self.w_x.requires_grad:
                     self.w_x._accumulate(x_packed.T @ d_gates)
                 if self.w_h.requires_grad:
-                    h_prev = states[rows, times]  # the state entering each packed step
+                    h_prev = hs[start[times] + ranks]  # the state entering each packed step
                     self.w_h._accumulate(h_prev.T @ d_gates)
                 if self.bias.requires_grad:
                     self.bias._accumulate(d_gates.sum(axis=0))
@@ -168,7 +169,7 @@ class LSTM:
                     dx[rows, times] = d_gates @ w_x.T
                     x._accumulate(dx)
             node._backward = backward
-        return node[:, 1:], node[np.arange(batch), lengths]
+        return node
 
     def parameters(self) -> Dict[str, Tensor]:
         return {"w_x": self.w_x, "w_h": self.w_h, "bias": self.bias}

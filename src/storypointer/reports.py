@@ -13,7 +13,7 @@ import json
 import shutil
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -179,6 +179,8 @@ def emit_report(run_dir, out_dir=None) -> Path:
     sources = sorted(run_dir.glob("*/provenance.json"))
     if not sources:
         raise ValueError(f"no evaluation outputs under {run_dir}")
+    # every file is read and checked before the bundle is written
+    provenances = [(source, *_read_provenance(source)) for source in sources]
     bundle = Path(out_dir) if out_dir is not None else run_dir / "bundle"
     bundle.mkdir(parents=True, exist_ok=True)
 
@@ -188,8 +190,7 @@ def emit_report(run_dir, out_dir=None) -> Path:
         "seeds": [],
     }
     aggregates = []
-    for source in sources:
-        info = json.loads(source.read_text(encoding="utf-8"))
+    for source, info, seeds in provenances:
         name = source.parent.name
         target = bundle / name
         target.mkdir(exist_ok=True)
@@ -203,7 +204,7 @@ def emit_report(run_dir, out_dir=None) -> Path:
             "embedding": info.get("embedding", {}).get("model_id"),
             "corpus_sha256": info.get("corpus_sha256"),
         })
-        for seed in _collect_seeds(info):
+        for seed in seeds:
             if seed not in manifest["seeds"]:
                 manifest["seeds"].append(seed)
         if "aggregate" in info and "experiment" in info:
@@ -226,6 +227,27 @@ def emit_report(run_dir, out_dir=None) -> Path:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return bundle
+
+
+def _read_provenance(source: Path) -> Tuple[dict, List[str]]:
+    """The provenance object in `source` and its seeds. A file that does not
+    parse, nests too deeply, or does not have the shape `emit_report` reads
+    is refused with a ValueError naming it."""
+    try:
+        info = json.loads(source.read_text(encoding="utf-8"))
+        seeds = _collect_seeds(info)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{source}: unreadable provenance ({exc})") from None
+    if not (isinstance(info, dict) and isinstance(info.get("embedding", {}), dict)):
+        raise ValueError(f"{source}: provenance must be a JSON object whose embedding is an object")
+    aggregate = info.get("aggregate", {})
+    if "aggregate" in info and not all(
+            isinstance(aggregate, dict) and isinstance(aggregate.get(metric), dict)
+            and {"mean", "std_population"} <= aggregate[metric].keys()
+            for metric in ("mae", "mse", "mdae")):
+        raise ValueError(f"{source}: aggregate must hold the mean and std_population "
+                         "of mae, mse and mdae")
+    return info, seeds
 
 
 def _collect_seeds(tree, path="") -> List[str]:

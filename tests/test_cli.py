@@ -619,6 +619,62 @@ class TestErrorBoundary:
         assert text.strip() == "report bundle -> out"
 
 
+class TestDeepNesting:
+    """JSON nested past the parser's recursion limit is refused as any other
+    bad JSON at that site is: one error line or one rejection, no traceback."""
+
+    def test_ingest_rejects_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text('{"id": "A-1", "project": "p", "text": "fix the login form", "effort": 3}\n'
+                          + "[" * 2000 + "\n", encoding="utf-8")
+        code, out, err = run(["ingest", "--corpus", corpus, "--out", tmp_path / "out"], capsys)
+        assert (code, err) == (0, "")
+        assert "ingested 1 records" in out and "1 rejected" in out
+        assert ((tmp_path / "out" / "rejections.txt").read_text(encoding="utf-8")
+                == "deep.jsonl:2: invalid json: nested too deeply\n")
+
+    def one_error_line(self, argv, capsys) -> str:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_pretrain_static_keeps_the_unlabeled_line_as_text(self, tmp_path, capsys):
+        docs = tmp_path / "docs.txt"
+        docs.write_text('{"text": ' + "[" * 3000 + "\n", encoding="utf-8")
+        err = self.one_error_line(["pretrain-static", "--unlabeled", docs, "--epochs", "1",
+                                   "--out", tmp_path / "out"], capsys)
+        # the line is one document of one word, so there is nothing to train on
+        assert err == "error: corpus yields no training pairs inside the window\n"
+
+    def test_predict_refuses_a_deeply_nested_checkpoint_header(self, trained, tmp_path, capsys):
+        blob = (trained / "estimator.ckpt").read_bytes()
+        (length,) = struct.unpack("<I", blob[8:12])
+        deep = tmp_path / "deep.ckpt"
+        deep.write_bytes(blob[:8] + struct.pack("<I", 5000) + b"[" * 5000 + blob[12 + length:])
+        err = self.one_error_line(["predict", "--model", deep, "--embedding", trained / "static.ckpt",
+                                   "--text", "fix it"], capsys)
+        assert err == f"error: cannot load model: {deep}: the header is nested too deeply\n"
+
+    @pytest.mark.parametrize("text, needle", [
+        ("[" * 3000, "unreadable provenance (maximum recursion depth exceeded"),
+        ('{"seeds": ' + "[" * 960 + "]" * 960 + "}", "unreadable provenance (maximum recursion depth"),
+        ("[1]", "provenance must be a JSON object whose embedding is an object"),
+        ('{"experiment": "E1", "embedding": []}',
+         "provenance must be a JSON object whose embedding is an object"),
+        ('{"experiment": "E1", "aggregate": {"mae": {"mean": 1.0}}}',
+         "aggregate must hold the mean and std_population of mae, mse and mdae"),
+    ], ids=["deep", "deep-seeds", "not-an-object", "embedding-not-an-object", "aggregate-short"])
+    def test_report_refuses_a_provenance_it_cannot_read(self, tmp_path, capsys, text, needle):
+        run_dir = fake_run(tmp_path / "run")
+        source = run_dir / "E1" / "provenance.json"
+        source.write_text(text, encoding="utf-8")
+        err = self.one_error_line(["report", "--run", run_dir], capsys)
+        assert err.startswith(f"error: {source}: {needle}"), err
+        assert not (run_dir / "bundle").exists()
+
+
 class TestConfigBoolean:
     def test_by_project_yes_runs_a_by_project_evaluate(self, trained, tmp_path, capsys):
         eval_out = tmp_path / "eval"

@@ -74,12 +74,11 @@ class TestDense:
 
 def reference_lstm(cell, x, mask):
     """The cell composed step by step from Tensor ops, as the LSTM ran before
-    it became one autograd node; returns (all hidden states, final hidden)."""
+    it became one autograd node; returns the final hidden states."""
     n = cell.n_hidden
     batch, steps, _ = x.shape
     h = Tensor(np.zeros((batch, n)))
     c = Tensor(np.zeros((batch, n)))
-    outputs = Tensor(np.zeros((batch, steps, n)))
     for t in range(steps):
         gates = x[:, t, :] @ cell.w_x + h @ cell.w_h + cell.bias
         i = gates[:, 0 * n:1 * n].sigmoid()
@@ -91,11 +90,7 @@ def reference_lstm(cell, x, mask):
         m, keep = Tensor(mask[:, t:t + 1]), Tensor(1.0 - mask[:, t:t + 1])
         h = m * h_new + keep * h
         c = m * c_new + keep * c
-        # placed at step t by a constant one-hot over the step axis
-        one_hot = np.zeros((1, steps, 1))
-        one_hot[0, t, 0] = 1.0
-        outputs = outputs + h.reshape(batch, 1, n) * Tensor(one_hot)
-    return outputs, h
+    return h
 
 
 # Mixed lengths: full, trailing pads, all pad, one real step.
@@ -121,22 +116,31 @@ class TestLSTM:
     def test_final_state_is_the_state_at_each_rows_length(self, rng):
         cell = LSTM(rng, 3, 4)
         x = rng.uniform(-0.5, 0.5, (4, 5, 3))
-        outputs, final = cell(Tensor(x), mask=MIXED_MASK)
-        states = outputs.numpy()
-        for row, length in enumerate(MIXED_MASK.sum(axis=1).astype(int)):
-            expected = states[row, length - 1] if length else np.zeros(4)
-            np.testing.assert_array_equal(final.numpy()[row], expected)
+        final = cell(Tensor(x), mask=MIXED_MASK)
+        # the reference carries each row's last state through its pads, and
+        # the all-pad row keeps the zero initial state
+        np.testing.assert_allclose(final.numpy(), reference_lstm(cell, Tensor(x), MIXED_MASK).numpy(),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(final.numpy()[2], np.zeros(4))
         # whatever the pad steps hold, they cannot reach the final state
         noisy = np.where(MIXED_MASK[:, :, None] > 0, x, rng.uniform(-9.0, 9.0, x.shape))
-        _, final_noisy = cell(Tensor(noisy), mask=MIXED_MASK)
+        final_noisy = cell(Tensor(noisy), mask=MIXED_MASK)
         np.testing.assert_array_equal(final_noisy.numpy(), final.numpy())
+
+    @pytest.mark.parametrize("mask", [MIXED_MASK, None], ids=["mixed", "no-mask"])
+    def test_the_node_is_the_final_states_alone(self, rng, mask):
+        cell = LSTM(rng, 3, 4)
+        x = Tensor(rng.uniform(-0.5, 0.5, (4, 5, 3)))
+        final = cell(x, mask=mask)
+        assert isinstance(final, Tensor) and final.shape == (4, 4)
+        assert final._parents == (x, cell.w_x, cell.w_h, cell.bias)
 
     def test_trailing_pads_leave_final_state_fixed(self, rng):
         cell = LSTM(rng, 2, 3)
         x = rng.uniform(-0.5, 0.5, (1, 5, 2))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        _, final_masked = cell(Tensor(x), mask=mask)
-        _, final_short = cell(Tensor(x[:, :3, :]), mask=mask[:, :3])
+        final_masked = cell(Tensor(x), mask=mask)
+        final_short = cell(Tensor(x[:, :3, :]), mask=mask[:, :3])
         np.testing.assert_allclose(final_masked.numpy(), final_short.numpy(), atol=1e-12)
 
     def test_two_step_sequence_gradients_match_fd(self, rng):
@@ -144,27 +148,21 @@ class TestLSTM:
         x = rng.uniform(-0.5, 0.5, (2, 2, 2))
         target = rng.uniform(-0.5, 0.5, (2, 3))
         report = grad_check(
-            lambda: mse_loss(cell(Tensor(x))[1], target),
+            lambda: mse_loss(cell(Tensor(x)), target),
             cell.parameters(),
         )
         assert report.max_rel_error < 1e-4
 
-    @pytest.mark.parametrize("head", ["final", "all-steps"])
-    def test_masked_mixed_length_gradients_match_fd(self, rng, head):
+    def test_masked_mixed_length_gradients_match_fd(self, rng):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
         x = parameter(rng.uniform(-0.5, 0.5, (4, 5, 3)))
-        target = rng.uniform(-0.5, 0.5, (4, 5, 4) if head == "all-steps" else (4, 4))
-
-        def loss():
-            outputs, final = cell(x, mask=MIXED_MASK)
-            return mse_loss(outputs if head == "all-steps" else final, target)
-
-        report = grad_check(loss, {**cell.parameters(), "x": x})
+        target = rng.uniform(-0.5, 0.5, (4, 4))
+        report = grad_check(lambda: mse_loss(cell(x, mask=MIXED_MASK), target),
+                            {**cell.parameters(), "x": x})
         assert report.max_rel_error < 1e-4
-        if head == "final":
-            # the all-pad row's final state is the initial one, so its inputs get no gradient
-            np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
+        # the all-pad row's final state is the initial one, so its inputs get no gradient
+        np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
 
     @pytest.mark.parametrize("steps, lengths", [
         (5, [5, 3, 0, 1]),         # MIXED_MASK: full, trailing pads, all pad, one step
@@ -181,27 +179,20 @@ class TestLSTM:
         mask = None if lengths is None else (np.arange(steps) < np.array(lengths)[:, None]) * 1.0
         real = np.ones((batch, steps)) if mask is None else mask
         x = rng.uniform(-1.0, 1.0, (batch, steps, 3))
-        target = rng.uniform(-0.5, 0.5, (batch, steps, 4))
-        final_target = rng.uniform(-0.5, 0.5, (batch, 4))
+        target = rng.uniform(-0.5, 0.5, (batch, 4))
         runs = []
         for forward in (cell, lambda x_, m: reference_lstm(cell, x_, real)):
             for p in cell.parameters().values():
                 p.grad = None
             xt = parameter(x)
-            outputs, final = forward(xt, mask)
-            # the reference carries a row's last state through its pads, so
-            # the loss weights the states past a row's length by zero
-            weight = real[:, :, None]
-            (mse_loss(outputs * Tensor(weight), target * weight) + mse_loss(final, final_target)).backward()
+            final = forward(xt, mask)
+            mse_loss(final, target).backward()
             grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
-            runs.append((outputs.numpy().copy(), final.numpy().copy(), grads, xt.grad.copy()))
-        (out, final, grads, dx), (ref_out, ref_final, ref_grads, ref_dx) = runs
+            runs.append((final.numpy().copy(), grads, xt.grad.copy()))
+        (final, grads, dx), (ref_final, ref_grads, ref_dx) = runs
         # summation order differs (hoisted input GEMM, packed weight
         # gradients), so agreement is to a float64 tolerance, not bitwise
         tol = dict(rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(out[real > 0], ref_out[real > 0], **tol)
-        # the states past a row's length are never computed
-        np.testing.assert_array_equal(out[real == 0], 0.0)
         np.testing.assert_allclose(final, ref_final, **tol)
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], **tol)
@@ -222,7 +213,7 @@ class TestLSTM:
 
         monkeypatch.setattr(LSTM, "step", spy)
         with contextlib.nullcontext() if grad else no_grad():
-            _, final = cell(Tensor(rng.uniform(-0.5, 0.5, (5, 6, 3))), mask=mask)
+            final = cell(Tensor(rng.uniform(-0.5, 0.5, (5, 6, 3))), mask=mask)
         assert final.requires_grad == grad
         assert rows_per_step == [int(np.count_nonzero(lengths > t)) for t in range(6)]
 
@@ -347,7 +338,7 @@ class TestGradCheckHarness:
         cell = LSTM(rng, 3, 4)
         x = rng.uniform(-0.5, 0.5, (2, 3, 3))
         target = rng.uniform(-0.5, 0.5, (2, 4))
-        report = grad_check(lambda: mse_loss(cell(Tensor(x))[1], target), cell.parameters())
+        report = grad_check(lambda: mse_loss(cell(Tensor(x)), target), cell.parameters())
         assert report.max_rel_error < 1e-4
 
     def test_sampling_coordinates_needs_an_rng(self, rng):

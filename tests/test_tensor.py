@@ -415,7 +415,7 @@ class TestGraphMechanics:
 
     def test_non_float_input_promoted(self):
         t = Tensor(np.array([1, 2, 3]))
-        assert np.issubdtype(t.dtype, np.floating)
+        assert np.issubdtype(t.data.dtype, np.floating)
 
     def test_diamond_graph(self, rng):
         a = rng.uniform(-0.5, 0.5, (3,))
