@@ -10,7 +10,9 @@ Each featurizer only picks a text's usable token vectors and its
 fallback row; `_assemble` alone turns them into a batch. Static
 embeddings use the in-vocabulary words, with a zero fallback; contextual
 ones use the real WordPiece tokens of the penultimate encoder layer,
-with its [CLS] row as the fallback.
+with its [CLS] row as the fallback. The encoder runs no block above that
+layer, on chunks of texts taken in length order so that each chunk pads
+little; every result is put back at its text's input index.
 
 A text is degenerate when nothing usable survives. It is flagged in
 `FeatureBatch.degenerate` and still gets a vector: its fallback row
@@ -121,7 +123,14 @@ class StaticFeaturizer:
 
 
 class ContextualFeaturizer:
-    """Features from a frozen bidirectional encoder's penultimate layer."""
+    """Features from a frozen bidirectional encoder's penultimate layer.
+
+    `featurize` frames every text, stable-sorts them by framed length and
+    encodes chunks of CHUNK_SIZE in that order, running the first L - 1
+    blocks only. The batch it returns is in input order. A text's padded
+    length decides its chunk's matmul shapes, so the last bits of its
+    features depend on the texts featurized with it.
+    """
 
     def __init__(self, model: TransformerModel, mode: str = "sequence"):
         self.model = model
@@ -149,13 +158,16 @@ class ContextualFeaturizer:
 
     def featurize(self, texts: Sequence[str]) -> FeatureBatch:
         framed = [self._frame(text) for text in texts]
-        rows: List[np.ndarray] = []
-        fallbacks: List[np.ndarray] = []
+        order = sorted(range(len(framed)), key=lambda i: len(framed[i]))
+        rows: List[Optional[np.ndarray]] = [None] * len(framed)  # filled at input index
+        fallbacks: List[Optional[np.ndarray]] = [None] * len(framed)
+        penultimate = self.model.config.layers - 1
         with no_grad():  # the encoder is frozen: keep no graph of its activations
-            for start in range(0, len(framed), CHUNK_SIZE):
-                chunk = framed[start:start + CHUNK_SIZE]
-                batch = pad_batch(chunk)
-                layer = self.model.encode(batch)[-2].numpy()
-                rows.extend(layer[j][batch[j] >= N_SPECIALS] for j in range(len(chunk)))
-                fallbacks.extend(layer[:, 0])  # the [CLS] rows
+            for start in range(0, len(order), CHUNK_SIZE):
+                chunk = order[start:start + CHUNK_SIZE]
+                batch = pad_batch([framed[i] for i in chunk])
+                layer = self.model.encode(batch, layers=penultimate)[-1].numpy()
+                for j, i in enumerate(chunk):
+                    rows[i] = layer[j][batch[j] >= N_SPECIALS]
+                    fallbacks[i] = layer[j, 0]  # the [CLS] row
         return _assemble(self.mode, rows, fallbacks, self.dimension)

@@ -14,7 +14,8 @@ A body is framed by one Content-Length of ASCII digits alone. A request
 with any Transfer-Encoding gets 501, and a POST without Content-Length
 411, each closing the connection, so no body bytes can be read as the
 next request. A body above MAX_BODY_BYTES is refused unread. A client
-that leaves while its reply is written ends its connection quietly.
+that leaves, while its reply is written or between keep-alive requests,
+ends its connection quietly.
 
 Each request must arrive whole, request line, headers and body, within
 READ_TIMEOUT_S seconds of the moment the handler starts waiting for its
@@ -100,7 +101,10 @@ def _make_handler(service: EstimateService):
 
         def handle_one_request(self) -> None:
             self._reader.deadline = time.monotonic() + READ_TIMEOUT_S
-            super().handle_one_request()
+            try:
+                super().handle_one_request()
+            except (BrokenPipeError, ConnectionResetError):
+                self.close_connection = True  # the client has gone; nothing to report
 
         def log_message(self, fmt, *args):  # keep request logs out of stdout
             pass
@@ -118,11 +122,8 @@ def _make_handler(service: EstimateService):
                 self.send_header("Allow", allow)
             if close:  # the rest of the stream is not read, or not trusted
                 self.send_header("Connection", "close")
-            try:
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                self.close_connection = True  # the client has gone; nothing to report
+            self.end_headers()
+            self.wfile.write(body)
 
         def _route_allows(self, method: str, close: bool) -> bool:
             """Replies 404 or 405 unless the path answers `method`; `close`

@@ -138,13 +138,21 @@ class TransformerModel:
         segment_ids: Optional[np.ndarray] = None,
         train: bool = False,
         rng: Optional[RngStream] = None,
+        layers: Optional[int] = None,
     ) -> List[Tensor]:
-        """All layer outputs: [embedding sum, encoder 1, ..., encoder L].
+        """Layer outputs: [embedding sum, encoder 1, ..., encoder `layers`].
 
+        `layers` is the number of encoder blocks to run, 0 to L, and None
+        runs all L. The outputs are the first `layers + 1` of a full
+        encoding, so a caller that reads a lower layer runs no block above it.
         `token_ids` and `segment_ids` are (batch, seq), as `pad_batch` builds
         them; [PAD] positions are masked out of attention.
         """
         c = self.config
+        if layers is None:
+            layers = c.layers
+        elif not 0 <= layers <= c.layers:
+            raise ValueError(f"layers must be in 0..{c.layers}, got {layers}")
         token_ids = np.asarray(token_ids, dtype=np.int64)
         _, seq_len = token_ids.shape
         if seq_len > c.max_len:
@@ -167,7 +175,7 @@ class TransformerModel:
         x = layer_norm(embedded, p["emb.ln.gain"], p["emb.ln.bias"])
         x = dropout(x, rate, rng)
         mask_bias = (1.0 - attention_mask)[:, None, None, :] * -1e9
-        for i in range(c.layers):
+        for i in range(layers):
             x = self._block(x, i, mask_bias, rate, rng)
             outputs.append(x)
         return outputs

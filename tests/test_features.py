@@ -1,5 +1,7 @@
 """Featurizer behavior: token vectors, pooling, masks, degeneracy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from storypointer.static_embed import (
     train_static,
 )
 from storypointer.transformer import TransformerConfig, TransformerModel
-from storypointer.wordpiece import SPECIALS, WordPieceVocab, tokenize_wordpiece
+from storypointer.wordpiece import PAD_ID, SPECIALS, WordPieceVocab, tokenize_wordpiece
 
 SENTENCES = [
     "query index table join schema",
@@ -171,6 +173,11 @@ def test_describe_dicts_are_pinned(static_model, ctx_model):
     ]
 
 
+# lengths unlike the input order, repeats, and two degenerate texts
+MIXED_LENGTHS = [SENTENCES[0], "", "query", SENTENCES[1] + " " + SENTENCES[2], "the of",
+                 "join cache", SENTENCES[3], "query"]
+
+
 def real_token_rows(model, text, layer):
     """One text's rows of an encoder layer at its real (non-special) tokens."""
     ids = tokenize_wordpiece(model.vocab, clean_text(text))
@@ -231,18 +238,69 @@ class TestContextualFeaturizer:
         np.testing.assert_array_equal(batch.vectors[1], np.zeros((1, 16)))
 
     def test_featurize_builds_no_graph(self, ctx_model, monkeypatch):
-        assert ctx_model.encode(np.array([[1, 5, 2]]))[-2].requires_grad  # the spy can tell
+        assert ctx_model.encode(np.array([[1, 5, 2]]))[-1].requires_grad  # the spy can tell
         seen = []
         encode = ctx_model.encode
 
         def spy(*args, **kwargs):
             outputs = encode(*args, **kwargs)
-            seen.append(outputs[-2].requires_grad)
+            seen.append(outputs[-1].requires_grad)
             return outputs
 
         monkeypatch.setattr(ctx_model, "encode", spy)
         ContextualFeaturizer(ctx_model, mode="pooled").featurize(SENTENCES)
         assert seen == [False]
+
+    def test_featurize_runs_no_block_above_the_penultimate(self, ctx_model, monkeypatch):
+        model = TransformerModel(dataclasses.replace(ctx_model.config, layers=3), ctx_model.vocab)
+        ran = []
+        block = TransformerModel._block
+
+        def spy(self, x, i, *args):
+            ran.append(i)
+            return block(self, x, i, *args)
+
+        monkeypatch.setattr(TransformerModel, "_block", spy)
+        monkeypatch.setattr(features, "CHUNK_SIZE", 2)
+        ContextualFeaturizer(model, mode="pooled").featurize(SENTENCES + ["query"])
+        assert ran == [0, 1] * 3  # three chunks, each through 2 of the 3 blocks
+
+    def test_chunks_are_cut_in_length_order(self, ctx_model, monkeypatch):
+        lengths = []
+        encode = ctx_model.encode
+
+        def spy(token_ids, **kwargs):
+            lengths.append((token_ids != PAD_ID).sum(axis=1).tolist())
+            return encode(token_ids, **kwargs)
+
+        monkeypatch.setattr(ctx_model, "encode", spy)
+        monkeypatch.setattr(features, "CHUNK_SIZE", 3)
+        ContextualFeaturizer(ctx_model, mode="pooled").featurize(MIXED_LENGTHS)
+        framed = [len(tokenize_wordpiece(ctx_model.vocab, clean_text(t))) for t in MIXED_LENGTHS]
+        assert sum(lengths, []) == sorted(framed)
+        assert [len(chunk) for chunk in lengths] == [3, 3, 2]
+
+    @pytest.mark.parametrize("mode", features.MODES)
+    def test_length_ordered_chunks_keep_the_input_order(self, ctx_model, monkeypatch, mode):
+        monkeypatch.setattr(features, "CHUNK_SIZE", 3)
+        featurizer = ContextualFeaturizer(ctx_model, mode=mode)
+        batch = featurizer.featurize(MIXED_LENGTHS)
+        backward = featurizer.featurize(MIXED_LENGTHS[::-1])
+        np.testing.assert_allclose(batch.vectors, backward.vectors[::-1], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(batch.degenerate, backward.degenerate[::-1])
+        alone = [featurizer.featurize([text]) for text in MIXED_LENGTHS]
+        assert batch.degenerate.tolist() == [a.degenerate[0] for a in alone]
+        if mode == "pooled":
+            np.testing.assert_allclose(batch.vectors, [a.vectors[0] for a in alone],
+                                       rtol=0, atol=1e-12)
+            return
+        np.testing.assert_array_equal(batch.mask, backward.mask[::-1])
+        for i, a in enumerate(alone):
+            steps = a.mask.shape[1]
+            np.testing.assert_array_equal(batch.mask[i, :steps], a.mask[0])
+            assert not batch.mask[i, steps:].any()
+            np.testing.assert_allclose(batch.vectors[i, :steps], a.vectors[0], rtol=0, atol=1e-12)
+            assert not batch.vectors[i, steps:].any()
 
     def test_long_text_is_truncated_to_window(self, ctx_model):
         long_text = " ".join(["query join table index schema"] * 20)

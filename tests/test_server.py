@@ -357,6 +357,37 @@ def replies_to(address, request: bytes) -> bytes:
         return b"".join(iter(lambda: sock.recv(4096), b""))
 
 
+@contextmanager
+def running_until_handled(service):
+    """Serves `service` like `running`; yields ((host, port), an event set
+    once a connection's handler thread has ended)."""
+    server = build_server(service, port=0)
+    handled = threading.Event()
+    process = server.process_request_thread
+
+    def process_then_signal(*args):  # the handler thread's outermost frame
+        try:
+            process(*args)
+        finally:
+            handled.set()
+
+    server.process_request_thread = process_then_signal
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address, handled
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def reset_on_close(sock) -> None:
+    """A zero linger time makes closing `sock` reset the connection."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
 class TestFraming:
     """A request whose body the server cannot frame by one Content-Length of
     digits gets one error reply and its connection closed, so no body byte
@@ -397,7 +428,7 @@ class TestFraming:
         assert raw_post(address, body, declared="00013") == 200
 
     def test_client_gone_while_the_reply_is_written_is_quiet(self, capsys):
-        asked, gone, handled = threading.Event(), threading.Event(), threading.Event()
+        asked, gone = threading.Event(), threading.Event()
 
         class AnswersAfterTheClientLeft:
             def estimate(self, text):
@@ -405,34 +436,29 @@ class TestFraming:
                 gone.wait(10)
                 return {"effort": 1.0}
 
-        server = build_server(AnswersAfterTheClientLeft(), port=0)
-        process = server.process_request_thread
-
-        def process_then_signal(*args):  # the handler thread's outermost frame
-            try:
-                process(*args)
-            finally:
-                handled.set()
-
-        server.process_request_thread = process_then_signal
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(server.server_address, timeout=10) as sock:
+        with running_until_handled(AnswersAfterTheClientLeft()) as (address, handled):
+            with socket.create_connection(address, timeout=10) as sock:
                 sock.sendall(b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
                              b'Content-Length: 13\r\n\r\n{"text": "a"}')
                 assert asked.wait(10)
-                # closing with a zero linger time resets the connection
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                reset_on_close(sock)
             time.sleep(0.2)  # the reset reaches the server before the reply is written
             gone.set()
             assert handled.wait(10)
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
         # no traceback of a failed estimate, nor of a 500 written to a dead socket
+        assert capsys.readouterr().err == ""
+
+    def test_client_gone_between_keep_alive_requests_is_quiet(self, service, capsys):
+        with running_until_handled(service) as (address, handled):
+            conn = http.client.HTTPConnection(*address, timeout=10)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            assert (reply.status, reply.read()) == (200, b'{"status": "ok"}')
+            # the whole reply is read, so the reset meets the handler's wait
+            # for the next request line
+            reset_on_close(conn.sock)
+            conn.close()
+            assert handled.wait(10)
         assert capsys.readouterr().err == ""
 
 

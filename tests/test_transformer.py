@@ -93,6 +93,19 @@ class TestEncodeShapes:
         for out in outputs:
             assert out.shape == (1, 5, 8)
 
+    def test_stopping_early_gives_the_first_outputs_of_a_full_encoding(self):
+        model = tiny_model(layers=3)
+        ids = np.vstack([framed([5, 6, 7]), framed([8], max_len=5)])
+        full = [out.numpy() for out in model.encode(ids)]
+        for k in range(4):
+            outputs = model.encode(ids, layers=k)
+            assert len(outputs) == k + 1
+            for out, reference in zip(outputs, full):
+                np.testing.assert_array_equal(out.numpy(), reference)
+        for outside in (-1, 4):
+            with pytest.raises(ValueError, match=r"^layers must be in 0\.\.3"):
+                model.encode(ids, layers=outside)
+
     def test_layer_zero_is_the_embedding_sum(self):
         model = tiny_model()
         ids = framed([5, 6])
