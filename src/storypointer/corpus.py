@@ -104,16 +104,10 @@ class LabeledCorpus:
     def degenerate_count(self) -> int:
         return sum(1 for r in self.records if r.degenerate)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass
 class UnlabeledCorpus:
     documents: List[str]  # raw text, file order
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
 
 def _make_record(rid: str, project: str, raw_text: str, effort_raw) -> Tuple[Optional[RequirementRecord], Optional[str]]:
@@ -171,17 +165,22 @@ def load_labeled(path) -> LabeledCorpus:
     if path.suffix.lower() == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            header = [h.strip().lower() for h in (reader.fieldnames or [])]
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing required columns {missing}")
-            for lineno, row in enumerate(reader, start=2):
-                row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
-                raw_text = f"{row['title']} {row['description']}".strip()
-                record, reason = _make_record(
-                    row["issuekey"], row["project"], raw_text, row["storypoint"]
-                )
-                admit(f"{path.name}:{lineno}", record, reason)
+            try:
+                header = [h.strip().lower() for h in (reader.fieldnames or [])]
+                missing = [c for c in CSV_COLUMNS if c not in header]
+                if missing:
+                    raise ValueError(f"{path}: missing required columns {missing}")
+                for lineno, row in enumerate(reader, start=2):
+                    row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
+                    raw_text = f"{row['title']} {row['description']}".strip()
+                    record, reason = _make_record(
+                        row["issuekey"], row["project"], raw_text, row["storypoint"]
+                    )
+                    admit(f"{path.name}:{lineno}", record, reason)
+            except csv.Error as exc:
+                # a field over csv's size limit, or a NUL byte before Python 3.11;
+                # the inner reader counts physical lines, up to the one that failed
+                raise ValueError(f"{path}:{reader.reader.line_num}: unreadable CSV: {exc}") from None
     else:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):

@@ -1,8 +1,7 @@
-"""Numeric core: autograd tensors, layers, Adam, gradient checking,
-seeded randomness, and the parameter container format."""
+"""Numeric core: autograd tensors, layers, Adam, seeded randomness, and
+the parameter container format."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import GradCheckReport, central_difference, grad_check
 from .layers import LSTM, Dense, glorot_uniform
 from .optim import Adam, clip_gradients
 from .rng import RngStream, derive_seed
@@ -22,18 +21,15 @@ from .tensor import (
 __all__ = [
     "Adam",
     "Dense",
-    "GradCheckReport",
     "LSTM",
     "RngStream",
     "Tensor",
     "attention_scores",
-    "central_difference",
     "clip_gradients",
     "cross_entropy",
     "derive_seed",
     "dropout",
     "glorot_uniform",
-    "grad_check",
     "layer_norm",
     "linear",
     "load_checkpoint",

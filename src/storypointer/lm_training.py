@@ -96,6 +96,8 @@ def pretrain(
         raise ValueError("no pretraining examples")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     examples = list(examples)
     optimizer = Adam(model.params, lr=learning_rate)
     stream = RngStream(seed)

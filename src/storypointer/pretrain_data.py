@@ -101,6 +101,9 @@ def create_pretraining_data(
     exceeds one pass."""
     if not 0.0 < mask_rate < 1.0:
         raise ValueError(f"mask_rate must be in (0, 1), got {mask_rate}")
+    if max_len < 4:
+        # [CLS] A [SEP] B [SEP] takes 3 slots, and a maskable token needs a 4th
+        raise ValueError(f"max_len must be at least 4, got {max_len}")
     docs: List[List[List[int]]] = []
     for document in corpus.documents:
         sentences = [

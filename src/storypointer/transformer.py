@@ -42,8 +42,8 @@ class TransformerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.heads < 1 or self.hidden % self.heads != 0:
-            raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
+        if not 1 <= self.heads <= self.hidden or self.hidden % self.heads != 0:
+            raise ValueError(f"hidden {self.hidden} is not a positive multiple of heads {self.heads}")
         if self.max_len < 2:
             raise ValueError("max_len must leave room for [CLS] and [SEP]")
         if self.layers < 1 or self.vocab_size <= N_SPECIALS:

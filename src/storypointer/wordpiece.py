@@ -41,9 +41,6 @@ class WordPieceVocab:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.index
-
 
 def _char_pieces(word: str) -> List[str]:
     return [word[0]] + [CONTINUATION + c for c in word[1:]]

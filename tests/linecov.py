@@ -34,8 +34,6 @@ ALLOWED = {
     ("cli.py", "main"): (2, "subprocess only: the KeyboardInterrupt exit"),
     ("server.py", "serve_forever"): (6, "subprocess only: runs inside the served child process"),
     ("kernel/tensor.py", "Tensor.__repr__"): (1, "printed on failure: an assertion message"),
-    ("kernel/gradcheck.py", "GradCheckReport.__str__"): (
-        4, "printed on failure: an assertion message"),
     ("corpus.py", "_load_stopwords"): (1, "defensive: the bundled stopword list has no blank line"),
     ("server.py", "_DeadlineSocketIO.readinto"): (
         1, "defensive: a read that starts after the request deadline"),

@@ -27,13 +27,15 @@ from storypointer.corpus import (
     load_labeled,
 )
 from storypointer.estimator import EstimatorModel, HeadConfig, train_estimator
-from storypointer.kernel import LSTM, Dense, RngStream, Tensor, cross_entropy, grad_check, mse_loss
+from storypointer.kernel import LSTM, Dense, RngStream, Tensor, cross_entropy, mse_loss
 from storypointer.lm_training import batch_loss, evaluate_pretraining, pretrain
 from storypointer.metrics import mae, mdae, mse
 from storypointer.pretrain_data import PretrainExample, create_pretraining_data
 from storypointer.static_embed import StaticTrainConfig, cosine, train_static
 from storypointer.transformer import TransformerConfig, TransformerModel
 from storypointer.wordpiece import CLS_ID, PAD_ID, SEP_ID, build_wordpiece_vocab
+
+from gradcheck import grad_check
 
 DATASET = Path(os.environ.get("SE3M_DATA_DIR", "")) / "storypoints.csv"
 

@@ -124,6 +124,20 @@ class TestIngest:
         assert code == 0
         assert (second / "corpus.jsonl").read_bytes() == (first / "corpus.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("before, line", [
+        ("", 1),
+        ('issuekey,project,title,description,storypoint\nREQ-001,proj0,fix,"two\nlines",3\n', 4),
+    ], ids=["in-the-header", "after-a-two-line-record"])
+    def test_field_over_the_csv_limit_is_one_error_line(self, tmp_path, capsys, before, line):
+        path = tmp_path / "huge.csv"
+        path.write_text(before + "REQ-002,proj0,fix," + "x" * 200_000 + ",5\n", encoding="utf-8")
+        out = tmp_path / "ingested"
+        code, text, err = run(["ingest", "--corpus", path, "--out", out], capsys)
+        assert (code, text) == (1, "")
+        assert err == (f"error: cannot load corpus: {path}:{line}: unreadable CSV: "
+                       "field larger than field limit (131072)\n")
+        assert not out.exists()
+
 
 class TestConfigMerging:
     def test_config_file_supplies_defaults(self, corpus_csv, tmp_path, capsys):
@@ -339,6 +353,21 @@ class TestContextualCommands:
         assert rows[0] == ["id"] + [f"dim{i}" for i in range(8)]
         assert [row[0] for row in rows[1:]] == [f"REQ-{i:03d}" for i in range(30)]
         assert all(len(row) == 9 for row in rows[1:])
+
+
+class TestPretrainingFlags:
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-len", "2"], "max_len must be at least 4, got 2"),
+        (["--hidden", "0", "--heads", "2"], "hidden 0 is not a positive multiple of heads 2"),
+        (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    ], ids=["max-len-2", "hidden-0", "batch-size-0"])
+    def test_pretrain_ctx_refuses_with_one_error_line(self, trained, tmp_path, capsys, flags, message):
+        out = tmp_path / "encoder"
+        code, text, err = run(["pretrain-ctx", "--unlabeled", trained / "docs.txt", "--layers", "1",
+                               "--hidden", "8", "--heads", "2", "--ff", "8", "--vocab-size", "80",
+                               "--epochs", "1", "--n-examples", "4", "--out", out] + flags, capsys)
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 def rewrite_header(blob: bytes, edit) -> bytes:

@@ -83,7 +83,7 @@ class TestLoadLabeled:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A-1", "project": "P", "text": "add login form", "effort": 3}\n')
         corpus = load_labeled(path)
-        assert len(corpus) == 1
+        assert len(corpus.records) == 1
         record = corpus.records[0]
         assert record.id == "A-1" and record.project == "P"
         assert record.effort == 3.0
@@ -107,7 +107,7 @@ class TestLoadLabeled:
             "K-2,P,c,d,3\n"
         )
         corpus = load_labeled(path)
-        assert len(corpus) == 1
+        assert len(corpus.records) == 1
         assert len(corpus.rejections) == 1
         assert "non-positive" in corpus.rejections[0].reason
 
@@ -115,7 +115,7 @@ class TestLoadLabeled:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A", "project": "P", "text": "t", "effort": "large"}\n')
         corpus = load_labeled(path)
-        assert len(corpus) == 0 and len(corpus.rejections) == 1
+        assert len(corpus.records) == 0 and len(corpus.rejections) == 1
 
     def test_missing_column_is_fatal(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -134,20 +134,20 @@ class TestLoadLabeled:
             '{"id": "A", "project": "P", "text": "two", "effort": 2}\n'
         )
         corpus = load_labeled(path)
-        assert len(corpus) == 1
+        assert len(corpus.records) == 1
         assert "duplicate" in corpus.rejections[0].reason
 
     def test_effort_above_range_kept_with_warning(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A", "project": "P", "text": "t", "effort": 150}\n')
         corpus = load_labeled(path)
-        assert len(corpus) == 1 and corpus.over_range == 1
+        assert len(corpus.records) == 1 and corpus.over_range == 1
 
     def test_degenerate_record_flagged_not_dropped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A", "project": "P", "text": "the of and", "effort": 2}\n')
         corpus = load_labeled(path)
-        assert len(corpus) == 1
+        assert len(corpus.records) == 1
         assert corpus.records[0].degenerate
 
     def test_invalid_json_line_is_one_rejection(self, tmp_path):
@@ -199,7 +199,7 @@ class TestLoadLabeled:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "A", "project": "P", "text": "t", "effort": %s}\n' % effort)
         corpus = load_labeled(path)
-        assert len(corpus) == 0
+        assert len(corpus.records) == 0
         assert corpus.rejections[0].reason.startswith("non-finite effort")
 
     def test_jsonl_roundtrip(self, tmp_path):
@@ -221,7 +221,7 @@ class TestLoadUnlabeled:
     def test_blank_lines_dropped(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_text("one\n\ntwo\n")
-        assert len(load_unlabeled(path)) == 2
+        assert len(load_unlabeled(path).documents) == 2
 
     def test_jsonl_text_field_used(self, tmp_path):
         path = tmp_path / "docs.jsonl"

@@ -1,0 +1,105 @@
+"""Seeded mutation fuzz of every file the CLI reads.
+
+One valid file of each kind is cut, flipped, padded, duplicated or nested
+in place, then run through its command in process. Each case must end in
+exit 0 with nothing on stderr, or in exit 1 with exactly one `error:`
+line, and never in an exception or a warning.
+"""
+
+import random
+import re
+import warnings
+
+import pytest
+
+from storypointer.cli import main
+
+from test_cli import write_corpus_csv
+
+CASES_PER_KIND = 50
+MUTATIONS = ("flip", "truncate", "insert", "duplicate", "nest")
+INSERTS = (b"\x00", b"\xff", b'"', b"\n", b"\r", b",", b"=", b"{")
+NEST_DEPTH = 3000  # past the default recursion limit
+
+
+def mutate(blob: bytes, how: str, rng: random.Random) -> bytes:
+    if how == "nest":  # where a JSON value can start: a line's start or after ": "
+        at = rng.choice([0] + [m.end() for m in re.finditer(rb"\n|: ", blob)])
+        return blob[:at] + b"[" * NEST_DEPTH + blob[at:]
+    at = rng.randrange(len(blob))
+    if how == "flip":
+        return blob[:at] + bytes([blob[at] ^ rng.randrange(1, 256)]) + blob[at + 1:]
+    if how == "truncate":
+        return blob[:at]
+    if how == "insert":
+        return blob[:at] + rng.choice(INSERTS) + blob[at:]
+    end = rng.randrange(at, len(blob)) + 1  # duplicate blob[at:end]
+    return blob[:end] + blob[at:end] + blob[end:]
+
+
+CONFIG = """# a head trained on the fixture's static embedding
+mode = pooled
+output = linear
+epochs = 2
+patience = 2
+batch_size = 8
+lr = 0.01
+val_fraction = 0.2
+seed = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """One valid file of each kind the CLI reads, with the models they need."""
+    root = tmp_path_factory.mktemp("valid")
+    corpus = write_corpus_csv(root / "stories.csv")
+    (root / "run.cfg").write_text(CONFIG, encoding="utf-8")
+    docs = root / "docs.txt"
+    docs.write_text("fix the billing export. add a login form.\n"
+                    "migrate the search index. update the report cache.\n", encoding="utf-8")
+    for argv in (
+        ["ingest", "--corpus", corpus],
+        ["pretrain-static", "--corpus", corpus, "--dimension", "6", "--epochs", "1"],
+        ["pretrain-ctx", "--unlabeled", docs, "--layers", "1", "--hidden", "8", "--heads", "2",
+         "--ff", "8", "--vocab-size", "80", "--epochs", "1", "--n-examples", "4"],
+        ["train", "--corpus", corpus, "--embedding", root / "static.ckpt", "--config", root / "run.cfg"],
+    ):
+        assert main([str(a) for a in argv] + ["--out", str(root)]) == 0
+    return root
+
+
+# file kind -> (the valid file's name, the command that reads it as `{file}`)
+KINDS = {
+    "csv": ("stories.csv", ["ingest", "--corpus", "{file}", "--out", "{out}"]),
+    "jsonl": ("corpus.jsonl", ["ingest", "--corpus", "{file}", "--out", "{out}"]),
+    "config": ("run.cfg", ["train", "--corpus", "{valid}/stories.csv", "--embedding",
+                           "{valid}/static.ckpt", "--config", "{file}", "--out", "{out}"]),
+    "static": ("static.ckpt", ["predict", "--model", "{valid}/estimator.ckpt",
+                               "--embedding", "{file}", "--text", "fix the login form"]),
+    "encoder": ("encoder.ckpt", ["embed", "--model", "{file}", "--corpus", "{valid}/stories.csv",
+                                 "--out", "{out}"]),
+    "estimator": ("estimator.ckpt", ["predict", "--model", "{file}",
+                                     "--embedding", "{valid}/static.ckpt", "--text", "fix it"]),
+}
+
+
+@pytest.mark.parametrize("case", range(CASES_PER_KIND))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_mutated_input_exits_cleanly(valid, tmp_path, capsys, monkeypatch, kind, case):
+    monkeypatch.chdir(tmp_path)  # a relative path a mutation makes lands here
+    name, template = KINDS[kind]
+    how = MUTATIONS[case % len(MUTATIONS)]
+    mutated = tmp_path / name
+    mutated.write_bytes(mutate((valid / name).read_bytes(), how, random.Random(f"{kind}-{case}")))
+    argv = [a.format(file=mutated, valid=valid, out=tmp_path / "out") for a in template]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert (code, captured.out) == (1, ""), how
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err

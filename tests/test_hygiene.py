@@ -8,7 +8,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 PACKAGE = ROOT / "src" / "storypointer"
-# test_acceptance.py is excluded: the acceptance suite is kept byte-for-byte as written
+# test_acceptance.py is excluded: the acceptance suite is kept as written, but for its imports
 MODULES = (sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
            + sorted(p for p in TESTS.glob("*.py") if p.name != "test_acceptance.py"))
 

@@ -1,10 +1,8 @@
-"""Autograd op tests against local finite-difference oracles.
+"""Autograd op tests against the finite-difference oracle in gradcheck.py.
 
-The oracle here is deliberately independent of the kernel's own grad
-check harness: plain central differences over numpy arrays, computed by
-this module. Each op's vector-Jacobian product is checked by seeding
-backward() with a fixed random cotangent w and differencing the scalar
-sum(f(x) * w), formed in numpy.
+Each op's vector-Jacobian product is checked by seeding backward() with
+a fixed random cotangent w and differencing the scalar sum(f(x) * w),
+formed in numpy, with plain central differences over the leaf arrays.
 """
 
 import threading
@@ -27,23 +25,7 @@ from storypointer.kernel import (
 )
 from storypointer.kernel.tensor import logistic
 
-
-def fd_grad(scalar_fn, array, h=1e-6):
-    """Central-difference gradient of scalar_fn with respect to array.
-
-    scalar_fn reads the array in place, so perturbing entries one at a
-    time and re-evaluating gives the numeric gradient.
-    """
-    grad = np.zeros_like(array)
-    for coord in np.ndindex(*array.shape):
-        original = array[coord]
-        array[coord] = original + h
-        plus = scalar_fn()
-        array[coord] = original - h
-        minus = scalar_fn()
-        array[coord] = original
-        grad[coord] = (plus - minus) / (2.0 * h)
-    return grad
+from gradcheck import fd_grad
 
 
 def check_vjp(f, arrays, rtol=1e-5, atol=1e-7):

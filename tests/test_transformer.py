@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from storypointer.corpus import UnlabeledCorpus
-from storypointer.kernel import RngStream, grad_check
+from storypointer.kernel import RngStream
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.lm_training import (
     batch_loss,
@@ -32,6 +32,8 @@ from storypointer.wordpiece import (
     WordPieceVocab,
     build_wordpiece_vocab,
 )
+
+from gradcheck import grad_check
 
 WORDS = ("query", "index", "table", "join", "deploy", "release", "build", "stage")
 

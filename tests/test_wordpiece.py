@@ -64,7 +64,7 @@ class TestVocabularyInduction:
         # all candidate pairs of "aaab" tie at count 1, so the merge
         # closest to the start of the first word wins
         vocab = build_wordpiece_vocab(corpus_of("aaab"), size=10)
-        assert "aa" in vocab
+        assert "aa" in vocab.index
         assert len(vocab) == 10
 
     def test_size_below_character_base_is_rejected(self):
@@ -83,7 +83,7 @@ class TestVocabularyInduction:
         vocab = build_wordpiece_vocab(corpus_of("ab"), size=50)
         # specials + {a, ##b} + the single possible merge
         assert len(vocab) == 8
-        assert "ab" in vocab
+        assert "ab" in vocab.index
 
     def test_induction_is_deterministic(self):
         docs = ("rebuild the index", "rebuild the cache", "drop the cache")
@@ -94,8 +94,8 @@ class TestVocabularyInduction:
     def test_merges_reach_whole_common_words(self):
         docs = ["deploy service"] * 8 + ["restart service"] * 3
         vocab = build_wordpiece_vocab(corpus_of(*docs), size=80)
-        assert "service" in vocab
-        assert "deploy" in vocab
+        assert "service" in vocab.index
+        assert "deploy" in vocab.index
 
 
 def corpus_words(corpus):
