@@ -33,9 +33,11 @@ from .corpus import (
     leave_one_project_out,
     load_labeled,
     load_unlabeled,
+    read_utf8,
     save_jsonl,
 )
 from .estimator import (
+    OUTPUTS,
     EstimatorModel,
     HeadConfig,
     estimator_from_parts,
@@ -43,7 +45,7 @@ from .estimator import (
     train_estimator,
 )
 from .experiments import EXPERIMENTS, carve_validation, run_experiment
-from .features import ContextualFeaturizer, StaticFeaturizer
+from .features import MODES, ContextualFeaturizer, StaticFeaturizer
 from .kernel.checkpoint import load_checkpoint
 from .lm_training import finetune_lm, pretrain
 from .pretrain_data import create_pretraining_data
@@ -57,6 +59,7 @@ from .reports import (
 )
 from .server import EstimateService, serve_forever
 from .static_embed import (
+    EMBED_MODES,
     StaticEmbeddingModel,
     StaticTrainConfig,
     finetune_static,
@@ -102,7 +105,7 @@ _FLAGS: Dict[str, _Flag] = {
     "out": _Flag(default="out", help="output directory"),
     "corpus": _Flag(help="labeled corpus (csv or jsonl)"),
     "unlabeled": _Flag(help="unlabeled documents (jsonl or text)"),
-    "embed_mode": _Flag(default="cbow", choices=("cbow", "skipgram")),
+    "embed_mode": _Flag(default="cbow", choices=EMBED_MODES),
     "dimension": _Flag(int, 100),
     "window": _Flag(int, 5),
     "negatives": _Flag(int, 5),
@@ -118,12 +121,12 @@ _FLAGS: Dict[str, _Flag] = {
     "epochs": _Flag(int),  # epochs, batch_size and lr: per command, below
     "batch_size": _Flag(int),
     "lr": _Flag(float),
-    "mode": _Flag(default="sequence", choices=("sequence", "pooled")),
+    "mode": _Flag(default="sequence", choices=MODES),
     "patience": _Flag(int, 5),
     "val_fraction": _Flag(float, 0.1),
     "model": _Flag(help="model checkpoint path"),
     "embedding": _Flag(help="embedding model checkpoint"),
-    "output": _Flag(default="linear", choices=("linear", "softmax")),
+    "output": _Flag(default="linear", choices=OUTPUTS),
     "experiment": _Flag(choices=tuple(sorted(EXPERIMENTS))),
     "kfold": _Flag(int, 10),
     "by_project": _Flag(_boolean, False),
@@ -150,8 +153,8 @@ class CommandError(Exception):
 def _read_config_file(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = read_utf8(path)
+    except (OSError, ValueError) as exc:
         raise CommandError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -10,6 +10,7 @@ whitespace. All split plans are pure functions of corpus plus seed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -110,6 +111,17 @@ class UnlabeledCorpus:
     documents: List[str]  # raw text, file order
 
 
+def read_utf8(path) -> str:
+    """The file's text, decoded whole; a byte that is not UTF-8 is a
+    ValueError naming `path:line`, the physical line that holds it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _make_record(rid: str, project: str, raw_text: str, effort_raw) -> Tuple[Optional[RequirementRecord], Optional[str]]:
     try:
         effort = float(effort_raw)
@@ -162,49 +174,48 @@ def load_labeled(path) -> LabeledCorpus:
             over_range += 1
         records.append(record)
 
+    text = read_utf8(path)
     if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                header = [h.strip().lower() for h in (reader.fieldnames or [])]
-                missing = [c for c in CSV_COLUMNS if c not in header]
-                if missing:
-                    raise ValueError(f"{path}: missing required columns {missing}")
-                for lineno, row in enumerate(reader, start=2):
-                    row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
-                    raw_text = f"{row['title']} {row['description']}".strip()
-                    record, reason = _make_record(
-                        row["issuekey"], row["project"], raw_text, row["storypoint"]
-                    )
-                    admit(f"{path.name}:{lineno}", record, reason)
-            except csv.Error as exc:
-                # a field over csv's size limit, or a NUL byte before Python 3.11;
-                # the inner reader counts physical lines, up to the one that failed
-                raise ValueError(f"{path}:{reader.reader.line_num}: unreadable CSV: {exc}") from None
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
+            header = [h.strip().lower() for h in (reader.fieldnames or [])]
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing required columns {missing}")
+            for lineno, row in enumerate(reader, start=2):
+                row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
+                raw_text = f"{row['title']} {row['description']}".strip()
+                record, reason = _make_record(
+                    row["issuekey"], row["project"], raw_text, row["storypoint"]
+                )
+                admit(f"{path.name}:{lineno}", record, reason)
+        except csv.Error as exc:
+            # a field over csv's size limit, or a NUL byte before Python 3.11;
+            # the inner reader counts physical lines, up to the one that failed
+            raise ValueError(f"{path}:{reader.reader.line_num}: unreadable CSV: {exc}") from None
     else:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path.name}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    rejections.append(Rejection(where, f"invalid json: {exc.msg}"))
-                    continue
-                except RecursionError:
-                    rejections.append(Rejection(where, "invalid json: nested too deeply"))
-                    continue
-                if not isinstance(obj, dict):
-                    rejections.append(Rejection(where, "not a JSON object"))
-                    continue
-                missing = [k for k in ("id", "project", "text", "effort") if k not in obj]
-                if missing:
-                    rejections.append(Rejection(where, f"missing keys {missing}"))
-                    continue
-                record, reason = _make_record(obj["id"], obj["project"], obj["text"], obj["effort"])
-                admit(where, record, reason)
+        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path.name}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                rejections.append(Rejection(where, f"invalid json: {exc.msg}"))
+                continue
+            except RecursionError:
+                rejections.append(Rejection(where, "invalid json: nested too deeply"))
+                continue
+            if not isinstance(obj, dict):
+                rejections.append(Rejection(where, "not a JSON object"))
+                continue
+            missing = [k for k in ("id", "project", "text", "effort") if k not in obj]
+            if missing:
+                rejections.append(Rejection(where, f"missing keys {missing}"))
+                continue
+            record, reason = _make_record(obj["id"], obj["project"], obj["text"], obj["effort"])
+            admit(where, record, reason)
 
     return LabeledCorpus(records=records, rejections=rejections, over_range=over_range)
 
@@ -215,21 +226,20 @@ def load_unlabeled(path) -> UnlabeledCorpus:
     if not path.exists():
         raise FileNotFoundError(f"unlabeled corpus not found: {path}")
     documents: List[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                try:
-                    obj = json.loads(line)
-                    text = str(obj.get("text", "")).strip()
-                except (json.JSONDecodeError, RecursionError):
-                    text = line
-            else:
+    for line in io.StringIO(read_utf8(path), newline=None):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("{"):
+            try:
+                obj = json.loads(line)
+                text = str(obj.get("text", "")).strip()
+            except (json.JSONDecodeError, RecursionError):
                 text = line
-            if text:
-                documents.append(text)
+        else:
+            text = line
+        if text:
+            documents.append(text)
     if not documents:
         raise ValueError(f"{path}: no usable documents")
     return UnlabeledCorpus(documents=documents)
@@ -244,15 +254,19 @@ def save_jsonl(corpus: LabeledCorpus, path) -> None:
 
 
 class Vocabulary:
-    """Dense token→index map with reserved special tokens up front."""
+    """Dense token→index map, in the order given, that starts with its specials:
+    static words with their corpus counts, or WordPiece pieces with none."""
 
-    def __init__(self, specials: Sequence[str], ordered_tokens: Sequence[str], counts: Dict[str, int]):
+    def __init__(self, tokens: Sequence[str], specials: Sequence[str],
+                 counts: Optional[Dict[str, int]] = None):
+        self.tokens: List[str] = list(tokens)
         self.specials = tuple(specials)
-        self.tokens: List[str] = list(self.specials) + [t for t in ordered_tokens if t not in self.specials]
+        if tuple(self.tokens[:len(self.specials)]) != self.specials:
+            raise ValueError(f"vocabulary must start with the specials {self.specials}")
         self.index: Dict[str, int] = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
-        self.counts = dict(counts)
+        self.counts = dict(counts or {})
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import BUCKETS, bucket_index
-from .features import FeatureBatch
+from .features import MODES, FeatureBatch
 from .kernel import (
     LSTM,
     Adam,
@@ -35,6 +35,7 @@ from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind,
                                 save_checkpoint)
 from .metrics import mae
 
+OUTPUTS = ("linear", "softmax")  # one unit, or one class per bucket
 N_CLASSES = len(BUCKETS)
 EFFORT_FLOOR = 1.0
 EFFORT_CEIL = 100.0
@@ -54,10 +55,10 @@ class HeadConfig:
     learning_rate: float = 0.002
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.mode not in ("sequence", "pooled"):
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
             raise ValueError(f"unknown input mode {self.mode!r}")
-        if self.output not in ("linear", "softmax"):
+        if self.output not in OUTPUTS:
             raise ValueError(f"unknown output head {self.output!r}")
         if any(size <= 0 for size in self.dense_sizes) or self.lstm_hidden <= 0:
             raise ValueError("layer sizes must be positive")
@@ -81,7 +82,6 @@ class TrainHistory:
 
 class EstimatorModel:
     def __init__(self, config: HeadConfig, input_dim: int, source: Optional[dict] = None):
-        config.validate()
         if input_dim < 1:
             raise ValueError(f"input dimension must be positive, got {input_dim}")
         self.config = config

@@ -99,7 +99,7 @@ class StaticFeaturizer:
 
     @property
     def dimension(self) -> int:
-        return self.model.config.dimension
+        return self.model.dimension
 
     def describe(self) -> dict:
         return {

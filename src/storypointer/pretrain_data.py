@@ -17,14 +17,13 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .corpus import UnlabeledCorpus, clean_text
+from .corpus import UnlabeledCorpus, Vocabulary, clean_text
 from .kernel import RngStream
 from .wordpiece import (
     CLS_ID,
     MASK_ID,
     N_SPECIALS,
     SEP_ID,
-    WordPieceVocab,
     piece_ids,
 )
 
@@ -91,7 +90,7 @@ def mask_tokens(
 
 def create_pretraining_data(
     corpus: UnlabeledCorpus,
-    vocab: WordPieceVocab,
+    vocab: Vocabulary,
     mask_rate: float = 0.15,
     seed: int = 0,
     max_len: int = 100,

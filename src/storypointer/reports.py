@@ -8,6 +8,7 @@ manifest is the only place a clock appears.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import shutil
@@ -37,11 +38,14 @@ def _fmt_raw(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence], raw: bool = False) -> Path:
+    """A field holding a comma, a quote or a newline is quoted, so ids and
+    project names read back as written."""
     path = Path(path)
     fmt = _fmt_raw if raw else _fmt_display
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(cell) for cell in row] for row in rows)
     return path
 
 

@@ -6,7 +6,9 @@ the process serves. Another method on either route gets 405 with an
 
 The service loads its models once and treats them as immutable, so the
 threading server can answer concurrent requests without locks. Any
-malformed request gets a 4xx JSON error and the process stays alive.
+malformed request, a request line or headers the base handler cannot
+parse included, gets a 4xx JSON error, a method no route answers gets a
+JSON 501, and the process stays alive.
 Every reply body is valid JSON: a reply that would hold a NaN or an
 infinity, such as a non-finite estimate, becomes a 500 error instead.
 
@@ -92,6 +94,9 @@ class EstimateService:
 def _make_handler(service: EstimateService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # a request line with no version is answered as HTTP/1.0, with a
+        # status line and headers, never as a bare HTTP/0.9 body
+        default_request_version = "HTTP/1.0"
 
         def setup(self) -> None:
             super().setup()
@@ -124,6 +129,12 @@ def _make_handler(service: EstimateService):
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def send_error(self, code: int, message: Optional[str] = None,
+                       explain: Optional[str] = None) -> None:
+            """The base handler's refusals, of a request line or headers it
+            cannot parse or a method no route answers, as JSON that closes."""
+            self._reply(code, {"error": message or self.responses[code][0]}, close=True)
 
         def _route_allows(self, method: str, close: bool) -> bool:
             """Replies 404 or 405 unless the path answers `method`; `close`

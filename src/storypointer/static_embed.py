@@ -32,6 +32,8 @@ from .kernel import RngStream, parameter
 from .kernel.tensor import logistic
 from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 
+SPECIALS = (PAD_WORD, UNK_WORD)  # the first rows of every vocabulary, never embedded
+EMBED_MODES = ("cbow", "skipgram")
 NOISE_POWER = 0.75
 # Positions per update step. Every update inside a chunk reads the
 # parameters as they were at the chunk's start.
@@ -40,7 +42,7 @@ CHUNK = 64
 
 @dataclass(frozen=True)
 class StaticTrainConfig:
-    mode: str = "cbow"  # or "skipgram"
+    mode: str = "cbow"  # one of EMBED_MODES
     dimension: int = 100
     window: int = 5
     negatives: int = 5
@@ -49,9 +51,9 @@ class StaticTrainConfig:
     min_count: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.mode not in ("cbow", "skipgram"):
-            raise ValueError(f"mode must be cbow or skipgram, got {self.mode!r}")
+    def __post_init__(self) -> None:
+        if self.mode not in EMBED_MODES:
+            raise ValueError(f"mode must be one of {EMBED_MODES}, got {self.mode!r}")
         if self.dimension < 1 or self.window < 1 or self.negatives < 1:
             raise ValueError("dimension, window, and negatives must all be >= 1")
         if self.epochs < 1:
@@ -62,8 +64,9 @@ class StaticTrainConfig:
 
 class StaticEmbeddingModel:
     def __init__(self, vocabulary: Vocabulary, vectors_in: np.ndarray, vectors_out: np.ndarray, config: StaticTrainConfig):
-        if vectors_in.shape != vectors_out.shape or vectors_in.shape[0] != len(vocabulary):
-            raise ValueError("embedding matrices must be |V| x d and share shape")
+        if not vectors_in.shape == vectors_out.shape == (len(vocabulary), config.dimension):
+            raise ValueError(f"embedding matrices must be |V| x d, {len(vocabulary)} x "
+                             f"{config.dimension}, and share shape")
         self.vocabulary = vocabulary
         self.vectors_in = vectors_in
         self.vectors_out = vectors_out
@@ -254,7 +257,7 @@ def _grow_and_train(
     new_words = sorted((tok for tok in known if tok not in vocab.index), key=lambda tok: (-known[tok], tok))
     merged = Counter(vocab.counts)
     merged.update(known)
-    grown = Vocabulary(vocab.specials, vocab.tokens[len(vocab.specials):] + new_words, merged)
+    grown = Vocabulary(vocab.tokens + new_words, vocab.specials, merged)
 
     d = vectors_in.shape[1]
     rows = len(grown) - len(vectors_in)
@@ -275,11 +278,10 @@ def train_static(
     epoch_callback: Optional[Callable[[StaticEmbeddingModel, int], None]] = None,
 ) -> StaticEmbeddingModel:
     """Train from a vocabulary of the specials alone; see `_grow_and_train`."""
-    config.validate()
     rng = RngStream(config.seed)
     empty = np.zeros((0, config.dimension))
     return _grow_and_train(
-        Vocabulary((PAD_WORD, UNK_WORD), [], {}), empty, empty, config, corpus,
+        Vocabulary(SPECIALS, SPECIALS), empty, empty, config, corpus,
         rng.child("init"), rng.child("train"), epoch_callback,
     )
 
@@ -294,8 +296,6 @@ def finetune_static(
 
     Words absent from the new corpus keep bitwise-identical vectors.
     """
-    if extra_epochs < 1:
-        raise ValueError("extra_epochs must be >= 1")
     rng = RngStream(seed)
     return _grow_and_train(
         model.vocabulary, model.vectors_in, model.vectors_out,
@@ -305,7 +305,7 @@ def finetune_static(
 
 def embed_word(model: StaticEmbeddingModel, token: str) -> Optional[np.ndarray]:
     """Input-matrix row, or None for OOV and specials."""
-    if token in (PAD_WORD, UNK_WORD) or token not in model.vocabulary.index:
+    if token in SPECIALS or token not in model.vocabulary.index:
         return None
     return model.vectors_in[model.vocabulary.index[token]]
 
@@ -382,12 +382,13 @@ def static_from_parts(params, meta, sections) -> StaticEmbeddingModel:
                          "and a vocab section")
     tokens: List[str] = []
     counts: Dict[str, int] = {}
-    for line in sections["vocab"].splitlines():
-        tok, count, _ = line.split("\t")
-        tokens.append(tok)
-        counts[tok] = int(count)
-    specials = (PAD_WORD, UNK_WORD)
-    vocab = Vocabulary(specials=specials, ordered_tokens=[t for t in tokens if t not in specials], counts=counts)
+    for row, line in enumerate(sections["vocab"].splitlines()):
+        fields = line.split("\t")
+        if len(fields) != 3 or not fields[1].isdecimal() or fields[2] != str(row):
+            raise ValueError(f"vocab line {row + 1} is not token<TAB>count<TAB>{row}: {line!r}")
+        tokens.append(fields[0])
+        counts[fields[0]] = int(fields[1])
+    vocab = Vocabulary(tokens, SPECIALS, counts)
     return StaticEmbeddingModel(vocab, params["vectors_in"].data, params["vectors_out"].data, config)
 
 

@@ -27,7 +27,8 @@ from .kernel import (
 )
 from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
                                 save_checkpoint)
-from .wordpiece import N_SPECIALS, PAD_ID, WordPieceVocab
+from .corpus import Vocabulary
+from .wordpiece import N_SPECIALS, PAD_ID, SPECIALS
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class TransformerConfig:
     dropout: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.heads <= self.hidden or self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} is not a positive multiple of heads {self.heads}")
         if self.max_len < 2:
@@ -100,11 +101,10 @@ def _param_table(c: TransformerConfig) -> Dict[str, Tuple[str, Tuple[int, ...]]]
 
 
 class TransformerModel:
-    def __init__(self, config: TransformerConfig, vocab: WordPieceVocab,
+    def __init__(self, config: TransformerConfig, vocab: Vocabulary,
                  params: Optional[Dict[str, Union[Tensor, np.ndarray]]] = None):
         """Given `params` must have the config's names and shapes; each array
         among them becomes a new parameter, each tensor is used as it is."""
-        config.validate()
         if config.vocab_size != len(vocab):
             raise ValueError(f"config vocab_size {config.vocab_size} != vocabulary {len(vocab)}")
         self.config = config
@@ -230,7 +230,7 @@ def save_transformer(model: TransformerModel, path) -> None:
         model.params,
         meta={"kind": "transformer_lm", "model_id": model.model_id,
               "config": asdict(model.config)},
-        sections={"vocab": "\n".join(model.vocab.pieces) + "\n"},
+        sections={"vocab": "\n".join(model.vocab.tokens) + "\n"},
     )
 
 
@@ -240,7 +240,7 @@ def transformer_from_parts(params, meta, sections) -> TransformerModel:
     config = config_from_meta(TransformerConfig, meta.get("config"))
     if "vocab" not in sections:
         raise ValueError("checkpoint has no vocab section")
-    vocab = WordPieceVocab(sections["vocab"].splitlines())
+    vocab = Vocabulary(sections["vocab"].splitlines(), SPECIALS)
     return TransformerModel(config, vocab, params=params)
 
 

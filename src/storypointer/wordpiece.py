@@ -10,9 +10,9 @@ which keeps induction deterministic without a tie-break RNG.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .corpus import UnlabeledCorpus, clean_text, tokenize_words
+from .corpus import UnlabeledCorpus, Vocabulary, clean_text, tokenize_words
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -28,25 +28,11 @@ MAX_WORD_CHARS = 200  # longer words are uncoverable and become [UNK]
 Pair = Tuple[str, str]
 
 
-class WordPieceVocab:
-    def __init__(self, pieces: Sequence[str]):
-        pieces = list(pieces)
-        if tuple(pieces[:len(SPECIALS)]) != SPECIALS:
-            raise ValueError(f"vocabulary must start with the specials {SPECIALS}")
-        self.pieces = pieces
-        self.index: Dict[str, int] = {p: i for i, p in enumerate(pieces)}
-        if len(self.index) != len(pieces):
-            raise ValueError("duplicate pieces in vocabulary")
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-
 def _char_pieces(word: str) -> List[str]:
     return [word[0]] + [CONTINUATION + c for c in word[1:]]
 
 
-def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
+def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> Vocabulary:
     """Frequency-greedy merge induction up to `size` pieces.
 
     Documents are cleaned first, so the induced pieces cover exactly the
@@ -101,7 +87,7 @@ def build_wordpiece_vocab(corpus: UnlabeledCorpus, size: int) -> WordPieceVocab:
         # never a known piece: a span whose ends stay token boundaries is
         # segmented alike in every word, so no second pair can rebuild it
         pieces.append(merged)
-    return WordPieceVocab(pieces)
+    return Vocabulary(pieces, SPECIALS)
 
 
 def _add_pairs(pair_counts: Dict[Pair, int], pair_words: Dict[Pair, Set[int]],
@@ -134,7 +120,7 @@ def _apply_merge(seg: List[str], pair: Pair, merged: str) -> List[str]:
     return out
 
 
-def tokenize_word(vocab: WordPieceVocab, word: str) -> Optional[List[str]]:
+def tokenize_word(vocab: Vocabulary, word: str) -> Optional[List[str]]:
     """Greedy longest-match split; None means the word is uncoverable."""
     if not word or len(word) > MAX_WORD_CHARS:
         return None
@@ -158,7 +144,7 @@ def tokenize_word(vocab: WordPieceVocab, word: str) -> Optional[List[str]]:
     return out
 
 
-def piece_ids(vocab: WordPieceVocab, text: str) -> List[int]:
+def piece_ids(vocab: Vocabulary, text: str) -> List[int]:
     """Unframed piece ids of cleaned text; each uncoverable word is one [UNK]."""
     ids: List[int] = []
     for word in tokenize_words(text):
@@ -170,6 +156,6 @@ def piece_ids(vocab: WordPieceVocab, text: str) -> List[int]:
     return ids
 
 
-def tokenize_wordpiece(vocab: WordPieceVocab, text: str) -> List[int]:
+def tokenize_wordpiece(vocab: Vocabulary, text: str) -> List[int]:
     """Piece ids of cleaned text framed as [CLS] ... [SEP]."""
     return [CLS_ID] + piece_ids(vocab, text) + [SEP_ID]

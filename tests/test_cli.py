@@ -139,6 +139,40 @@ class TestIngest:
         assert not out.exists()
 
 
+# a file of each kind the CLI reads as text, longer than one 8 KiB read:
+# its name, its valid lines, the command that reads it and the words its
+# error line starts with
+TEXT_INPUTS = {
+    "config": ("run.cfg", lambda tmp: "seed = 1\n" * 1000,
+               ["stats", "--corpus", "{corpus}", "--config", "{file}"], "cannot read config file"),
+    "csv": ("stories.csv", lambda tmp: write_corpus_csv(tmp / "good.csv", n=400).read_text("utf-8"),
+            ["ingest", "--corpus", "{file}"], "cannot load corpus"),
+    "jsonl": ("stories.jsonl", lambda tmp: "".join(
+        json.dumps({"id": f"REQ-{i}", "project": "proj0", "text": "fix the login form",
+                    "effort": 3}) + "\n" for i in range(400)),
+              ["ingest", "--corpus", "{file}"], "cannot load corpus"),
+    "unlabeled": ("docs.txt", lambda tmp: "fix the login form\n" * 1000,
+                  ["pretrain-static", "--unlabeled", "{file}"], "cannot load unlabeled corpus"),
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("kind", sorted(TEXT_INPUTS))
+    def test_bad_byte_is_named_by_file_and_line(self, corpus_csv, tmp_path, capsys, kind):
+        name, valid, template, words = TEXT_INPUTS[kind]
+        text = valid(tmp_path)
+        path = tmp_path / name
+        # the last line holds the byte; 0x97 can only continue a character
+        path.write_bytes(text.encode("utf-8") + b"caf\x97\n")
+        out = tmp_path / "out"
+        argv = [a.format(file=path, corpus=corpus_csv) for a in template] + ["--out", out]
+        code, printed, err = run(argv, capsys)
+        assert (code, printed) == (1, "")
+        line = text.count("\n") + 1
+        assert err == f"error: {words}: {path}:{line}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
+
 class TestConfigMerging:
     def test_config_file_supplies_defaults(self, corpus_csv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -336,7 +370,7 @@ class TestContextualCommands:
         _, meta, _ = load_checkpoint(finetuned / "encoder_finetuned.ckpt")
         assert meta["kind"] == "transformer_lm"
         assert after.config == before.config
-        assert after.vocab.pieces == before.vocab.pieces
+        assert after.vocab.tokens == before.vocab.tokens
         assert {k: p.shape for k, p in after.params.items()} == \
             {k: p.shape for k, p in before.params.items()}
         assert any(not np.array_equal(after.params[k].data, before.params[k].data)
@@ -423,13 +457,42 @@ CHECKPOINT_SLOTS = [
 READ_SLOTS = [slot for slot in CHECKPOINT_SLOTS if slot[0] in ("predict", "serve", "evaluate")]
 
 
-# Well-formed encoder containers whose parameters do not fit their config.
-ENCODER_PARAM_FLAWS = {
-    "renamed": lambda params: params.update({"emb.tokens": params.pop("emb.token")}),
-    "missing": lambda params: params.pop("nsp.b"),
-    "wrong-shape": lambda params: params.update(
+# Well-formed encoder containers that no trained encoder would write: each
+# edits the parameters and text sections that `load_checkpoint` returns.
+ENCODER_FLAWS = {
+    "renamed": lambda params, sections: params.update({"emb.tokens": params.pop("emb.token")}),
+    "missing": lambda params, sections: params.pop("nsp.b"),
+    "wrong-shape": lambda params, sections: params.update(
         {"nsp.w": parameter(params["nsp.w"].data.T)}),
+    "specials-out-of-order": lambda params, sections: sections.update(
+        vocab=swap_lines(sections["vocab"], 0, 1)),
 }
+
+
+def swap_lines(text: str, i: int, j: int) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+# Well-formed static containers that no trained model would write: each
+# edits the meta and text sections that `load_checkpoint` returns.
+STATIC_FLAWS = {
+    "mode-glove": lambda meta, sections: meta["config"].update(mode="glove"),
+    "window-zero": lambda meta, sections: meta["config"].update(window=0),
+    "dimension-unlike-table": lambda meta, sections: meta["config"].update(dimension=3),
+    "vocab-without-tabs": lambda meta, sections: sections.update(
+        vocab=sections["vocab"].replace("\t", " ")),
+    "vocab-rows-out-of-order": lambda meta, sections: sections.update(
+        vocab=swap_lines(sections["vocab"], 2, 3)),
+}
+
+# every command that reads a static checkpoint and trains or exports from it
+STATIC_SLOTS = [
+    ("embed", "--model", ["--corpus", "stories.csv"]),
+    ("train", "--embedding", ["--corpus", "stories.csv", "--mode", "pooled"]),
+    ("finetune-static", "--model", ["--unlabeled", "docs.txt"]),
+]
 
 # every slot that takes an encoder, and `embed`, which takes either embedding
 ENCODER_SLOTS = [(c, f, rest) for c, f, expects, rest in CHECKPOINT_SLOTS if expects == "encoder"]
@@ -502,7 +565,7 @@ class TestCheckpointErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err and "sha256" not in err
 
-    @pytest.mark.parametrize("flaw", sorted(ENCODER_PARAM_FLAWS))
+    @pytest.mark.parametrize("flaw", sorted(ENCODER_FLAWS))
     @pytest.mark.parametrize("command,flag,rest", ENCODER_SLOTS,
                              ids=[c + f for c, f, _ in ENCODER_SLOTS])
     def test_encoder_params_unlike_config_are_one_error_line(
@@ -512,7 +575,7 @@ class TestCheckpointErrors:
 
         monkeypatch.setattr("storypointer.cli.serve_forever", never)
         params, meta, sections = load_checkpoint(trained / "encoder.ckpt")
-        ENCODER_PARAM_FLAWS[flaw](params)
+        ENCODER_FLAWS[flaw](params, sections)
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, meta=meta, sections=sections)
         argv = [command, flag, bad, "--out", tmp_path / "out"]
@@ -521,6 +584,21 @@ class TestCheckpointErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad.ckpt" in err
+
+    @pytest.mark.parametrize("flaw", sorted(STATIC_FLAWS))
+    @pytest.mark.parametrize("command,flag,rest", STATIC_SLOTS,
+                             ids=[c + f for c, f, _ in STATIC_SLOTS])
+    def test_static_checkpoint_unlike_a_trained_one_is_one_error_line(
+            self, trained, tmp_path, capsys, command, flag, rest, flaw):
+        params, meta, sections = load_checkpoint(trained / "static.ckpt")
+        STATIC_FLAWS[flaw](meta, sections)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, meta=meta, sections=sections)
+        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        argv += [trained / a if a.endswith((".txt", ".csv")) else a for a in rest]
+        code, text, err = run(argv, capsys)
+        assert (code, text) == (1, "")
+        assert err.startswith(f"error: cannot load model: {bad}: ") and err.count("\n") == 1, err
 
     def test_missing_unlabeled_file_is_one_error_line(self, trained, tmp_path, capsys):
         code, _, err = run(["finetune-static", "--model", trained / "static.ckpt",

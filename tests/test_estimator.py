@@ -70,7 +70,7 @@ class TestConfig:
     ])
     def test_invalid_settings_are_rejected(self, bad):
         with pytest.raises(ValueError):
-            HeadConfig(**bad).validate()
+            HeadConfig(**bad)
 
     def test_roundtrips_through_json(self):
         config = HeadConfig(mode="pooled", output="softmax", dense_sizes=(12, 4))

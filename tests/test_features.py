@@ -22,7 +22,7 @@ from storypointer.static_embed import (
     train_static,
 )
 from storypointer.transformer import TransformerConfig, TransformerModel
-from storypointer.wordpiece import PAD_ID, SPECIALS, WordPieceVocab, tokenize_wordpiece
+from storypointer.wordpiece import PAD_ID, SPECIALS, tokenize_wordpiece
 
 SENTENCES = [
     "query index table join schema",
@@ -42,7 +42,7 @@ def static_model():
 @pytest.fixture(scope="module")
 def ctx_model():
     words = sorted({w for s in SENTENCES for w in s.split()})
-    vocab = WordPieceVocab(list(SPECIALS) + words)
+    vocab = Vocabulary(list(SPECIALS) + words, SPECIALS)
     config = TransformerConfig(
         layers=2, hidden=16, heads=2, ff=24, max_len=20,
         vocab_size=len(vocab), dropout=0.0, seed=1,
@@ -52,11 +52,7 @@ def ctx_model():
 
 def table_model(words, vectors):
     """A static model whose embedding table is given row by row."""
-    vocab = Vocabulary(
-        specials=(PAD_WORD, UNK_WORD),
-        ordered_tokens=list(words),
-        counts={w: 1 for w in words},
-    )
+    vocab = Vocabulary([PAD_WORD, UNK_WORD, *words], (PAD_WORD, UNK_WORD), {w: 1 for w in words})
     d = len(vectors[0])
     vin = np.vstack([np.zeros((2, d)), np.array(vectors, dtype=np.float64)])
     return StaticEmbeddingModel(vocab, vin, np.zeros_like(vin), StaticTrainConfig(dimension=d))

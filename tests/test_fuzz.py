@@ -1,13 +1,21 @@
-"""Seeded mutation fuzz of every file the CLI reads.
+"""Seeded mutation fuzz of every file the CLI reads and every request the server answers.
 
 One valid file of each kind is cut, flipped, padded, duplicated or nested
 in place, then run through its command in process. Each case must end in
 exit 0 with nothing on stderr, or in exit 1 with exactly one `error:`
 line, and never in an exception or a warning.
+
+The whole bytes of a valid request to each route, request line, headers
+and body, are mutated the same way and sent, one at a time, to one
+in-process server. Each must get JSON replies with a 2xx, 4xx or 5xx
+status, or a closed connection, and the server must still answer
+/healthz afterwards.
 """
 
+import json
 import random
 import re
+import socket
 import warnings
 
 import pytest
@@ -15,6 +23,7 @@ import pytest
 from storypointer.cli import main
 
 from test_cli import write_corpus_csv
+from test_server import running, trained_service
 
 CASES_PER_KIND = 50
 MUTATIONS = ("flip", "truncate", "insert", "duplicate", "nest")
@@ -103,3 +112,54 @@ def test_mutated_input_exits_cleanly(valid, tmp_path, capsys, monkeypatch, kind,
     else:
         assert (code, captured.out) == (1, ""), how
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+# a valid request to each route, whole: request line, headers and body
+REQUESTS = {
+    "estimate": (b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                 b"Content-Type: application/json\r\nContent-Length: 29\r\n\r\n"
+                 b'{"text": "fix the login form"}'),
+    "healthz": b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+}
+REQUEST_CASES = 150  # per route
+
+
+@pytest.fixture(scope="module")
+def address():
+    with running(trained_service("linear")) as bound:
+        yield bound
+
+
+def exchange(address, request: bytes) -> bytes:
+    """Sends `request`, ends the sending side, and returns every byte the
+    server sends back up to its close."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)  # no request waits for bytes that never come
+        return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def replies(data: bytes):
+    """(status, body) of each reply in `data`; each must be framed by its
+    Content-Length and hold JSON."""
+    out = []
+    while data:
+        head, blank, data = data.partition(b"\r\n\r\n")
+        assert blank, head
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        headers = dict(field.split(": ", 1) for field in fields)
+        assert headers["Content-Type"] == "application/json; charset=utf-8", head
+        length = int(headers["Content-Length"])
+        body, data = data[:length], data[length:]
+        out.append((int(status_line.split()[1]), json.loads(body)))
+    return out
+
+
+@pytest.mark.parametrize("case", range(REQUEST_CASES))
+@pytest.mark.parametrize("route", sorted(REQUESTS))
+def test_mutated_request_gets_json_replies_or_a_close(address, route, case):
+    how = MUTATIONS[case % len(MUTATIONS)]
+    request = mutate(REQUESTS[route], how, random.Random(f"{route}-{case}"))
+    for status, body in replies(exchange(address, request)):
+        assert status // 100 in (2, 4, 5) and isinstance(body, dict), (how, request)
+    assert replies(exchange(address, REQUESTS["healthz"])) == [(200, {"status": "ok"})]

@@ -1,5 +1,6 @@
 """Report writers: CSV layout, twin precision, bundle assembly."""
 
+import csv
 import json
 
 import numpy as np
@@ -48,6 +49,15 @@ def project_report(corpus, featurizer):
     return run_experiment("E1", corpus, plan, featurizer, quick_head(), seed=0)
 
 
+# ids and project names holding a comma, a quote and a newline
+ODD_NAMES = ["A,1", 'say "hi"', "two\nlines"]
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestCsvPrimitives:
     def test_display_rounds_to_two_decimals(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "b"], [[1.23456, 7], ["x", 0.5]])
@@ -68,6 +78,11 @@ class TestCsvPrimitives:
     def test_nan_is_written_as_text(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a"], [[float("nan")]])
         assert path.read_text().splitlines()[1] == "nan"
+
+    def test_project_names_round_trip_through_both_twins(self, tmp_path):
+        rows = [[name, 1.5] for name in ODD_NAMES]
+        for path in write_twin_csv(tmp_path, "per_project", ["project", "mae"], rows):
+            assert [row["project"] for row in read_rows(path)] == ODD_NAMES
 
 
 class TestFoldReport:
@@ -197,6 +212,12 @@ class TestEmbeddingExport:
     def test_mismatched_lengths_are_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_embeddings(tmp_path / "emb.csv", ["only-one"], np.zeros((2, 2)))
+
+    def test_ids_round_trip(self, tmp_path):
+        matrix = np.arange(6, dtype=np.float64).reshape(3, 2)
+        rows = read_rows(export_embeddings(tmp_path / "emb.csv", ODD_NAMES, matrix))
+        assert [row["id"] for row in rows] == ODD_NAMES
+        assert [[float(row["dim0"]), float(row["dim1"])] for row in rows] == matrix.tolist()
 
 
 class TestBundle:

@@ -414,6 +414,17 @@ class TestFraming:
         assert replies.count(b"HTTP/1.1 ") == 1
         assert b"Connection: close" in replies
 
+    @pytest.mark.parametrize("request_bytes, status, error", [
+        (b"PATCH /estimate HTTP/1.1\r\nHost: test\r\n\r\n", 501, "Unsupported method ('PATCH')"),
+        (b"GET /healthz HTTX/1.1\r\nHost: test\r\n\r\n", 400,
+         "Bad request version ('HTTX/1.1')"),
+    ], ids=["unknown-method", "bad-version"])
+    def test_the_base_handlers_refusals_are_json(self, address, request_bytes, status, error):
+        head, _, body = replies_to(address, request_bytes).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Content-Type: application/json" in head and b"Connection: close" in head
+        assert json.loads(body) == {"error": error}
+
     @pytest.mark.parametrize("declared", ["+13", " 13 ", "1_3"])
     def test_content_length_must_be_ascii_digits(self, address, declared):
         request = (f"POST /estimate HTTP/1.1\r\nHost: test\r\nContent-Length: {declared}\r\n\r\n"

@@ -61,11 +61,7 @@ def quick_config(**overrides):
 
 
 def tiny_model(words, vectors):
-    vocab = Vocabulary(
-        specials=(PAD_WORD, UNK_WORD),
-        ordered_tokens=list(words),
-        counts={w: 1 for w in words},
-    )
+    vocab = Vocabulary([PAD_WORD, UNK_WORD, *words], (PAD_WORD, UNK_WORD), {w: 1 for w in words})
     d = len(vectors[0])
     vin = np.vstack([np.zeros((2, d)), np.array(vectors, dtype=np.float64)])
     return StaticEmbeddingModel(vocab, vin, np.zeros_like(vin), StaticTrainConfig(dimension=d))
@@ -176,13 +172,13 @@ class TestTrainStatic:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            quick_config(mode="glove").validate()
+            quick_config(mode="glove")
         with pytest.raises(ValueError):
-            quick_config(window=0).validate()
+            quick_config(window=0)
         with pytest.raises(ValueError):
-            quick_config(epochs=0).validate()
+            quick_config(epochs=0)
         with pytest.raises(ValueError, match="min_count"):
-            quick_config(min_count=0).validate()
+            quick_config(min_count=0)
 
     def test_all_values_finite(self):
         model = train_static(synthetic_corpus(10), quick_config(epochs=5))
@@ -260,7 +256,7 @@ class TestFinetuneStatic:
 
     def test_fewer_than_one_extra_epoch_rejected(self):
         base = train_static(UnlabeledCorpus(documents=["db sql"]), quick_config(epochs=1))
-        with pytest.raises(ValueError, match="extra_epochs"):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
             finetune_static(base, UnlabeledCorpus(documents=["db sql"]), extra_epochs=0)
 
     def test_deterministic_under_seed(self):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from storypointer.corpus import UnlabeledCorpus
+from storypointer.corpus import UnlabeledCorpus, Vocabulary
 from storypointer.kernel import RngStream
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.lm_training import (
@@ -29,7 +29,6 @@ from storypointer.wordpiece import (
     PAD_ID,
     SEP_ID,
     SPECIALS,
-    WordPieceVocab,
     build_wordpiece_vocab,
 )
 
@@ -41,7 +40,7 @@ WORDS = ("query", "index", "table", "join", "deploy", "release", "build", "stage
 def word_vocab():
     """One whole-word piece per vocabulary word, plus the specials."""
     pieces = list(SPECIALS) + list(WORDS)
-    return WordPieceVocab(pieces)
+    return Vocabulary(pieces, SPECIALS)
 
 
 def tiny_model(layers=1, hidden=8, heads=2, ff=16, max_len=12, seed=0, dropout=0.0):
@@ -63,21 +62,21 @@ def framed(real_ids, max_len=None):
 class TestConfig:
     def test_hidden_must_divide_by_heads(self):
         with pytest.raises(ValueError):
-            TransformerConfig(hidden=10, heads=4, vocab_size=30).validate()
+            TransformerConfig(hidden=10, heads=4, vocab_size=30)
 
     def test_zero_heads_is_a_value_error(self):
         with pytest.raises(ValueError):
-            TransformerConfig(heads=0, vocab_size=30).validate()
+            TransformerConfig(heads=0, vocab_size=30)
 
     def test_requires_room_for_framing(self):
         with pytest.raises(ValueError):
-            TransformerConfig(max_len=1, vocab_size=30).validate()
+            TransformerConfig(max_len=1, vocab_size=30)
 
     def test_rejects_empty_vocab_and_bad_dropout(self):
         with pytest.raises(ValueError):
-            TransformerConfig(vocab_size=3).validate()
+            TransformerConfig(vocab_size=3)
         with pytest.raises(ValueError):
-            TransformerConfig(vocab_size=30, dropout=1.0).validate()
+            TransformerConfig(vocab_size=30, dropout=1.0)
 
     def test_vocab_size_must_match_vocabulary(self):
         vocab = word_vocab()
@@ -166,7 +165,7 @@ class TestPaddingInvariance:
         rng = RngStream(40)
         for trial in range(6):
             n_real = int(rng.integers(1, 6))
-            real = [int(rng.integers(5, len(model.vocab.pieces))) for _ in range(n_real)]
+            real = [int(rng.integers(5, len(model.vocab.tokens))) for _ in range(n_real)]
             short = framed(real)
             padded = framed(real, max_len=12)
             short_out = model.encode(short)[-1].numpy()[0]
@@ -430,7 +429,7 @@ class TestFinetuning:
 
     def test_finetuning_reuses_the_frozen_vocabulary(self):
         model = tiny_model(layers=1, hidden=16, heads=2, ff=24)
-        vocab_before = list(model.vocab.pieces)
+        vocab_before = list(model.vocab.tokens)
         corpus = UnlabeledCorpus(
             documents=[
                 "query index unseen. join table unseen.",
@@ -438,7 +437,7 @@ class TestFinetuning:
             ]
         )
         history = finetune_lm(model, corpus, epochs=2, seed=3)
-        assert model.vocab.pieces == vocab_before
+        assert model.vocab.tokens == vocab_before
         assert len(history.joint) == 2
 
     def test_a_copy_built_from_arrays_finetunes_and_leaves_its_source_intact(self):
@@ -477,7 +476,7 @@ class TestCheckpointing:
         save_transformer(model, path)
         loaded = load_transformer(path)
         assert loaded.config == model.config
-        assert loaded.vocab.pieces == model.vocab.pieces
+        assert loaded.vocab.tokens == model.vocab.tokens
         ids = framed([5, 6, 7], max_len=9)
         np.testing.assert_array_equal(
             model.encode(ids)[-1].numpy(), loaded.encode(ids)[-1].numpy()

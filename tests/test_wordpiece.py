@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storypointer.corpus import UnlabeledCorpus, clean_text, tokenize_words
+from storypointer.corpus import UnlabeledCorpus, Vocabulary, clean_text, tokenize_words
 from storypointer.wordpiece import (
     CLS_ID,
     CONTINUATION,
@@ -16,7 +16,6 @@ from storypointer.wordpiece import (
     SEP_ID,
     SPECIALS,
     UNK_ID,
-    WordPieceVocab,
     build_wordpiece_vocab,
     piece_ids,
     tokenize_word,
@@ -41,22 +40,22 @@ def char_vocab(*words):
 class TestVocabularyLayout:
     def test_specials_occupy_first_five_indices(self):
         vocab = build_wordpiece_vocab(corpus_of("alpha beta", "beta gamma"), size=40)
-        assert tuple(vocab.pieces[:5]) == SPECIALS
+        assert tuple(vocab.tokens[:5]) == SPECIALS
         assert (PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID) == (0, 1, 2, 3, 4)
         assert vocab.index["[PAD]"] == 0
         assert vocab.index["[MASK]"] == 4
 
     def test_rejects_vocab_without_specials_prefix(self):
         with pytest.raises(ValueError):
-            WordPieceVocab(["a", "b", "c"])
+            Vocabulary(["a", "b", "c"], SPECIALS)
 
     def test_rejects_duplicate_pieces(self):
         with pytest.raises(ValueError):
-            WordPieceVocab(list(SPECIALS) + ["x", "x"])
+            Vocabulary(list(SPECIALS) + ["x", "x"], SPECIALS)
 
     def test_character_base_in_first_occurrence_order(self):
         vocab = build_wordpiece_vocab(corpus_of("cab"), size=9)
-        assert vocab.pieces[5:8] == ["c", "##a", "##b"]
+        assert vocab.tokens[5:8] == ["c", "##a", "##b"]
 
 
 class TestVocabularyInduction:
@@ -77,7 +76,7 @@ class TestVocabularyInduction:
 
     def test_frequent_pair_merges_before_rare_pair(self):
         vocab = build_wordpiece_vocab(corpus_of("aa aa aa zz"), size=11)
-        assert vocab.pieces.index("aa") < vocab.pieces.index("zz")
+        assert vocab.tokens.index("aa") < vocab.tokens.index("zz")
 
     def test_growth_stops_once_words_are_fused(self):
         vocab = build_wordpiece_vocab(corpus_of("ab"), size=50)
@@ -89,7 +88,7 @@ class TestVocabularyInduction:
         docs = ("rebuild the index", "rebuild the cache", "drop the cache")
         first = build_wordpiece_vocab(corpus_of(*docs), size=60)
         second = build_wordpiece_vocab(corpus_of(*docs), size=60)
-        assert first.pieces == second.pieces
+        assert first.tokens == second.tokens
 
     def test_merges_reach_whole_common_words(self):
         docs = ["deploy service"] * 8 + ["restart service"] * 3
@@ -156,7 +155,7 @@ SMALL_ALPHABET = st.sampled_from(["ab", "abc", "abcd"]).flatmap(
 REPEATS = documents(st.builds(operator.mul, st.sampled_from(["a", "b", "ab", "ba", "aab", "abb"]),
                               st.integers(2, 5)))
 # words sharing substrings, where one piece might seem reachable by two
-# pairs; a merge that rebuilt a known piece would make WordPieceVocab
+# pairs; a merge that rebuilt a known piece would make the Vocabulary
 # refuse the duplicate, so these corpora would fail loudly
 SHARED_UNITS = documents(st.lists(st.sampled_from(["ab", "bc", "abc", "ca", "b"]),
                                   min_size=1, max_size=4).map("".join))
@@ -180,7 +179,7 @@ class TestIncrementalInduction:
         with pytest.raises(ValueError):
             build_wordpiece_vocab(corpus, size=minimum - 1)
         size = minimum + extra  # 10**6 is past saturation
-        assert build_wordpiece_vocab(corpus, size).pieces == reference_build_vocab(corpus, size)
+        assert build_wordpiece_vocab(corpus, size).tokens == reference_build_vocab(corpus, size)
 
     def test_tie_break_reads_positions_after_earlier_merges(self):
         # "##b ##b" and "##b ##c" tie at 3, and "##b ##b" is first, so "##bb"
@@ -190,27 +189,27 @@ class TestIncrementalInduction:
         # 3 and consumed the first "##b ##c", so "##cb" wins.
         corpus = corpus_of("bbbbbcbcbc")
         vocab = build_wordpiece_vocab(corpus, size=10)
-        assert vocab.pieces[5:] == ["b", "##b", "##c", "##bb", "##cb"]
-        assert vocab.pieces == reference_build_vocab(corpus, 10)
-        assert build_wordpiece_vocab(corpus, 10 ** 6).pieces == reference_build_vocab(corpus, 10 ** 6)
+        assert vocab.tokens[5:] == ["b", "##b", "##c", "##bb", "##cb"]
+        assert vocab.tokens == reference_build_vocab(corpus, 10)
+        assert build_wordpiece_vocab(corpus, 10 ** 6).tokens == reference_build_vocab(corpus, 10 ** 6)
 
 
 class TestGreedyTokenizer:
     def test_longest_match_split(self):
         pieces = char_vocab("embeddings") + ["em", "##bed", "##ding"]
-        vocab = WordPieceVocab(pieces)
+        vocab = Vocabulary(pieces, SPECIALS)
         assert tokenize_word(vocab, "embeddings") == ["em", "##bed", "##ding", "##s"]
 
     def test_whole_word_in_vocab_is_one_piece(self):
-        vocab = WordPieceVocab(char_vocab("cache") + ["cache"])
+        vocab = Vocabulary(char_vocab("cache") + ["cache"], SPECIALS)
         assert tokenize_word(vocab, "cache") == ["cache"]
 
     def test_uncoverable_word_returns_none(self):
-        vocab = WordPieceVocab(char_vocab("abc"))
+        vocab = Vocabulary(char_vocab("abc"), SPECIALS)
         assert tokenize_word(vocab, "xyz") is None
 
     def test_empty_and_oversized_words_return_none(self):
-        vocab = WordPieceVocab(char_vocab("ab"))
+        vocab = Vocabulary(char_vocab("ab"), SPECIALS)
         assert tokenize_word(vocab, "") is None
         assert tokenize_word(vocab, "a" * 500) is None
 
@@ -234,13 +233,13 @@ class TestGreedyTokenizer:
         path = tmp_path / "encoder.ckpt"
         save_transformer(TransformerModel(config, vocab), path)
         loaded = load_transformer(path).vocab
-        assert loaded.pieces == vocab.pieces
+        assert loaded.tokens == vocab.tokens
         assert loaded.index == vocab.index
 
 
 class TestSentenceFraming:
     def test_single_text_framing(self):
-        vocab = WordPieceVocab(char_vocab("ab", "cd") + ["ab", "cd"])
+        vocab = Vocabulary(char_vocab("ab", "cd") + ["ab", "cd"], SPECIALS)
         ids = tokenize_wordpiece(vocab, "ab cd")
         assert ids == [CLS_ID, vocab.index["ab"], vocab.index["cd"], SEP_ID]
 
@@ -261,7 +260,7 @@ class TestSentenceFraming:
     )
     @settings(max_examples=40, deadline=None)
     def test_framing_invariants_hold_for_arbitrary_text(self, words):
-        vocab = WordPieceVocab(char_vocab("abcd"))
+        vocab = Vocabulary(char_vocab("abcd"), SPECIALS)
         text = " ".join(words)
         ids = tokenize_wordpiece(vocab, text)
         assert ids[0] == CLS_ID
