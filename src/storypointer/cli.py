@@ -491,31 +491,34 @@ def _cmd_report(args) -> str:
 _TRAINING = ("epochs", "batch_size", "lr")
 _HEAD = ("mode", "patience", "val_fraction")
 
-# every subcommand's handler, help line and flags besides --config, --seed and --out
+# every subcommand's handler, help line and flags besides --config
 _COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], str], str, Tuple[str, ...]]] = {
-    "ingest": (_cmd_ingest, "clean and store a labeled corpus", ("corpus",)),
-    "stats": (_cmd_stats, "summarize a labeled corpus", ("corpus",)),
+    "ingest": (_cmd_ingest, "clean and store a labeled corpus", ("out", "corpus")),
+    "stats": (_cmd_stats, "summarize a labeled corpus", ("out", "corpus")),
     "pretrain-static": (
         _cmd_pretrain_static, "train static word embeddings",
-        ("corpus", "unlabeled", "embed_mode", "dimension", "window", "negatives", "min_count",
-         "epochs", "lr")),
+        ("seed", "out", "corpus", "unlabeled", "embed_mode", "dimension", "window", "negatives",
+         "min_count", "epochs", "lr")),
     # the learning rate comes from the checkpoint
     "finetune-static": (_cmd_finetune_static, "continue static training on new text",
-                        ("unlabeled", "epochs", "model")),
+                        ("seed", "out", "unlabeled", "epochs", "model")),
     "pretrain-ctx": (
         _cmd_pretrain_ctx, "pretrain the contextual encoder",
-        ("corpus", "unlabeled", "vocab_size", "layers", "hidden", "heads", "ff", "max_len",
-         "mask_rate", "n_examples", *_TRAINING)),
+        ("seed", "out", "corpus", "unlabeled", "vocab_size", "layers", "hidden", "heads", "ff",
+         "max_len", "mask_rate", "n_examples", *_TRAINING)),
     "finetune-ctx": (_cmd_finetune_ctx, "continue encoder pretraining on new text",
-                     ("corpus", "unlabeled", "mask_rate", "n_examples", *_TRAINING, "model")),
-    "embed": (_cmd_embed, "export pooled embeddings for a labeled corpus", ("corpus", "model")),
+                     ("seed", "out", "corpus", "unlabeled", "mask_rate", "n_examples",
+                      *_TRAINING, "model")),
+    "embed": (_cmd_embed, "export pooled embeddings for a labeled corpus",
+              ("out", "corpus", "model")),
     "train": (_cmd_train, "train an estimator head on the full corpus",
-              ("corpus", *_TRAINING, *_HEAD, "embedding", "output")),
+              ("seed", "out", "corpus", *_TRAINING, *_HEAD, "embedding", "output")),
     "evaluate": (_cmd_evaluate, "cross-validated experiment",
-                 ("corpus", *_TRAINING, *_HEAD, "embedding", "experiment", "kfold", "by_project")),
+                 ("seed", "out", "corpus", *_TRAINING, *_HEAD, "embedding", "experiment",
+                  "kfold", "by_project")),
     "predict": (_cmd_predict, "estimate one requirement", ("model", "embedding", "text")),
     "serve": (_cmd_serve, "run the estimation endpoint", ("model", "embedding", "bind")),
-    "report": (_cmd_report, "bundle evaluation outputs", ("run",)),
+    "report": (_cmd_report, "bundle evaluation outputs", ("out", "run")),
 }
 
 
@@ -532,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key=value config file; flags win")
         # argparse defaults stay None so an unset flag is distinguishable
         # from an explicitly passed default; _apply_config fills them in
-        for key in ("seed", "out", *flags):
+        for key in flags:
             flag, option = _FLAGS[key], "--" + key.replace("_", "-")
             if flag.type is _boolean:
                 sub.add_argument(option, action="store_true", default=None, help=flag.help)

@@ -95,7 +95,7 @@ class Rejection:
 class LabeledCorpus:
     records: List[RequirementRecord]
     rejections: List[Rejection] = field(default_factory=list)
-    over_range: int = 0  # efforts above 100, kept with a warning
+    over_range: int = 0  # efforts above BUCKETS[-1], kept with a warning
 
     @property
     def projects(self) -> Set[str]:
@@ -170,7 +170,7 @@ def load_labeled(path) -> LabeledCorpus:
             rejections.append(Rejection(where, f"duplicate id {record.id!r}"))
             return
         seen_ids.add(record.id)
-        if record.effort > 100:
+        if record.effort > BUCKETS[-1]:
             over_range += 1
         records.append(record)
 

@@ -6,9 +6,10 @@ inputs skip straight to the dense stack.
 The output is either a single linear unit or a 9-way softmax over the
 Planning-Poker buckets. `forward` takes a `FeatureBatch` of the head's
 mode and returns the raw outputs; `predict` turns them into one effort
-per row, as a float64 array: the linear output clamped to [1, 100], or
-the bucket of the most probable class. Training uses minibatch Adam with
-early stopping on validation MAE and restores the best-epoch parameters.
+per row, as a float64 array: the linear output clamped to the ends of
+the bucket scale, [1, 100], or the bucket of the most probable class.
+Training uses minibatch Adam with early stopping on validation MAE and
+restores the best-epoch parameters.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .metrics import mae
 
 OUTPUTS = ("linear", "softmax")  # one unit, or one class per bucket
 N_CLASSES = len(BUCKETS)
-EFFORT_FLOOR = 1.0
-EFFORT_CEIL = 100.0
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,20 @@ class EstimatorModel:
         return self.head(self.dense2(self.dense1(h)))
 
 
+def require_features(config: HeadConfig, input_dim: int, kind: Optional[str],
+                     featurizer) -> None:
+    """Refuses a featurizer whose output a head of `config` and `input_dim`
+    cannot read: one of another mode or dimension, or of an embedding kind
+    other than `kind` (None: any kind)."""
+    has = featurizer.describe()
+    wants = {"kind": has["kind"] if kind is None else kind, "mode": config.mode,
+             "dimension": input_dim}
+    if any(has[key] != value for key, value in wants.items()):
+        line = "{kind} {mode} features of dimension {dimension}"
+        raise ValueError(f"the head reads {line.format(**wants)}, "
+                         f"but the embedding gives {line.format(**has)}")
+
+
 def _snapshot(params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
     return {name: t.numpy().copy() for name, t in params.items()}
 
@@ -155,7 +168,7 @@ def predict(model: EstimatorModel, batch: FeatureBatch) -> np.ndarray:
     with no_grad():
         raw = model.forward(batch).numpy()
     if model.config.output == "linear":
-        return np.clip(raw.reshape(-1), EFFORT_FLOOR, EFFORT_CEIL)
+        return np.clip(raw.reshape(-1), BUCKETS[0], BUCKETS[-1])
     choice = np.argmax(softmax(Tensor(raw)).numpy(), axis=-1)
     return np.asarray(BUCKETS, dtype=np.float64)[choice]
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import LabeledCorpus, RequirementRecord, SplitPlan, bucketize
-from .estimator import EstimatorModel, HeadConfig, predict, train_estimator
+from .estimator import EstimatorModel, HeadConfig, predict, require_features, train_estimator
 from .kernel import RngStream
 from .metrics import MetricSet, aggregate_folds, confusion_matrix, metric_set
 
@@ -78,13 +78,7 @@ def run_experiment(
         raise ValueError(
             f"{experiment} needs a {wants['output']} head, got {head_config.output!r}"
         )
-    if featurizer.describe()["kind"] != wants["embedding"]:
-        raise ValueError(
-            f"{experiment} needs {wants['embedding']} embeddings, "
-            f"got {featurizer.describe()['kind']}"
-        )
-    if head_config.mode != featurizer.mode:
-        raise ValueError("head and featurizer input modes differ")
+    require_features(head_config, featurizer.dimension, wants["embedding"], featurizer)
 
     records = corpus.records
     features = featurizer.featurize([r.text for r in records])

@@ -38,14 +38,19 @@ def _fmt_raw(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence], raw: bool = False) -> Path:
-    """A field holding a comma, a quote or a newline is quoted, so ids and
-    project names read back as written."""
+    """A field holding a comma, a quote or a line break is quoted, so ids and
+    project names read back as written.
+
+    `csv` leaves a lone carriage return bare, which a reader takes for the
+    end of a row, so a row holding one has every field quoted.
+    """
     path = Path(path)
     fmt = _fmt_raw if raw else _fmt_display
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt(cell) for cell in row] for row in rows)
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *([fmt(cell) for cell in row] for row in rows)]:
+            (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
     return path
 
 

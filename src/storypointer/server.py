@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from .corpus import bucketize
-from .estimator import EstimatorModel, predict
+from .estimator import EstimatorModel, predict, require_features
 
 ROUTE = "/estimate"
 ALLOWED = {ROUTE: "POST", "/healthz": "GET"}  # the one method each route answers
@@ -65,18 +65,8 @@ class EstimateService:
     """Immutable featurizer + estimator pair shared across requests."""
 
     def __init__(self, estimator: EstimatorModel, featurizer):
-        if estimator.config.mode != featurizer.mode:
-            raise ValueError(
-                f"estimator expects {estimator.config.mode!r} inputs but the "
-                f"featurizer produces {featurizer.mode!r}"
-            )
-        source_kind = estimator.source.get("kind")
-        featurizer_kind = featurizer.describe()["kind"]
-        if source_kind is not None and source_kind != featurizer_kind:
-            raise ValueError(
-                f"estimator was trained on {source_kind} embeddings, "
-                f"got {featurizer_kind}"
-            )
+        require_features(estimator.config, estimator.input_dim, estimator.source.get("kind"),
+                         featurizer)
         self.estimator = estimator
         self.featurizer = featurizer
 

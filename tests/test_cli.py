@@ -3,7 +3,6 @@
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -24,6 +23,8 @@ from storypointer.kernel import parameter
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.static_embed import load_static, save_static
 from storypointer.transformer import load_transformer
+
+from test_kernel import rewrite_header
 
 VERBS = ["add", "fix", "migrate", "update", "refactor", "support"]
 NOUNS = ["login form", "billing export", "search index", "report cache",
@@ -404,17 +405,6 @@ class TestPretrainingFlags:
         assert not out.exists()
 
 
-def rewrite_header(blob: bytes, edit) -> bytes:
-    """The same container with `edit` applied to its JSON header, resealed
-    with the sha256 of its new bytes so that only the edit is at fault."""
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + length])
-    edit(header)
-    new = json.dumps(header).encode("utf-8")
-    body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:-32]
-    return body + hashlib.sha256(body).digest()
-
-
 # Well-formed containers whose model meta does not describe a model.
 META_FLAWS = {
     "config-unknown-key": lambda meta: meta["config"].update(bogus=1),
@@ -516,7 +506,8 @@ class TestCheckpointErrors:
             bad.write_bytes((trained / f"{other}.ckpt").read_bytes())
         elif flaw != "missing":
             bad.write_bytes(damaged((trained / f"{expects}.ckpt").read_bytes(), flaw))
-        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        monkeypatch.chdir(tmp_path)  # no --out: nothing lands in the caller's ./out
+        argv = [command, flag, bad]
         argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
         code, _, err = run(argv, capsys)
         assert code == 1
@@ -538,7 +529,8 @@ class TestCheckpointErrors:
         (length,) = struct.unpack("<I", blob[8:12])
         start = 12 + length
         bad.write_bytes(blob[:start] + bytes(30) + blob[start + 30:])
-        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        monkeypatch.chdir(tmp_path)  # no --out: nothing lands in the caller's ./out
+        argv = [command, flag, bad]
         argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
         code, _, err = run(argv, capsys)
         assert code == 1
@@ -578,7 +570,8 @@ class TestCheckpointErrors:
         ENCODER_FLAWS[flaw](params, sections)
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, params, meta=meta, sections=sections)
-        argv = [command, flag, bad, "--out", tmp_path / "out"]
+        monkeypatch.chdir(tmp_path)  # no --out: nothing lands in the caller's ./out
+        argv = [command, flag, bad]
         argv += [trained / a if a.endswith((".txt", ".csv", ".ckpt")) else a for a in rest]
         code, _, err = run(argv, capsys)
         assert code == 1
@@ -606,6 +599,48 @@ class TestCheckpointErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.txt" in err
+
+
+@pytest.fixture(scope="module")
+def other_width(trained, tmp_path_factory):
+    """Heads trained on a d=8 static table and on a hidden-4 encoder, in
+    `static/` and `encoder/`: widths that the trained fixture's static table
+    (d=6) and encoder (hidden 8) do not have."""
+    root = tmp_path_factory.mktemp("other-width")
+    for argv in (
+        ["pretrain-static", "--corpus", trained / "stories.csv", "--dimension", "8",
+         "--epochs", "1"],
+        ["pretrain-ctx", "--unlabeled", trained / "docs.txt", "--layers", "1", "--hidden", "4",
+         "--heads", "2", "--ff", "8", "--vocab-size", "80", "--epochs", "1", "--n-examples", "4"],
+    ):
+        assert main([str(a) for a in argv] + ["--out", str(root)]) == 0
+    for embedding in ("static", "encoder"):
+        assert main([str(a) for a in ["train", "--corpus", trained / "stories.csv",
+                                      "--embedding", root / f"{embedding}.ckpt",
+                                      "--mode", "pooled", "--epochs", "2",
+                                      "--out", root / embedding]]) == 0
+    return root
+
+
+class TestPairing:
+    # embedding: (its kind, the width the other head reads, the trained fixture's width)
+    WIDTHS = {"static": ("static", 8, 6), "encoder": ("contextual", 4, 8)}
+
+    @pytest.mark.parametrize("command", ["predict", "serve"])
+    @pytest.mark.parametrize("embedding", sorted(WIDTHS))
+    def test_another_width_is_one_error_line(self, trained, other_width, capsys, monkeypatch,
+                                             command, embedding):
+        def never(*args, **kwargs):
+            raise AssertionError("the server must not start on a head it cannot feed")
+
+        monkeypatch.setattr("storypointer.cli.serve_forever", never)
+        rest = ["--text", "fix it"] if command == "predict" else ["--bind", "127.0.0.1:0"]
+        code, out, err = run([command, "--model", other_width / embedding / "estimator.ckpt",
+                              "--embedding", trained / f"{embedding}.ckpt", *rest], capsys)
+        kind, reads, gives = self.WIDTHS[embedding]
+        assert (code, out) == (1, "")
+        assert err == (f"error: the head reads {kind} pooled features of dimension {reads}, "
+                       f"but the embedding gives {kind} pooled features of dimension {gives}\n")
 
 
 def write_config(tmp_path, text: str) -> Path:
@@ -833,28 +868,29 @@ class TestRealServe:
         assert "Traceback" not in err
 
 
-COMMON = ["--config", "--seed", "--out"]
+COMMON = ["--config"]
+RUN = ["--seed", "--out"]  # every command that trains takes both
 TRAINING = ["--epochs", "--batch-size", "--lr"]
 HEAD = ["--mode", "--patience", "--val-fraction"]
 
 # every subcommand's options besides COMMON, and the choices of those that have them
 PARSER_SURFACE = {
-    "ingest": ["--corpus"],
-    "stats": ["--corpus"],
-    "pretrain-static": ["--corpus", "--unlabeled", "--embed-mode", "--dimension", "--window",
-                        "--negatives", "--min-count", "--epochs", "--lr"],
-    "finetune-static": ["--unlabeled", "--epochs", "--model"],
-    "pretrain-ctx": ["--corpus", "--unlabeled", "--vocab-size", "--layers", "--hidden",
+    "ingest": ["--out", "--corpus"],
+    "stats": ["--out", "--corpus"],
+    "pretrain-static": [*RUN, "--corpus", "--unlabeled", "--embed-mode", "--dimension",
+                        "--window", "--negatives", "--min-count", "--epochs", "--lr"],
+    "finetune-static": [*RUN, "--unlabeled", "--epochs", "--model"],
+    "pretrain-ctx": [*RUN, "--corpus", "--unlabeled", "--vocab-size", "--layers", "--hidden",
                      "--heads", "--ff", "--max-len", "--mask-rate", "--n-examples", *TRAINING],
-    "finetune-ctx": ["--corpus", "--unlabeled", "--mask-rate", "--n-examples", *TRAINING,
+    "finetune-ctx": [*RUN, "--corpus", "--unlabeled", "--mask-rate", "--n-examples", *TRAINING,
                      "--model"],
-    "embed": ["--corpus", "--model"],
-    "train": ["--corpus", *TRAINING, *HEAD, "--embedding", "--output"],
-    "evaluate": ["--corpus", *TRAINING, *HEAD, "--embedding", "--experiment", "--kfold",
+    "embed": ["--out", "--corpus", "--model"],
+    "train": [*RUN, "--corpus", *TRAINING, *HEAD, "--embedding", "--output"],
+    "evaluate": [*RUN, "--corpus", *TRAINING, *HEAD, "--embedding", "--experiment", "--kfold",
                  "--by-project"],
     "predict": ["--model", "--embedding", "--text"],
     "serve": ["--model", "--embedding", "--bind"],
-    "report": ["--run"],
+    "report": ["--out", "--run"],
 }
 CHOICES = {
     "--embed-mode": ["cbow", "skipgram"],

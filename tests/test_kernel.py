@@ -381,6 +381,17 @@ class TestGradCheckHarness:
         assert report.coords_checked == 10
 
 
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """The same container with `edit` applied to its JSON header, resealed
+    with the sha256 of its new bytes so that only the edit is at fault."""
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:-32]
+    return body + hashlib.sha256(body).digest()
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, tmp_path, rng):
         params = {
@@ -510,16 +521,6 @@ class TestCheckpoint:
                 with pytest.raises(ValueError, match="cut.ckpt"):
                     load_checkpoint(cut_path)
 
-    def _rewrite_header(self, path, edit):
-        """Applies `edit` to the header and reseals the file with a fresh digest."""
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + length])
-        edit(header)
-        new = json.dumps(header).encode("utf-8")
-        body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length:-32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
-
     @pytest.mark.parametrize("edit", [
         lambda h: h["params"][0].update(dtype="int8"),
         lambda h: h["params"][0].update(dtype="float32"),
@@ -534,7 +535,7 @@ class TestCheckpoint:
     def test_malformed_header_is_refused(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": parameter(np.ones((2, 2)))}, sections={"vocab": "a\n"})
-        self._rewrite_header(path, edit)
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
         with pytest.raises(ValueError, match="model.ckpt") as refused:
             load_checkpoint(path)
         assert "sha256" not in str(refused.value)  # refused for the header, not the digest

@@ -49,8 +49,8 @@ def project_report(corpus, featurizer):
     return run_experiment("E1", corpus, plan, featurizer, quick_head(), seed=0)
 
 
-# ids and project names holding a comma, a quote and a newline
-ODD_NAMES = ["A,1", 'say "hi"', "two\nlines"]
+# ids and project names holding a comma, a quote, a newline and a lone carriage return
+ODD_NAMES = ["A,1", 'say "hi"', "two\nlines", "A\rB"]
 
 
 def read_rows(path):
@@ -83,6 +83,10 @@ class TestCsvPrimitives:
         rows = [[name, 1.5] for name in ODD_NAMES]
         for path in write_twin_csv(tmp_path, "per_project", ["project", "mae"], rows):
             assert [row["project"] for row in read_rows(path)] == ODD_NAMES
+
+    def test_only_a_row_holding_a_carriage_return_is_quoted_whole(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["id", "x"], [["A\rB", 1.5], ["C,D", 2.5], ["E", 3.5]])
+        assert path.read_bytes() == b'id,x\n"A\rB","1.50"\n"C,D",2.50\nE,3.50\n'
 
 
 class TestFoldReport:
@@ -214,7 +218,7 @@ class TestEmbeddingExport:
             export_embeddings(tmp_path / "emb.csv", ["only-one"], np.zeros((2, 2)))
 
     def test_ids_round_trip(self, tmp_path):
-        matrix = np.arange(6, dtype=np.float64).reshape(3, 2)
+        matrix = np.arange(2.0 * len(ODD_NAMES)).reshape(len(ODD_NAMES), 2)
         rows = read_rows(export_embeddings(tmp_path / "emb.csv", ODD_NAMES, matrix))
         assert [row["id"] for row in rows] == ODD_NAMES
         assert [[float(row["dim0"]), float(row["dim1"])] for row in rows] == matrix.tolist()

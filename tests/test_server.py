@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from storypointer import server as server_module
 from storypointer.corpus import UnlabeledCorpus
 from storypointer.estimator import EstimatorModel, HeadConfig, train_estimator
-from storypointer.features import StaticFeaturizer
+from storypointer.features import ContextualFeaturizer, StaticFeaturizer
 from storypointer.server import MAX_BODY_BYTES, EstimateService, build_server, parse_bind
 from storypointer.static_embed import StaticTrainConfig, train_static
+from storypointer.transformer import TransformerConfig, TransformerModel
+from storypointer.wordpiece import build_wordpiece_vocab
 
 SENTENCES = [
     "add login form validation",
@@ -134,6 +136,30 @@ class TestService:
         )
         with pytest.raises(ValueError):
             EstimateService(mismatched, service.featurizer)
+
+    def test_static_table_of_another_dimension_is_rejected(self, service):
+        docs = UnlabeledCorpus(documents=SENTENCES * 4)
+        wider = train_static(docs, StaticTrainConfig(mode="cbow", dimension=8, epochs=1, seed=0))
+        with pytest.raises(ValueError, match=r"^the head reads static pooled features of "
+                           r"dimension 6, but the embedding gives static pooled features of "
+                           r"dimension 8$"):
+            EstimateService(service.estimator, StaticFeaturizer(wider, mode="pooled"))
+
+    def test_encoder_of_another_hidden_is_rejected(self):
+        vocab = build_wordpiece_vocab(UnlabeledCorpus(documents=SENTENCES), size=60)
+
+        def encoder(hidden):
+            config = TransformerConfig(layers=1, hidden=hidden, heads=2, ff=8, max_len=16,
+                                       vocab_size=len(vocab), seed=0)
+            return ContextualFeaturizer(TransformerModel(config, vocab), mode="pooled")
+
+        head = EstimatorModel(HeadConfig(mode="pooled", dense_sizes=(4, 2)), input_dim=8,
+                              source={"kind": "contextual", "model_id": "ctx-x"})
+        EstimateService(head, encoder(8))  # the encoder width the head reads
+        with pytest.raises(ValueError, match=r"^the head reads contextual pooled features of "
+                           r"dimension 8, but the embedding gives contextual pooled features "
+                           r"of dimension 4$"):
+            EstimateService(head, encoder(4))
 
 
 class TestSoftmaxHead:
