@@ -18,10 +18,12 @@ gradients against central differences.
 
 A fused node saves only the arrays its backward reads: a node's value
 lives as long as a consumer holds it as a parent, so a composition would
-keep each intermediate it passes through. linear and attention_scores
-run the numpy operations of the compositions they replace, in the same
-order, so their values and gradients are bitwise those of the
-compositions. Dropout's saved keep mask is bool.
+keep each intermediate it passes through. linear runs every rank as one
+2-D GEMM over x's rows, so its value and gradients are bitwise those of
+the 2-D composition (x.reshape(-1, d) @ w + b).reshape(...), not of
+numpy's batched x @ w + b, which agrees to rounding. attention_scores runs
+the numpy operations of the composition it replaces, in the same order,
+so its bits are the composition's. Dropout's saved keep mask is bool.
 
 backward() frees the graph as it walks it: once an interior node's closure
 has run, the node drops its `.grad`, its closure and its parents, so the
@@ -328,24 +330,32 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """The affine map x @ w + b as one node; b broadcasts over the product.
+    """The affine map x @ w + b as one node, for x of shape (..., d), w of
+    shape (d, h) and b of shape (h,).
 
-    The bias is added into the product in place, and backward reads only
-    x and w, so neither the bare product nor the sum is kept for it.
+    Every rank runs as one 2-D GEMM over x's rows, x.reshape(-1, d) @ w,
+    and so do both products of backward; the weight gradient is one (d, h)
+    product, with no per-row-block stack to sum away. So the value and
+    gradients are bitwise those of the 2-D composition
+    (x.reshape(-1, d) @ w + b).reshape(..., h), and agree with numpy's
+    batched x @ w + b, which runs one small GEMM per leading index, to
+    rounding. The bias is added into the product in place, and backward
+    reads only x and w (taking x's rows from x.data again), so neither the
+    bare product nor the sum is kept for it.
     """
-    value = np.matmul(x.data, w.data)
+    d = x.shape[-1]
+    value = x.data.reshape(-1, d) @ w.data
     value += b.data
-    out = _result(value, (x, w, b))
+    out = _result(value.reshape(x.shape[:-1] + value.shape[-1:]), (x, w, b))
     if out.requires_grad:
         def backward(grad):
+            g2 = grad.reshape(-1, grad.shape[-1])
             if b.requires_grad:
-                b._accumulate(unbroadcast(grad, b.shape))
+                b._accumulate(g2.sum(axis=0))
             if x.requires_grad:
-                gx = np.matmul(grad, np.swapaxes(w.data, -1, -2))
-                x._accumulate(unbroadcast(gx, x.shape))
+                x._accumulate((g2 @ w.data.T).reshape(x.shape))
             if w.requires_grad:
-                gw = np.matmul(np.swapaxes(x.data, -1, -2), grad)
-                w._accumulate(unbroadcast(gw, w.shape))
+                w._accumulate(x.data.reshape(-1, d).T @ g2)
         out._backward = backward
     return out
 

@@ -2,8 +2,8 @@
 
 Every table is written twice: a display copy rounded to 2 decimals and
 a `*_raw.csv` twin carrying full precision. Writers avoid timestamps so
-reruns with identical inputs produce byte-identical files; the bundle
-manifest is the only place a clock appears.
+reruns with identical inputs produce byte-identical files, the bundle's
+manifest included: a bundle is a function of its run directory.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import shutil
-import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -193,11 +192,7 @@ def emit_report(run_dir, out_dir=None) -> Path:
     bundle = Path(out_dir) if out_dir is not None else run_dir / "bundle"
     bundle.mkdir(parents=True, exist_ok=True)
 
-    manifest = {
-        "generated_unix": int(time.time()),
-        "evaluations": [],
-        "seeds": [],
-    }
+    manifest = {"evaluations": [], "seeds": []}
     aggregates = []
     for source, info, seeds in provenances:
         name = source.parent.name

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -235,11 +236,22 @@ class TestBundle:
         assert (bundle / "E1-by-project" / "aggregate_raw.csv").exists()
         manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
         assert {e["name"] for e in manifest["evaluations"]} == {"E1", "E1-by-project"}
-        assert isinstance(manifest["generated_unix"], int)
         assert any("seed" in s for s in manifest["seeds"])
         comparison = (bundle / "comparison.csv").read_text(encoding="utf-8").splitlines()
         assert comparison[0] == "model,mae,mae_std,mse,mse_std,mdae,mdae_std"
         assert len(comparison) == 3  # header plus both evaluations
+
+    def test_two_bundles_of_one_run_have_the_same_manifest_bytes(
+            self, kfold_report, project_report, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        write_fold_report(kfold_report, run / "E1")
+        write_fold_report(project_report, run / "E1-by-project")
+        first = (emit_report(run, tmp_path / "first") / "manifest.json").read_bytes()
+        # a day later by the clock: the bundle is a function of the run alone
+        later = time.time() + 86400.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        second = (emit_report(run, tmp_path / "second") / "manifest.json").read_bytes()
+        assert first == second
 
     def test_csv_files_at_the_run_root_are_copied(self, kfold_report, corpus, tmp_path):
         run = tmp_path / "run"

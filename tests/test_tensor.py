@@ -255,13 +255,29 @@ class TestFusedAffineAndScores:
 
     @pytest.mark.parametrize("x_shape", [(6, 8), (3, 6, 8)])
     def test_linear_matches_the_unfused_composition_bitwise(self, rng, x_shape):
+        # the composition is the 2-D one: every rank runs as one GEMM over
+        # x's rows, which numpy's batched x @ w does not
         arrays = [rng.normal(0.0, 1.0, x_shape), rng.normal(0.0, 1.0, (8, 5)),
                   rng.normal(0.0, 1.0, (5,))]
         fused, fused_grads = self.run(linear, arrays)
-        plain, plain_grads = self.run(lambda x, w, b: x @ w + b, arrays)
+        plain, plain_grads = self.run(
+            lambda x, w, b: (x.reshape(-1, 8) @ w + b).reshape(*x_shape[:-1], 5), arrays)
         assert_same_bits(fused, plain)
         for got, want in zip(fused_grads, plain_grads):
             assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("x_shape", [(4, 9, 16), (2, 3, 7, 16)])
+    def test_linear_matches_the_batched_composition_to_rounding(self, rng, x_shape):
+        # numpy's batched x @ w runs one GEMM per leading index and sums
+        # the weight gradient's stack, so only rounding may differ. The
+        # bound is relative to each array's largest entry: an entry that
+        # cancels to near zero can differ by far more than 1e-12 of itself
+        arrays = [rng.normal(0.0, 1.0, x_shape), rng.normal(0.0, 1.0, (16, 12)),
+                  rng.normal(0.0, 1.0, (12,))]
+        fused, fused_grads = self.run(linear, arrays)
+        plain, plain_grads = self.run(lambda x, w, b: x @ w + b, arrays)
+        for got, want in zip([fused, *fused_grads], [plain, *plain_grads]):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     def test_attention_scores_match_the_unfused_composition_bitwise(self, rng):
         q = rng.normal(0.0, 1.0, (3, 2, 5, 4))
@@ -276,9 +292,11 @@ class TestFusedAffineAndScores:
             assert_same_bits(got, want)
 
     def test_backward_saves_no_array_besides_its_inputs(self, rng):
-        x, w, b = (parameter(rng.uniform(-1.0, 1.0, shape)) for shape in [(2, 3), (3, 4), (4,)])
+        x, x3, w, b = (parameter(rng.uniform(-1.0, 1.0, shape))
+                       for shape in [(2, 3), (2, 5, 3), (3, 4), (4,)])
         q, k = (parameter(rng.uniform(-1.0, 1.0, (1, 2, 3, 4))) for _ in range(2))
-        for out in (linear(x, w, b), attention_scores(q, k, 0.5, padded_key_bias(3, [2]))):
+        for out in (linear(x, w, b), linear(x3, w, b),
+                    attention_scores(q, k, 0.5, padded_key_bias(3, [2]))):
             saved = [cell.cell_contents for cell in out._backward.__closure__]
             assert not any(isinstance(value, np.ndarray) for value in saved), saved
 
