@@ -46,7 +46,7 @@ from .estimator import (
 )
 from .experiments import EXPERIMENTS, carve_validation, run_experiment
 from .features import MODES, ContextualFeaturizer, StaticFeaturizer
-from .kernel.checkpoint import load_checkpoint
+from .kernel.checkpoint import load_checkpoint, write_file
 from .lm_training import finetune_lm, pretrain
 from .pretrain_data import create_pretraining_data
 from .reports import (
@@ -273,23 +273,17 @@ def _load_service(args) -> EstimateService:
     return EstimateService(estimator, featurizer)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---- subcommand bodies ------------------------------------------------
 
 
 def _cmd_ingest(args) -> str:
     corpus, path = _load_labeled(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     target = out / "corpus.jsonl"
     save_jsonl(corpus, target)
     if corpus.rejections:
-        lines = [f"{r.where}: {r.reason}" for r in corpus.rejections]
-        (out / "rejections.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_file(out / "rejections.txt",
+                   "".join(f"{r.where}: {r.reason}\n" for r in corpus.rejections))
     return (
         f"ingested {len(corpus.records)} records from {path} "
         f"({len(corpus.rejections)} rejected, {corpus.degenerate_count} degenerate, "
@@ -299,7 +293,7 @@ def _cmd_ingest(args) -> str:
 
 def _cmd_stats(args) -> str:
     corpus, path = _load_labeled(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     stats = corpus_stats(corpus)
     write_corpus_stats(stats, out)
     return (
@@ -316,8 +310,7 @@ def _cmd_pretrain_static(args) -> str:
         min_count=args.min_count, seed=args.seed,
     )
     model = train_static(documents, config)
-    out = _out_dir(args)
-    target = out / "static.ckpt"
+    target = Path(args.out) / "static.ckpt"
     save_static(model, target)
     return (
         f"trained {model.model_id} on {len(documents.documents)} documents "
@@ -331,8 +324,7 @@ def _cmd_finetune_static(args) -> str:
     documents = _load_documents(args)
     grown = len(model.vocabulary)
     model = finetune_static(model, documents, extra_epochs=args.epochs, seed=args.seed)
-    out = _out_dir(args)
-    target = out / "static_finetuned.ckpt"
+    target = Path(args.out) / "static_finetuned.ckpt"
     save_static(model, target)
     return (
         f"fine-tuned on {len(documents.documents)} documents "
@@ -356,8 +348,7 @@ def _cmd_pretrain_ctx(args) -> str:
         model, examples, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.lr, seed=args.seed,
     )
-    out = _out_dir(args)
-    target = out / "encoder.ckpt"
+    target = Path(args.out) / "encoder.ckpt"
     save_transformer(model, target)
     final = history.joint[-1] if history.joint else float("nan")
     return (
@@ -375,8 +366,7 @@ def _cmd_finetune_ctx(args) -> str:
         batch_size=args.batch_size, learning_rate=args.lr, seed=args.seed,
         n_examples=args.n_examples,
     )
-    out = _out_dir(args)
-    target = out / "encoder_finetuned.ckpt"
+    target = Path(args.out) / "encoder_finetuned.ckpt"
     save_transformer(model, target)
     final = history.joint[-1] if history.joint else float("nan")
     return (
@@ -390,8 +380,7 @@ def _cmd_embed(args) -> str:
     corpus, _ = _load_labeled(args)
     featurizer = _load_featurizer(_data_path(args.model), "pooled")
     batch = featurizer.featurize([r.text for r in corpus.records])
-    out = _out_dir(args)
-    target = out / "embeddings.csv"
+    target = Path(args.out) / "embeddings.csv"
     export_embeddings(target, [r.id for r in corpus.records], batch.vectors)
     return (
         f"embedded {len(batch)} requirements at dimension {batch.dimension} "
@@ -422,11 +411,10 @@ def _cmd_train(args) -> str:
         features.select(fit_idx), efforts[fit_idx],
         features.select(val_idx), efforts[val_idx],
     )
-    out = _out_dir(args)
+    out = Path(args.out)
     target = out / "estimator.ckpt"
     save_estimator(estimator, target, history)
-    (out / "history.json").write_text(json.dumps(dataclasses.asdict(history), indent=2) + "\n",
-                                      encoding="utf-8")
+    write_file(out / "history.json", json.dumps(dataclasses.asdict(history), indent=2) + "\n")
     return (
         f"trained {estimator.model_id}: best val MAE "
         f"{history.best_val_mae:.4f} at epoch {history.best_epoch} "
@@ -448,7 +436,7 @@ def _cmd_evaluate(args) -> str:
         val_fraction=args.val_fraction, seed=args.seed,
     )
     report.provenance["corpus_sha256"] = file_sha256(corpus_path)
-    out = _out_dir(args) / args.experiment
+    out = Path(args.out) / args.experiment
     write_fold_report(report, out)
     if args.by_project:
         write_project_table(corpus, report, out)

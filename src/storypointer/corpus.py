@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .kernel import RngStream
+from .kernel.checkpoint import write_file
 
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
@@ -123,6 +124,8 @@ def read_utf8(path) -> str:
 
 
 def _make_record(rid: str, project: str, raw_text: str, effort_raw) -> Tuple[Optional[RequirementRecord], Optional[str]]:
+    if isinstance(effort_raw, bool):  # float() would read JSON true as 1.0
+        return None, f"non-numeric effort {effort_raw!r}"
     try:
         effort = float(effort_raw)
     except (TypeError, ValueError):
@@ -214,6 +217,10 @@ def load_labeled(path) -> LabeledCorpus:
             if missing:
                 rejections.append(Rejection(where, f"missing keys {missing}"))
                 continue
+            strings = [k for k in ("project", "text") if not isinstance(obj[k], str)]
+            if strings:
+                rejections.append(Rejection(where, f"{strings[0]} is not a string"))
+                continue
             record, reason = _make_record(obj["id"], obj["project"], obj["text"], obj["effort"])
             admit(where, record, reason)
 
@@ -221,7 +228,8 @@ def load_labeled(path) -> LabeledCorpus:
 
 
 def load_unlabeled(path) -> UnlabeledCorpus:
-    """One document per line; JSONL objects use their "text" field."""
+    """One document per line; JSONL objects use their "text" field, and an
+    object whose "text" is missing or not a string is skipped."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"unlabeled corpus not found: {path}")
@@ -232,14 +240,13 @@ def load_unlabeled(path) -> UnlabeledCorpus:
             continue
         if line.startswith("{"):
             try:
-                obj = json.loads(line)
-                text = str(obj.get("text", "")).strip()
+                text = json.loads(line).get("text", "")
             except (json.JSONDecodeError, RecursionError):
                 text = line
         else:
             text = line
-        if text:
-            documents.append(text)
+        if isinstance(text, str) and text.strip():
+            documents.append(text.strip())
     if not documents:
         raise ValueError(f"{path}: no usable documents")
     return UnlabeledCorpus(documents=documents)
@@ -247,10 +254,7 @@ def load_unlabeled(path) -> UnlabeledCorpus:
 
 def save_jsonl(corpus: LabeledCorpus, path) -> None:
     """Write the canonical one-object-per-line form."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in corpus.records:
-            fh.write(record.to_json() + "\n")
+    write_file(path, "".join(record.to_json() + "\n" for record in corpus.records))
 
 
 class Vocabulary:
@@ -294,15 +298,11 @@ def kfold_split(corpus: LabeledCorpus, k: int = 10, seed: int = 0) -> SplitPlan:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds corpus size {n}")
-    order = RngStream(seed).permutation(n)
-    base, extra = divmod(n, k)
-    fold_of: Dict[str, object] = {}
-    cursor = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        for idx in order[cursor:cursor + size]:
-            fold_of[corpus.records[idx].id] = fold
-        cursor += size
+    fold_of: Dict[str, object] = {
+        corpus.records[idx].id: fold
+        for fold, part in enumerate(np.array_split(RngStream(seed).permutation(n), k))
+        for idx in part
+    }
     return SplitPlan(kind="kfold", fold_of=fold_of, order=list(range(k)), seed=seed)
 
 

@@ -35,19 +35,36 @@ _STORED = np.dtype("<f8")  # how its values are laid out
 _HEADER_KEYS = ("format_version", "params", "sections", "meta")
 
 
+def write_file(path, data) -> None:
+    """Writes `data`, bytes or text (as UTF-8), to `path` whole or not at all.
+
+    The parent directory is created if it is missing. The bytes go to a
+    temporary name (".tmp" appended) in the same directory, which
+    os.replace then moves into place. A failure before the move leaves
+    any previous file as it was and removes the temporary file.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def save_checkpoint(
     path,
     params: Dict[str, Tensor],
     meta: Optional[dict] = None,
     sections: Optional[Dict[str, str]] = None,
 ) -> None:
-    """Writes the container, hashing it as it goes, and appends the digest.
+    """Writes the container, with its digest appended, through `write_file`.
 
-    The bytes go to a temporary name (".tmp" appended) in the same
-    directory, which os.replace then moves into place. A failure before
-    the move leaves any previous checkpoint as it was and removes the
-    temporary file. A parameter holding a NaN or an infinity is refused
-    with a ValueError before anything is written.
+    A parameter holding a NaN or an infinity is refused with a ValueError
+    before anything is written.
     """
     path = Path(path)
     _require_finite(path, params)
@@ -75,17 +92,11 @@ def save_checkpoint(
         (np.ascontiguousarray(params[name].data, dtype=_STORED).tobytes() for name in names),
         (blob for _, blob in sorted(section_bytes.items())),
     )
-    temp = path.with_name(path.name + ".tmp")
-    digest = hashlib.sha256()
-    try:
-        with open(temp, "wb") as fh:
-            for blob in blobs:
-                fh.write(blob)
-                digest.update(blob)
-            fh.write(digest.digest())
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    body = bytearray()  # grown in place, so the container is held once
+    for blob in blobs:
+        body += blob
+    body += hashlib.sha256(body).digest()
+    write_file(path, body)
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, Tensor], dict, Dict[str, str]]:

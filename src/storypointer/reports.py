@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
-import shutil
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import BUCKETS, CorpusStats, LabeledCorpus
 from .experiments import EvalReport
+from .kernel.checkpoint import write_file
 from .metrics import METRIC_NAMES
 
 
@@ -45,11 +46,12 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence], raw: bool =
     """
     path = Path(path)
     fmt = _fmt_raw if raw else _fmt_display
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in [header, *([fmt(cell) for cell in row] for row in rows)]:
-            (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [header, *([fmt(cell) for cell in row] for row in rows)]:
+        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+    write_file(path, text.getvalue())
     return path
 
 
@@ -61,11 +63,9 @@ def write_twin_csv(directory, stem: str, header, rows) -> List[Path]:
     ]
 
 
-def write_fold_report(report: EvalReport, directory) -> List[Path]:
+def write_fold_report(report: EvalReport, directory) -> None:
     """Fold metrics, aggregate, predictions, confusion, and provenance."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
 
     header = ["fold", "mae", "mdae", "mse", "rmse", "n", "best_epoch", "stop_reason"]
     rows = [
@@ -73,12 +73,12 @@ def write_fold_report(report: EvalReport, directory) -> List[Path]:
          f.metrics.n, f.best_epoch, f.stop_reason]
         for f in report.folds
     ]
-    written += write_twin_csv(directory, "folds", header, rows)
+    write_twin_csv(directory, "folds", header, rows)
 
     # std is the population (n-divisor) flavor
     agg_header = ["metric", "mean", "std_population"]
     agg_rows = [[name, *report.aggregate[name]] for name in METRIC_NAMES]
-    written += write_twin_csv(directory, "aggregate", agg_header, agg_rows)
+    write_twin_csv(directory, "aggregate", agg_header, agg_rows)
 
     pred_header = ["fold", "actual", "predicted"]
     pred_rows = [
@@ -86,7 +86,7 @@ def write_fold_report(report: EvalReport, directory) -> List[Path]:
         for f in report.folds
         for a, p in zip(f.actual, f.predicted)
     ]
-    written.append(write_csv(directory / "predictions_raw.csv", pred_header, pred_rows, raw=True))
+    write_csv(directory / "predictions_raw.csv", pred_header, pred_rows, raw=True)
 
     if report.confusion is not None:
         bucket_header = ["actual\\predicted"] + [str(b) for b in BUCKETS]
@@ -94,25 +94,19 @@ def write_fold_report(report: EvalReport, directory) -> List[Path]:
             [str(BUCKETS[i])] + [int(v) for v in row]
             for i, row in enumerate(report.confusion)
         ]
-        written.append(write_csv(directory / "confusion.csv", bucket_header, count_rows))
+        write_csv(directory / "confusion.csv", bucket_header, count_rows)
         norm_rows = [
             [str(BUCKETS[i])] + list(row)
             for i, row in enumerate(report.confusion_normalized)
         ]
-        written.append(
-            write_csv(directory / "confusion_normalized_raw.csv", bucket_header, norm_rows, raw=True)
-        )
+        write_csv(directory / "confusion_normalized_raw.csv", bucket_header, norm_rows, raw=True)
 
     provenance = dict(report.provenance)
     provenance["aggregate"] = {
         name: {"mean": report.aggregate[name][0], "std_population": report.aggregate[name][1]}
         for name in METRIC_NAMES
     }
-    (directory / "provenance.json").write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(directory / "provenance.json")
-    return written
+    write_file(directory / "provenance.json", json.dumps(provenance, indent=2, sort_keys=True) + "\n")
 
 
 def write_project_table(corpus: LabeledCorpus, report: EvalReport, directory) -> List[Path]:
@@ -140,28 +134,24 @@ def write_project_table(corpus: LabeledCorpus, report: EvalReport, directory) ->
     return write_twin_csv(Path(directory), "per_project", header, rows)
 
 
-def write_corpus_stats(stats: CorpusStats, directory) -> List[Path]:
+def write_corpus_stats(stats: CorpusStats, directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = [
-        write_csv(
-            directory / "words_hist.csv",
-            ["bin_lo", "bin_hi", "count"],
-            stats.words_hist,
-        ),
-        write_csv(
-            directory / "effort_hist.csv",
-            ["effort", "count"],
-            [[lo, count] for lo, _, count in stats.effort_hist],
-        ),
-        write_csv(
-            directory / "summary.csv",
-            ["n_records", "n_projects", "n_degenerate", "words_mean", "words_std_population"],
-            [[stats.n_records, stats.n_projects, stats.n_degenerate,
-              stats.words_mean, stats.words_std]],
-        ),
-    ]
-    return written
+    write_csv(
+        directory / "words_hist.csv",
+        ["bin_lo", "bin_hi", "count"],
+        stats.words_hist,
+    )
+    write_csv(
+        directory / "effort_hist.csv",
+        ["effort", "count"],
+        [[lo, count] for lo, _, count in stats.effort_hist],
+    )
+    write_csv(
+        directory / "summary.csv",
+        ["n_records", "n_projects", "n_degenerate", "words_mean", "words_std_population"],
+        [[stats.n_records, stats.n_projects, stats.n_degenerate,
+          stats.words_mean, stats.words_std]],
+    )
 
 
 def export_embeddings(path, ids: Sequence[str], matrix: np.ndarray) -> Path:
@@ -182,25 +172,27 @@ def file_sha256(path) -> str:
 
 
 def emit_report(run_dir, out_dir=None) -> Path:
-    """Merge every evaluation under run_dir into one bundle directory."""
+    """Merge every evaluation under run_dir into one bundle directory, which
+    must be neither run_dir itself nor inside one of its evaluations."""
     run_dir = Path(run_dir)
     sources = sorted(run_dir.glob("*/provenance.json"))
     if not sources:
         raise ValueError(f"no evaluation outputs under {run_dir}")
+    bundle = Path(out_dir) if out_dir is not None else run_dir / "bundle"
+    where = bundle.resolve()
+    if where == run_dir.resolve() or any(
+            source.parent.resolve() in (where, *where.parents) for source in sources):
+        raise ValueError(f"cannot bundle {run_dir} into {bundle}: the bundle must be "
+                         "neither the run directory nor inside one of its evaluations")
     # every file is read and checked before the bundle is written
     provenances = [(source, *_read_provenance(source)) for source in sources]
-    bundle = Path(out_dir) if out_dir is not None else run_dir / "bundle"
-    bundle.mkdir(parents=True, exist_ok=True)
 
     manifest = {"evaluations": [], "seeds": []}
     aggregates = []
     for source, info, seeds in provenances:
         name = source.parent.name
-        target = bundle / name
-        target.mkdir(exist_ok=True)
-        for artifact in sorted(source.parent.glob("*.csv")):
-            shutil.copy(artifact, target / artifact.name)
-        shutil.copy(source, target / "provenance.json")
+        for artifact in [*sorted(source.parent.glob("*.csv")), source]:
+            write_file(bundle / name / artifact.name, artifact.read_bytes())
         manifest["evaluations"].append({
             "name": name,
             "experiment": info.get("experiment"),
@@ -225,11 +217,9 @@ def emit_report(run_dir, out_dir=None) -> Path:
         write_twin_csv(bundle, "comparison", header, rows)
 
     for extra in sorted(run_dir.glob("*.csv")):
-        shutil.copy(extra, bundle / extra.name)
+        write_file(bundle / extra.name, extra.read_bytes())
 
-    (bundle / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(bundle / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return bundle
 
 

@@ -760,6 +760,18 @@ class TestErrorBoundary:
         assert not (run_dir / "bundle").exists()
         assert text.strip() == "report bundle -> out"
 
+    @pytest.mark.parametrize("out", ["run", "{tmp}/run", "run/E1", "run/E1/deeper"])
+    def test_report_refuses_to_bundle_into_its_own_run(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        fake_run(tmp_path / "run")
+        out = out.format(tmp=tmp_path)
+        code, text, err = run(["report", "--run", "run", "--out", out], capsys)
+        assert (code, text) == (1, "")
+        assert err == (f"error: cannot bundle run into {out}: the bundle must be neither "
+                       "the run directory nor inside one of its evaluations\n")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "run", "run/E1", "run/E1/provenance.json"]
+
 
 class TestDeepNesting:
     """JSON nested past the parser's recursion limit is refused as any other

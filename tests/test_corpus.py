@@ -19,6 +19,7 @@ from storypointer.corpus import (
     save_jsonl,
     tokenize_words,
 )
+from storypointer.kernel import RngStream
 
 
 def make_corpus(rows):
@@ -202,6 +203,24 @@ class TestLoadLabeled:
         assert len(corpus.records) == 0
         assert corpus.rejections[0].reason.startswith("non-finite effort")
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("text", "null", "text is not a string"),
+        ("text", "[1, 2]", "text is not a string"),
+        ("project", "7", "project is not a string"),
+        ("project", "{}", "project is not a string"),
+        ("effort", "true", "non-numeric effort True"),
+        ("effort", "false", "non-numeric effort False"),
+    ])
+    def test_value_of_the_wrong_type_is_one_rejection(self, tmp_path, key, value, reason):
+        fields = {"id": '"A"', "project": '"P"', "text": '"fix the cart"', "effort": "5"}
+        fields[key] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "B", "project": "P", "text": "add login form", "effort": 3}\n'
+                        + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["B"]
+        assert [(r.where, r.reason) for r in corpus.rejections] == [("c.jsonl:2", reason)]
+
     def test_jsonl_roundtrip(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text('{"id": "A", "project": "P", "text": "Fix the bug!", "effort": 2}\n')
@@ -227,6 +246,12 @@ class TestLoadUnlabeled:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"text": "from json"}\nplain line\n')
         assert load_unlabeled(path).documents == ["from json", "plain line"]
+
+    def test_jsonl_text_that_is_not_a_string_is_skipped(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"text": null}\n{"text": 5}\n{"text": ["a"]}\n{"text": "kept"}\n'
+                        '{"id": 1}\n')
+        assert load_unlabeled(path).documents == ["kept"]
 
     def test_brace_line_that_is_not_json_is_kept_as_text(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -264,6 +289,24 @@ class TestKFold:
         a = kfold_split(corpus, k=5, seed=1)
         b = kfold_split(corpus, k=5, seed=2)
         assert a.fold_of != b.fold_of
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_assignment_matches_the_cursor_loop(self, seed):
+        """Folds take consecutive runs of the seeded permutation, the larger
+        ones first, in the order the reference loop below assigns them."""
+        for n in range(2, 40):
+            corpus = make_corpus([(f"R{i}", "P", "t", 1) for i in range(n)])
+            for k in range(2, n + 1):
+                order = RngStream(seed).permutation(n)
+                base, extra = divmod(n, k)
+                expected, cursor = {}, 0
+                for fold in range(k):
+                    size = base + (1 if fold < extra else 0)
+                    for idx in order[cursor:cursor + size]:
+                        expected[corpus.records[idx].id] = fold
+                    cursor += size
+                plan = kfold_split(corpus, k=k, seed=seed)
+                assert list(plan.fold_of.items()) == list(expected.items())
 
     def test_k_larger_than_corpus_rejected(self):
         corpus = make_corpus([("R0", "P", "t", 1)])

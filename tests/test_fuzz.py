@@ -1,9 +1,10 @@
 """Seeded mutation fuzz of every file the CLI reads and every request the server answers.
 
 One valid file of each kind is cut, flipped, padded, duplicated or nested
-in place, then run through its command in process. Each case must end in
-exit 0 with nothing on stderr, or in exit 1 with exactly one `error:`
-line, and never in an exception or a warning.
+in place, then run through its command in process; in the JSONL corpus,
+one value is also replaced by a JSON value of another type. Each case
+must end in exit 0 with nothing on stderr, or in exit 1 with exactly one
+`error:` line, and never in an exception or a warning.
 
 The whole bytes of a valid request to each route, request line, headers
 and body, are mutated the same way and sent, one at a time, to one
@@ -93,14 +94,12 @@ KINDS = {
 }
 
 
-@pytest.mark.parametrize("case", range(CASES_PER_KIND))
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_mutated_input_exits_cleanly(valid, tmp_path, capsys, monkeypatch, kind, case):
+def run_mutated(valid, tmp_path, capsys, monkeypatch, kind, blob, how):
+    """Runs the command that reads `kind` on `blob` and checks how it ends."""
     monkeypatch.chdir(tmp_path)  # a relative path a mutation makes lands here
     name, template = KINDS[kind]
-    how = MUTATIONS[case % len(MUTATIONS)]
     mutated = tmp_path / name
-    mutated.write_bytes(mutate((valid / name).read_bytes(), how, random.Random(f"{kind}-{case}")))
+    mutated.write_bytes(blob)
     argv = [a.format(file=mutated, valid=valid, out=tmp_path / "out") for a in template]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -112,6 +111,32 @@ def test_mutated_input_exits_cleanly(valid, tmp_path, capsys, monkeypatch, kind,
     else:
         assert (code, captured.out) == (1, ""), how
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("case", range(CASES_PER_KIND))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_mutated_input_exits_cleanly(valid, tmp_path, capsys, monkeypatch, kind, case):
+    how = MUTATIONS[case % len(MUTATIONS)]
+    blob = mutate((valid / KINDS[kind][0]).read_bytes(), how, random.Random(f"{kind}-{case}"))
+    run_mutated(valid, tmp_path, capsys, monkeypatch, kind, blob, how)
+
+
+# a JSON string or scalar right after ": ", as the canonical JSONL corpus writes them
+JSONL_VALUE = re.compile(rb': ("(?:[^"\\]|\\.)*"|[^,}\n]*)')
+JSONL_KEYS = ("id", "project", "text", "effort")  # each line's values, in order
+
+
+@pytest.mark.parametrize("case", range(2 * len(JSONL_KEYS)))
+@pytest.mark.parametrize("value", ["null", "true", "0", "[]", "{}"])
+def test_jsonl_value_of_another_type_exits_cleanly(valid, tmp_path, capsys, monkeypatch,
+                                                    value, case):
+    """The case picks the key whose value is replaced, its seed the line."""
+    blob = (valid / KINDS["jsonl"][0]).read_bytes()
+    spans = [m.span(1) for m in JSONL_VALUE.finditer(blob)]
+    assert len(spans) % len(JSONL_KEYS) == 0
+    start, end = random.Random(f"{value}-{case}").choice(spans[case % len(JSONL_KEYS)::len(JSONL_KEYS)])
+    retyped = blob[:start] + value.encode() + blob[end:]
+    run_mutated(valid, tmp_path, capsys, monkeypatch, "jsonl", retyped, f"{value} at {start}")
 
 
 # a valid request to each route, whole: request line, headers and body
