@@ -137,8 +137,8 @@ def _make_record(rid: str, project: str, raw_text: str, effort_raw) -> Tuple[Opt
     cleaned = clean_text(raw_text)
     return (
         RequirementRecord(
-            id=str(rid),
-            project=str(project),
+            id=rid,
+            project=project,
             raw_text=raw_text,
             text=cleaned,
             effort=effort,
@@ -217,7 +217,7 @@ def load_labeled(path) -> LabeledCorpus:
             if missing:
                 rejections.append(Rejection(where, f"missing keys {missing}"))
                 continue
-            strings = [k for k in ("project", "text") if not isinstance(obj[k], str)]
+            strings = [k for k in ("id", "project", "text") if not isinstance(obj[k], str)]
             if strings:
                 rejections.append(Rejection(where, f"{strings[0]} is not a string"))
                 continue

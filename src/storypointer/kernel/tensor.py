@@ -24,6 +24,10 @@ the 2-D composition (x.reshape(-1, d) @ w + b).reshape(...), not of
 numpy's batched x @ w + b, which agrees to rounding. attention_scores runs
 the numpy operations of the composition it replaces, in the same order,
 so its bits are the composition's. Dropout's saved keep mask is bool.
+gelu runs its in-place passes over flat blocks of _GELU_BLOCK elements,
+which stay in cache from one pass to the next; every element sees the
+passes of one whole-array run, in the same order, so the bits are those
+of that run.
 
 backward() frees the graph as it walks it: once an interior node's closure
 has run, the node drops its `.grad`, its closure and its parents, so the
@@ -53,6 +57,7 @@ _GRAD_MODE = _GradMode()
 _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
 _LN_EPS = 1e-5  # added to the variance in layer_norm
+_GELU_BLOCK = 1 << 15  # elements per gelu block: 256 KiB of float64
 
 
 @contextmanager
@@ -229,36 +234,49 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         # tanh approximation 0.5 x (1 + tanh(c (x + a x^3))), with the
-        # inner term evaluated as c x (1 + a x^2): in-place passes over
-        # two buffers and no pow()
+        # inner term evaluated as c x (1 + a x^2): in-place passes and no
+        # pow(), block by block (see the module docstring)
         x = self.data
-        t = x * x
-        t *= _GELU_A
-        t += 1.0
-        t *= x
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        value = t + 1.0
-        value *= x
-        value *= 0.5
-        out = _result(value, (self,))
+        xf = x.reshape(-1)
+        t = np.empty_like(xf)
+        value = np.empty_like(xf)
+        for block in _blocks(xf.size):
+            xb, tb, vb = xf[block], t[block], value[block]
+            np.multiply(xb, xb, out=tb)
+            tb *= _GELU_A
+            tb += 1.0
+            tb *= xb
+            tb *= _GELU_C
+            np.tanh(tb, out=tb)
+            np.add(tb, 1.0, out=vb)
+            vb *= xb
+            vb *= 0.5
+        out = _result(value.reshape(x.shape), (self,))
         if out.requires_grad:
             def backward(grad):
-                # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
-                local = x * x
-                local *= 3.0 * _GELU_A
-                local += 1.0
-                local *= _GELU_C
-                local *= x
-                local *= 0.5
-                tmp = t * t
-                np.subtract(1.0, tmp, out=tmp)
-                local *= tmp
-                np.add(t, 1.0, out=tmp)
-                tmp *= 0.5
-                local += tmp
-                local *= grad
-                self._accumulate(local)
+                # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), written
+                # into one full-size gradient with one block of scratch
+                xf = x.reshape(-1)
+                gf = grad.reshape(-1)
+                local = np.empty_like(xf)
+                tmp = np.empty_like(xf[:_GELU_BLOCK])
+                for block in _blocks(xf.size):
+                    xb, tb, lb = xf[block], t[block], local[block]
+                    sb = tmp[:lb.size]
+                    np.multiply(xb, xb, out=lb)
+                    lb *= 3.0 * _GELU_A
+                    lb += 1.0
+                    lb *= _GELU_C
+                    lb *= xb
+                    lb *= 0.5
+                    np.multiply(tb, tb, out=sb)
+                    np.subtract(1.0, sb, out=sb)
+                    lb *= sb
+                    np.add(tb, 1.0, out=sb)
+                    sb *= 0.5
+                    lb += sb
+                    lb *= gf[block]
+                self._accumulate(local.reshape(x.shape))
             out._backward = backward
         return out
 
@@ -286,6 +304,11 @@ class Tensor:
                 self._accumulate(full)
             out._backward = backward
         return out
+
+
+def _blocks(size: int):
+    """Slices that cover range(size) in order, _GELU_BLOCK elements at most."""
+    return [slice(start, start + _GELU_BLOCK) for start in range(0, size, _GELU_BLOCK)]
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -417,9 +440,15 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask's bytes
     scale = 1.0 / (1.0 - rate)
-    out = _result(x.data * keep * scale, (x,))
+    value = x.data * keep
+    value *= scale
+    out = _result(value, (x,))
     if out.requires_grad:
-        out._backward = lambda grad: x._accumulate(grad * keep * scale)
+        def backward(grad):
+            local = grad * keep
+            local *= scale
+            x._accumulate(local)
+        out._backward = backward
     return out
 
 

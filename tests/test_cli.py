@@ -5,11 +5,13 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import re
 import signal
 import struct
 import subprocess
 import sys
+import types
 import urllib.request
 import warnings
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from storypointer import cli
 from storypointer.cli import build_parser, main
 from storypointer.estimator import TrainHistory
 from storypointer.kernel import parameter
@@ -878,6 +881,71 @@ class TestRealServe:
                 proc.communicate()
         assert proc.returncode == 130
         assert "Traceback" not in err
+
+
+# 20 rounds of allocating, touching and freeing 32 arrays of 1 MiB, printing
+# each round's minor page faults; argv[1] "keep" applies main's heap policy
+# first. One big array would not show the default policy: glibc's adaptive
+# mmap threshold moves it onto the heap from the second round on.
+FAULT_ROUNDS = """
+import json, resource, sys
+import numpy as np
+from storypointer import cli
+if sys.argv[1] == "keep":
+    cli._keep_freed_memory()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(32)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def huge_pages_always() -> bool:
+    """Whether the kernel backs the heap with huge pages, so a fault maps more than a page."""
+    try:
+        return "[always]" in Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return False
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    @pytest.mark.skipif(huge_pages_always(), reason="faults count huge pages")
+    def test_freed_arrays_are_reused_without_faulting_them_in(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        env.get("PYTHONPATH")) if p)
+        rounds = {policy: json.loads(subprocess.run(
+            [sys.executable, "-c", FAULT_ROUNDS, policy], env=env, capture_output=True,
+            text=True, check=True, timeout=120).stdout) for policy in ("keep", "default")}
+        pages = (32 << 20) // os.sysconf("SC_PAGE_SIZE")
+        assert max(rounds["keep"][1:]) < pages // 64, rounds["keep"]
+        # the default policy trims the freed heap, so every round faults it in again
+        assert min(rounds["default"][1:]) >= pages // 2, rounds["default"]
+
+    def test_sets_both_thresholds_on_glibc(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value))))
+        cli._keep_freed_memory()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        cli._keep_freed_memory()
+
+    def test_does_not_load_a_libc_off_glibc(self, monkeypatch):
+        def refuse(name):
+            raise AssertionError("loaded a C library off glibc")
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+        cli._keep_freed_memory()
 
 
 COMMON = ["--config"]

@@ -221,6 +221,19 @@ class TestLoadLabeled:
         assert [r.id for r in corpus.records] == ["B"]
         assert [(r.where, r.reason) for r in corpus.rejections] == [("c.jsonl:2", reason)]
 
+    @pytest.mark.parametrize("value", ["null", "true", "0", "[]", "{}"])
+    def test_id_that_is_not_a_string_is_one_rejection(self, tmp_path, value):
+        """An id of another JSON type is refused, not read as its str():
+        null would become "None" and 7 would collide with "7"."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "B", "project": "P", "text": "add login form", "effort": 3}\n'
+                        '{"id": "None", "project": "P", "text": "fix the cart", "effort": 5}\n'
+                        f'{{"id": {value}, "project": "P", "text": "fix the cart", "effort": 5}}\n')
+        corpus = load_labeled(path)
+        assert [r.id for r in corpus.records] == ["B", "None"]
+        assert [(r.where, r.reason) for r in corpus.rejections] == [
+            ("c.jsonl:3", "id is not a string")]
+
     def test_jsonl_roundtrip(self, tmp_path):
         source = tmp_path / "in.jsonl"
         source.write_text('{"id": "A", "project": "P", "text": "Fix the bug!", "effort": 2}\n')

@@ -6,6 +6,7 @@ formed in numpy, with plain central differences over the leaf arrays.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from storypointer.kernel import (
     parameter,
     softmax,
 )
+from storypointer.kernel.tensor import _GELU_BLOCK as GELU_BLOCK
 from storypointer.kernel.tensor import logistic
 
 from gradcheck import fd_grad
@@ -113,6 +115,86 @@ class TestGeluClosedForm:
         assert y.shape == x.shape and t.grad.shape == x.shape
         np.testing.assert_allclose(y.data, value, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(t.grad, slope, rtol=1e-12, atol=1e-14)
+
+
+
+def whole_array_gelu(x, grad):
+    """GELU's value and gradient as one in-place pass over the whole array
+    per step, the order the blocked kernel keeps for every element."""
+    x = np.atleast_1d(x)
+    t = x * x
+    t *= GELU_A
+    t += 1.0
+    t *= x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    value = t + 1.0
+    value *= x
+    value *= 0.5
+    local = x * x
+    local *= 3.0 * GELU_A
+    local += 1.0
+    local *= GELU_C
+    local *= x
+    local *= 0.5
+    tmp = t * t
+    np.subtract(1.0, tmp, out=tmp)
+    local *= tmp
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    local += tmp
+    local *= np.atleast_1d(grad)
+    return value, local
+
+
+def leaf(array):
+    """A trainable tensor over `array` itself, views and strides included
+    (parameter() would copy it)."""
+    t = Tensor(array)
+    t.requires_grad = True
+    return t
+
+
+class TestGeluBlocks:
+    """Blocked GELU against whole-array passes, bit for bit, across block edges."""
+
+    def check(self, x):
+        grad = RngStream(7).uniform(-1.0, 1.0, x.shape)
+        t = leaf(x)
+        y = t.gelu()
+        y.backward(grad)
+        value, local = whole_array_gelu(x, grad)
+        assert_same_bits(y.data, value.reshape(x.shape))
+        assert_same_bits(t.grad, local.reshape(x.shape))
+
+    @pytest.mark.parametrize("size", [1, 7, GELU_BLOCK - 1, GELU_BLOCK, GELU_BLOCK + 1,
+                                      3 * GELU_BLOCK + 5])
+    def test_sizes_around_the_block(self, size):
+        self.check(RngStream(size).uniform(-8.0, 8.0, size))
+
+    def test_view_that_starts_one_element_in(self):
+        self.check(RngStream(1).uniform(-8.0, 8.0, GELU_BLOCK + 9)[1:])
+
+    def test_transposed_input(self):
+        self.check(RngStream(2).uniform(-8.0, 8.0, (301, 257)).T)
+
+    def test_zero_dimensional_input(self):
+        self.check(np.array(-1.7))
+
+    def test_backward_holds_one_gradient_and_a_block_of_scratch(self):
+        """The peak of backward() is its gradient plus block temporaries, not
+        full-size intermediates beside the gradient."""
+        t = leaf(RngStream(4).uniform(-8.0, 8.0, (64, 4096)))
+        y = t.gelu()
+        grad = np.ones(y.shape)
+        tracemalloc.start()
+        try:
+            y.backward(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (t.size + 2 * GELU_BLOCK) + 64 * 1024
+        assert peak < bound, (peak, bound)
 
 
 class TestMatmulGrads:
