@@ -1,8 +1,9 @@
 """Effort estimation head: LSTM or dense stack over embedded requirements.
 
-Sequence inputs run through a masked LSTM, which returns only each row's
-final state, and that state feeds two nonlinear dense layers; pooled
-inputs skip straight to the dense stack.
+Sequence inputs, each batch padded to its own longest text just before
+it runs, go through a masked LSTM, which returns only each row's final
+state, and that state feeds two nonlinear dense layers; pooled inputs
+skip straight to the dense stack.
 The output is either a single linear unit or a 9-way softmax over the
 Planning-Poker buckets. `forward` takes a `FeatureBatch` of the head's
 mode and returns the raw outputs; `predict` turns them into one effort
@@ -117,17 +118,19 @@ class EstimatorModel:
         if batch.mode != self.config.mode:
             raise ValueError(f"feature mode {batch.mode!r} does not match head mode "
                              f"{self.config.mode!r}")
-        x = Tensor(np.asarray(batch.vectors, dtype=np.float64))
         if self.config.mode == "sequence":
-            if x.data.ndim != 3:
-                raise ValueError(f"sequence mode expects (n, t, d) inputs, got {x.shape}")
-            if x.shape[-1] != self.input_dim:
-                raise ValueError(f"expected dimension {self.input_dim}, got {x.shape[-1]}")
-            h = self.lstm(x, batch.mask)
+            rows, mask = batch.vectors, batch.mask
+            if (rows.ndim != 2 or rows.shape[-1] != self.input_dim or mask is None
+                    or mask.ndim != 2 or len(rows) != np.count_nonzero(mask > 0)):
+                raise ValueError(f"sequence mode expects (R, {self.input_dim}) rows, one per real "
+                                 f"step of an (n, t) mask, got rows {rows.shape} and mask "
+                                 f"{None if mask is None else mask.shape}")
+            x, mask = batch.padded()
+            h = self.lstm(Tensor(x), mask)
         else:
-            if x.data.ndim != 2 or x.shape[-1] != self.input_dim:
-                raise ValueError(f"pooled mode expects (n, {self.input_dim}) inputs, got {x.shape}")
-            h = x
+            h = Tensor(np.asarray(batch.vectors, dtype=np.float64))
+            if h.data.ndim != 2 or h.shape[-1] != self.input_dim:
+                raise ValueError(f"pooled mode expects (n, {self.input_dim}) inputs, got {h.shape}")
         return self.head(self.dense2(self.dense1(h)))
 
 

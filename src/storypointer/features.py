@@ -1,8 +1,8 @@
 """Turning requirement texts into estimator inputs.
 
 Two input shapes are supported everywhere downstream: `sequence` keeps
-one vector per token (time dimension intact, padded with a mask) and
-`pooled` collapses each text to a single mean vector. Both featurizers
+one vector per usable token, with a mask that marks each text's steps,
+and `pooled` collapses each text to a single mean vector. Both featurizers
 clean text themselves, so raw and pre-cleaned inputs produce identical
 features.
 
@@ -14,15 +14,20 @@ with its [CLS] row as the fallback. The encoder runs no block above that
 layer, on chunks of texts taken in length order so that each chunk pads
 little; every result is put back at its text's input index.
 
+A sequence batch stores only real token rows, each text's in text
+order, and pads nowhere: `FeatureBatch.padded` scatters the rows of
+whatever batch the head runs into zeros, trimmed to that batch's longest
+text, so no padded copy of a corpus, a fold or a minibatch is ever held.
+
 A text is degenerate when nothing usable survives. It is flagged in
 `FeatureBatch.degenerate` and still gets a vector: its fallback row
-when pooled, an all-padding row in sequence mode.
+when pooled, an all-padding mask row (and no rows) in sequence mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +45,8 @@ CHUNK_SIZE = 16   # texts per encoder batch
 @dataclass(frozen=True)
 class FeatureBatch:
     mode: str
-    vectors: np.ndarray          # pooled: (n, d); sequence: (n, t, d)
-    mask: Optional[np.ndarray]   # sequence only: (n, t) with 1.0 on real steps
+    vectors: np.ndarray          # pooled: (n, d); sequence: (R, d), each text's real rows in order
+    mask: Optional[np.ndarray]   # sequence only: (n, t), 1.0 on each text's real steps, pads after
     degenerate: np.ndarray       # (n,) flags for texts with no usable tokens
 
     @property
@@ -49,16 +54,36 @@ class FeatureBatch:
         return self.vectors.shape[-1]
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.degenerate)
 
     def select(self, indices: Sequence[int]) -> "FeatureBatch":
         idx = np.asarray(indices, dtype=np.int64)
+        if self.mode == "pooled":
+            vectors = self.vectors[idx]
+        else:
+            # text i's rows are at starts[i]:starts[i] + lengths[i]; the
+            # chosen ones are copied in the order of `idx`, no loop per text
+            lengths = np.count_nonzero(self.mask > 0, axis=1)
+            starts = np.cumsum(lengths) - lengths
+            picked = lengths[idx]
+            shift = starts[idx] - np.cumsum(picked) + picked
+            vectors = self.vectors[np.arange(picked.sum()) + np.repeat(shift, picked)]
         return FeatureBatch(
             mode=self.mode,
-            vectors=self.vectors[idx],
+            vectors=vectors,
             mask=None if self.mask is None else self.mask[idx],
             degenerate=self.degenerate[idx],
         )
+
+    def padded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sequence mode: the (n, s, d) inputs and (n, s) mask of the batch, its
+        rows scattered into zeros under mask > 0 and s the longest text's
+        length, at least 1. The one place head inputs are padded."""
+        real = self.mask > 0
+        steps = max(1, int(np.count_nonzero(real, axis=1).max(initial=0)))
+        vectors = np.zeros((len(self), steps, self.dimension))
+        vectors[real[:, :steps]] = self.vectors
+        return vectors, self.mask[:, :steps]
 
 
 def _check_mode(mode: str) -> str:
@@ -72,7 +97,8 @@ def _assemble(mode: str, rows: Sequence[Sequence[np.ndarray]],
     """The batch of texts whose usable token vectors are `rows`, k of them per text.
 
     Pooled: each text's mean vector, or its fallback row when k == 0.
-    Sequence: the vectors padded to the longest text, with a mask.
+    Sequence: every text's k rows in text order, and a mask of k ones per
+    text padded to the longest text.
     """
     degenerate = np.array([len(row) == 0 for row in rows], dtype=bool)
     if mode == "pooled":
@@ -80,13 +106,12 @@ def _assemble(mode: str, rows: Sequence[Sequence[np.ndarray]],
         for i, row in enumerate(rows):
             vectors[i] = np.mean(row, axis=0) if len(row) else fallbacks[i]
         return FeatureBatch(mode, vectors, None, degenerate)
-    steps = max([1] + [len(row) for row in rows])
-    vectors = np.zeros((len(rows), steps, dimension))
-    mask = np.zeros((len(rows), steps))
-    for i, row in enumerate(rows):
-        if len(row):
-            vectors[i, : len(row)] = row
-            mask[i, : len(row)] = 1.0
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    mask = (np.arange(max(1, lengths.max(initial=0))) < lengths[:, None]).astype(np.float64)
+    vectors = np.empty((int(lengths.sum()), dimension))
+    for row, end, k in zip(rows, np.cumsum(lengths), lengths):
+        if k:
+            vectors[end - k:end] = row
     return FeatureBatch(mode, vectors, mask, degenerate)
 
 

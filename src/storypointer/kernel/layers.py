@@ -56,10 +56,10 @@ class LSTM:
     steps laid out time-major, so step t runs on the prefix of rows whose
     length exceeds t and no pad step is ever computed. The input
     projection of every real step is one matmul before the time loop, the
-    loop runs in plain numpy and caches the gate activations, and the
-    backward pass is hand-written backpropagation through time over the
-    same prefixes, whose weight gradients are one matmul over the packed
-    steps.
+    loop runs in plain numpy and writes each step's gate activations over
+    its projected input, and the backward pass is hand-written
+    backpropagation through time over the same prefixes, whose weight
+    gradients are one matmul over the packed steps.
     """
 
     def __init__(self, rng: RngStream, n_in: int, n_hidden: int):
@@ -73,8 +73,9 @@ class LSTM:
              acts: np.ndarray, tanh_c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """One cell update from the step's projected input x_t @ w_x + bias.
 
-        Writes the gate activations into `acts` (batch, 4 * hidden) and
-        tanh(c_new) into `tanh_c` (batch, hidden); returns (h_new, c_new).
+        Writes the gate activations into `acts` (batch, 4 * hidden), which
+        may be `xw_t` itself, and tanh(c_new) into `tanh_c` (batch, hidden);
+        returns (h_new, c_new).
         """
         n = self.n_hidden
         gates = xw_t + h_prev @ self.w_h.data
@@ -118,17 +119,20 @@ class LSTM:
         hs = np.zeros((batch + offsets[-1], n))
         final = np.empty((batch, n))
         node = _result(final, (x, self.w_x, self.w_h, self.bias))
-        # backward needs every step's activations and cell state; inference keeps one step
+        # backward needs every step's activations and cell state; inference keeps one step.
+        # A step's gate activations overwrite its projected input, which
+        # `step` reads into a new array first
         keep = node.requires_grad
-        acts = np.empty((offsets[-1] if keep else batch, 4 * n))
-        tanh_c = np.empty((len(acts), n))
+        acts = xw
+        tanh_c = np.empty((offsets[-1] if keep else batch, n))
         cells = np.zeros((len(hs), n)) if keep else None
         c = np.zeros((batch, n))
         for t in range(steps):
             s, prev, here = sizes[t], start[t], start[t + 1]
             k = offsets[t] if keep else 0
-            hs[here:here + s], c = self.step(xw[offsets[t]:offsets[t + 1]], hs[prev:prev + s],
-                                             c[:s], acts[k:k + s], tanh_c[k:k + s])
+            xw_t = xw[offsets[t]:offsets[t + 1]]
+            hs[here:here + s], c = self.step(xw_t, hs[prev:prev + s], c[:s], xw_t,
+                                             tanh_c[k:k + s])
             if keep:
                 cells[here:here + s] = c
         # rank r's final state is at start[length] + r: its zero initial state if all pads

@@ -57,7 +57,7 @@ _GRAD_MODE = _GradMode()
 _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
 _LN_EPS = 1e-5  # added to the variance in layer_norm
-_GELU_BLOCK = 1 << 15  # elements per gelu block: 256 KiB of float64
+_GELU_BLOCK = 1 << 15  # elements per gelu or dropout block: 256 KiB of float64
 
 
 @contextmanager
@@ -417,15 +417,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = _result(value, (x, gain, bias))
     if out.requires_grad:
         def backward(grad):
+            # one scratch array holds grad * xhat, then dxhat * xhat, then xhat * proj
+            scratch = grad * xhat
             if gain.requires_grad:
-                gain._accumulate(unbroadcast(grad * xhat, gain.shape))
+                # a copy: unbroadcast returns scratch itself when gain is as large as x
+                gain._accumulate(unbroadcast(scratch, gain.shape).copy())
             if bias.requires_grad:
                 bias._accumulate(unbroadcast(grad, bias.shape))
             if x.requires_grad:
                 dxhat = grad * gain.data
-                proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                proj = np.multiply(dxhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
                 dxhat -= dxhat.mean(axis=-1, keepdims=True)
-                dxhat -= xhat * proj
+                dxhat -= np.multiply(xhat, proj, out=scratch)
                 dxhat *= inv
                 x._accumulate(dxhat)
         out._backward = backward
@@ -438,7 +441,13 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(x.shape) >= rate  # bool: an eighth of a float mask's bytes
+    # bool: an eighth of a float mask's bytes; drawn a block at a time, so no
+    # whole float array of uniforms exists (the stream gives the same doubles)
+    keep = np.empty(x.shape, dtype=bool)
+    flat = keep.reshape(-1)
+    for block in _blocks(flat.size):
+        part = flat[block]
+        np.greater_equal(rng.random(part.size), rate, out=part)
     scale = 1.0 / (1.0 - rate)
     value = x.data * keep
     value *= scale

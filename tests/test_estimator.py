@@ -1,13 +1,14 @@
 """Effort head contracts: sizing, clamping, training, persistence."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from storypointer.corpus import BUCKETS
+from storypointer.corpus import BUCKETS, PAD_WORD, UNK_WORD, Vocabulary
 from storypointer.estimator import (
     EstimatorModel,
     HeadConfig,
@@ -17,10 +18,11 @@ from storypointer.estimator import (
     save_estimator,
     train_estimator,
 )
-from storypointer.features import FeatureBatch
+from storypointer.features import FeatureBatch, StaticFeaturizer
 from storypointer.kernel import Tensor, mse_loss, softmax
 from storypointer.kernel.checkpoint import config_from_meta
 from storypointer.kernel.rng import RngStream
+from storypointer.static_embed import StaticEmbeddingModel, StaticTrainConfig
 
 
 def pooled_batch(vectors: np.ndarray) -> FeatureBatch:
@@ -34,11 +36,13 @@ def pooled_batch(vectors: np.ndarray) -> FeatureBatch:
 
 
 def sequence_batch(vectors: np.ndarray, mask: np.ndarray) -> FeatureBatch:
+    """The sequence batch of padded (n, t, d) `vectors`: their rows under `mask`."""
+    vectors, mask = np.asarray(vectors, dtype=np.float64), np.asarray(mask, dtype=np.float64)
     return FeatureBatch(
         mode="sequence",
-        vectors=np.asarray(vectors, dtype=np.float64),
-        mask=np.asarray(mask, dtype=np.float64),
-        degenerate=np.zeros(len(vectors), dtype=bool),
+        vectors=vectors[mask > 0],
+        mask=mask,
+        degenerate=~mask.any(axis=1),
     )
 
 
@@ -127,12 +131,19 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             EstimatorModel(HeadConfig(), input_dim=0)
 
-    def test_sequence_inputs_must_be_three_dimensional_at_the_input_dimension(self):
+    @pytest.mark.parametrize("rows, mask", [
+        (np.zeros((2, 3, 4)), np.ones((2, 3))),  # padded inputs, not rows
+        (np.zeros((6, 5)), np.ones((2, 3))),     # rows of another dimension
+        (np.zeros((5, 4)), np.ones((2, 3))),     # one row short of the mask's steps
+        (np.zeros((6, 4)), np.ones(6)),          # a mask without a time axis
+    ])
+    def test_sequence_inputs_are_rows_at_the_input_dimension_one_per_real_step(self, rows,
+                                                                                mask):
         model = EstimatorModel(HeadConfig(), input_dim=4)
-        with pytest.raises(ValueError, match=r"expects \(n, t, d\)"):
-            model.forward(sequence_batch(np.zeros((2, 4)), np.ones(2)))
-        with pytest.raises(ValueError, match="expected dimension 4, got 5"):
-            model.forward(sequence_batch(np.zeros((2, 3, 5)), np.ones((2, 3))))
+        batch = FeatureBatch("sequence", rows, mask, np.zeros(len(mask), dtype=bool))
+        with pytest.raises(ValueError, match=r"^sequence mode expects \(R, 4\) rows, one per "
+                                             r"real step of an \(n, t\) mask, got rows"):
+            model.forward(batch)
 
     def test_feature_mode_must_match(self):
         model = EstimatorModel(HeadConfig(mode="pooled"), input_dim=4)
@@ -206,7 +217,7 @@ class TestSequenceRowsAndPads:
         self.mask = (np.arange(5) < self.LENGTHS[:, None]) * 1.0
         self.vectors = rng.normal(size=(6, 5, 3)) * self.mask[:, :, None]
         self.efforts = rng.uniform(1.0, 20.0, 6)
-        self.batch = FeatureBatch("sequence", self.vectors, self.mask, self.LENGTHS == 0)
+        self.batch = sequence_batch(self.vectors, self.mask)
 
     def test_predictions_do_not_depend_on_row_order(self):
         perm = np.array([3, 0, 5, 1, 4, 2])
@@ -216,11 +227,26 @@ class TestSequenceRowsAndPads:
                                    rtol=0, atol=1e-12)
 
     def test_extra_pad_columns_do_not_change_predictions(self):
-        padded = FeatureBatch("sequence", np.concatenate([self.vectors, np.zeros((6, 7, 3))], axis=1),
+        padded = FeatureBatch("sequence", self.batch.vectors,
                               np.concatenate([self.mask, np.zeros((6, 7))], axis=1),
                               self.batch.degenerate)
         np.testing.assert_allclose(predict(self.model, padded), predict(self.model, self.batch),
                                    rtol=0, atol=1e-12)
+
+    def test_a_prediction_has_the_same_bits_alone_and_beside_a_long_text(self):
+        """The head pads each batch to its own longest text: beside a
+        100-step text a row is padded to 100 steps, alone to its length,
+        and its prediction does not move by a bit."""
+        rng = np.random.default_rng(8)
+        mask = np.zeros((len(self.LENGTHS) + 1, 100))
+        mask[:-1, :5] = self.mask
+        mask[-1] = 1.0
+        batch = FeatureBatch("sequence", rng.normal(size=(int(mask.sum()), 3)), mask,
+                             ~mask.any(axis=1))
+        beside = predict(self.model, batch)
+        for i in range(len(self.LENGTHS)):
+            alone = predict(self.model, batch.select([i]))
+            assert alone.tobytes() == beside[[i]].tobytes(), i
 
     def test_an_all_pad_row_changes_no_other_row(self):
         real = np.flatnonzero(self.LENGTHS)
@@ -244,6 +270,50 @@ class TestSequenceRowsAndPads:
         for name, grad in ordered.items():
             assert np.abs(grad).max() > 0.0, name
             np.testing.assert_allclose(permuted[name], grad, rtol=0, atol=1e-12)
+
+
+class TestSequenceMemory:
+    def test_features_add_only_their_real_rows_to_the_peak_of_training(self):
+        """E1 in one process: featurize 240 texts of 1 to 100 words, take
+        a fit and a validation fold and train a head for an epoch. The
+        features add to the peak of training on folds built beforehand their
+        real rows twice (the corpus and its folds) and their masks, where
+        padded copies would add the corpus padded to 100 steps twice."""
+        d, n = 32, 240
+        words = [f"zq{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(300)]
+        vocab = Vocabulary([PAD_WORD, UNK_WORD, *words], (PAD_WORD, UNK_WORD),
+                           {w: 1 for w in words})
+        table = RngStream(3).normal(0.0, 1.0, (len(vocab), d))
+        featurizer = StaticFeaturizer(StaticEmbeddingModel(
+            vocab, table, np.zeros_like(table), StaticTrainConfig(dimension=d)))
+        lengths = [(37 * i) % 100 + 1 for i in range(n)]
+        texts = [" ".join(words[(i + 7 * t) % len(words)] for t in range(k))
+                 for i, k in enumerate(lengths)]
+        efforts = RngStream(4).uniform(1.0, 20.0, n)
+        fit, val = np.arange(160), np.arange(160, n)
+
+        def train(fit_batch, val_batch):
+            model = EstimatorModel(HeadConfig(epochs=1, patience=1, seed=0), input_dim=d)
+            train_estimator(model, fit_batch, efforts[fit], val_batch, efforts[val])
+
+        def featurize_and_train():
+            batch = featurizer.featurize(texts)  # held while its folds train, as in `train`
+            train(batch.select(fit), batch.select(val))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        corpus = featurizer.featurize(texts)
+        built = corpus.select(fit), corpus.select(val)
+        alone = peak(lambda: train(*built))
+        whole = peak(featurize_and_train)
+        bound = 8 * (2 * sum(lengths) * d + 2 * n * max(lengths)) + 512 * 1024
+        assert whole - alone < bound, (whole, alone, bound)
 
 
 class TestTraining:

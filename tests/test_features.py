@@ -101,9 +101,9 @@ class TestStaticPooling:
         text = " ".join(["red"] * 100 + ["blue"] * 5)
         sequence = StaticFeaturizer(model, mode="sequence").featurize([text])
         assert features.MAX_TOKENS == 100
-        assert sequence.vectors.shape == (1, 100, 2)
+        assert sequence.vectors.shape == (100, 2) and sequence.mask.shape == (1, 100)
         assert sequence.mask.sum() == 100
-        np.testing.assert_array_equal(sequence.vectors[0], np.tile([1.0, 2.0], (100, 1)))
+        np.testing.assert_array_equal(sequence.vectors, np.tile([1.0, 2.0], (100, 1)))
         vector, _ = pooled(model, text)
         np.testing.assert_allclose(vector, (100 * np.array([1.0, 2.0]) + [15.0, 20.0]) / 105,
                                    rtol=0, atol=1e-12)
@@ -125,9 +125,9 @@ class TestStaticFeaturizer:
         text = SENTENCES[1]
         batch = featurizer.featurize([text])
         words = text.split()
-        assert batch.vectors.shape == (1, len(words), 8)
+        assert batch.vectors.shape == (len(words), 8)
         for t, word in enumerate(words):
-            np.testing.assert_array_equal(batch.vectors[0, t], embed_word(static_model, word))
+            np.testing.assert_array_equal(batch.vectors[t], embed_word(static_model, word))
             assert batch.mask[0, t] == 1.0
 
     def test_out_of_vocabulary_words_are_dropped(self, static_model):
@@ -140,9 +140,13 @@ class TestStaticFeaturizer:
             featurizer = StaticFeaturizer(static_model, mode=mode)
             batch = featurizer.featurize(["", "query join"])
             assert batch.degenerate.tolist() == [True, False]
-            np.testing.assert_array_equal(
-                batch.vectors[0], np.zeros_like(batch.vectors[0])
-            )
+            if mode == "pooled":
+                np.testing.assert_array_equal(batch.vectors[0], np.zeros(8))
+                continue
+            # no rows and an all-padding mask row; the head pads it with zeros
+            assert batch.mask.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+            assert batch.vectors.shape == (2, 8)
+            np.testing.assert_array_equal(batch.padded()[0][0], np.zeros((2, 8)))
 
     def test_raw_and_cleaned_text_agree(self, static_model):
         featurizer = StaticFeaturizer(static_model, mode="pooled")
@@ -202,7 +206,7 @@ class TestContextualFeaturizer:
         batch = featurizer.featurize([text])
         n_words = len(tokenize_words(clean_text(text)))
         assert batch.mask[0].sum() == n_words
-        np.testing.assert_allclose(batch.vectors[0], real_token_rows(ctx_model, text, 1),
+        np.testing.assert_allclose(batch.vectors, real_token_rows(ctx_model, text, 1),
                                    rtol=0, atol=1e-12)
 
     def test_chunked_batches_match_single_batch(self, ctx_model, monkeypatch):
@@ -231,7 +235,8 @@ class TestContextualFeaturizer:
         batch = ContextualFeaturizer(ctx_model, mode="sequence").featurize(["query", "the of"])
         assert batch.degenerate.tolist() == [False, True]
         assert batch.mask.tolist() == [[1.0], [0.0]]
-        np.testing.assert_array_equal(batch.vectors[1], np.zeros((1, 16)))
+        assert batch.vectors.shape == (1, 16)  # the one row of "query"
+        np.testing.assert_array_equal(batch.padded()[0][1], np.zeros((1, 16)))
 
     def test_featurize_builds_no_graph(self, ctx_model, monkeypatch):
         assert ctx_model.encode(np.array([[1, 5, 2]]))[-1].requires_grad  # the spy can tell
@@ -282,38 +287,80 @@ class TestContextualFeaturizer:
         featurizer = ContextualFeaturizer(ctx_model, mode=mode)
         batch = featurizer.featurize(MIXED_LENGTHS)
         backward = featurizer.featurize(MIXED_LENGTHS[::-1])
-        np.testing.assert_allclose(batch.vectors, backward.vectors[::-1], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(batch.degenerate, backward.degenerate[::-1])
         alone = [featurizer.featurize([text]) for text in MIXED_LENGTHS]
+        np.testing.assert_array_equal(batch.degenerate, backward.degenerate[::-1])
         assert batch.degenerate.tolist() == [a.degenerate[0] for a in alone]
         if mode == "pooled":
+            np.testing.assert_allclose(batch.vectors, backward.vectors[::-1], rtol=0, atol=1e-12)
             np.testing.assert_allclose(batch.vectors, [a.vectors[0] for a in alone],
                                        rtol=0, atol=1e-12)
             return
+        vectors, mask = batch.padded()
+        np.testing.assert_allclose(vectors, backward.padded()[0][::-1], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(batch.mask, backward.mask[::-1])
         for i, a in enumerate(alone):
             steps = a.mask.shape[1]
             np.testing.assert_array_equal(batch.mask[i, :steps], a.mask[0])
             assert not batch.mask[i, steps:].any()
-            np.testing.assert_allclose(batch.vectors[i, :steps], a.vectors[0], rtol=0, atol=1e-12)
-            assert not batch.vectors[i, steps:].any()
+            np.testing.assert_allclose(vectors[i, :steps], a.padded()[0][0], rtol=0, atol=1e-12)
+            assert not vectors[i, steps:].any()
 
     def test_long_text_is_truncated_to_window(self, ctx_model):
         long_text = " ".join(["query join table index schema"] * 20)
         featurizer = ContextualFeaturizer(ctx_model, mode="sequence")
         batch = featurizer.featurize([long_text])
-        assert batch.vectors.shape[1] <= ctx_model.config.max_len - 2
+        assert batch.mask.shape[1] == len(batch.vectors) == ctx_model.config.max_len - 2
+
+
+def corpus_padded(model, texts):
+    """Static sequence features in the layout they had when every batch was
+    padded to the corpus's longest text, kept as the reference: (n, t, d)
+    vectors, zero past each text's rows, and the (n, t) mask."""
+    rows = [[vec for vec in (embed_word(model, w) for w in
+                             tokenize_words(clean_text(text))[:features.MAX_TOKENS])
+             if vec is not None] for text in texts]
+    steps = max([1] + [len(row) for row in rows])
+    vectors = np.zeros((len(rows), steps, model.dimension))
+    mask = np.zeros((len(rows), steps))
+    for i, row in enumerate(rows):
+        if len(row):
+            vectors[i, : len(row)] = row
+            mask[i, : len(row)] = 1.0
+    return vectors, mask
 
 
 class TestFeatureBatch:
+    def test_sequence_rows_are_the_padded_layout_under_its_mask(self, static_model):
+        batch = StaticFeaturizer(static_model, mode="sequence").featurize(MIXED_LENGTHS)
+        vectors, mask = corpus_padded(static_model, MIXED_LENGTHS)
+        np.testing.assert_array_equal(batch.mask, mask)
+        assert batch.vectors.tobytes() == vectors[mask > 0].tobytes()
+        assert len(batch) == len(MIXED_LENGTHS)
+
+    @pytest.mark.parametrize("picks", [[0, 1, 2, 3, 4, 5, 6, 7], [3, 0], [2, 7, 2], [1, 4], [],
+                                       [7, 6, 5, 4, 3, 2, 1, 0]])
+    def test_padded_is_the_corpus_padding_trimmed_to_the_batch(self, static_model, picks):
+        batch = StaticFeaturizer(static_model, mode="sequence").featurize(MIXED_LENGTHS)
+        vectors, mask = corpus_padded(static_model, MIXED_LENGTHS)
+        longest = max([1] + [int(mask[i].sum()) for i in picks])
+        got_vectors, got_mask = batch.select(picks).padded()
+        assert got_vectors.tobytes() == vectors[picks, :longest].tobytes()
+        assert got_vectors.shape == (len(picks), longest, 8)
+        np.testing.assert_array_equal(got_mask, mask[picks, :longest])
+
     def test_select_subsets_rows(self, static_model):
+        """In the order picked, copying the chosen texts' real rows only."""
         featurizer = StaticFeaturizer(static_model, mode="sequence")
-        batch = featurizer.featurize(SENTENCES)
-        picked = batch.select([2, 0])
-        np.testing.assert_array_equal(picked.vectors[0], batch.vectors[2])
-        np.testing.assert_array_equal(picked.vectors[1], batch.vectors[0])
-        np.testing.assert_array_equal(picked.mask[0], batch.mask[2])
-        assert len(picked) == 2
+        batch = featurizer.featurize(MIXED_LENGTHS)
+        picks = [6, 1, 3, 0, 3]
+        picked = batch.select(picks)
+        chosen = [featurizer.featurize([MIXED_LENGTHS[i]]).vectors for i in picks]
+        assert picked.vectors.shape == (sum(len(rows) for rows in chosen), 8)
+        assert picked.vectors.tobytes() == np.concatenate(chosen).tobytes()
+        assert not np.shares_memory(picked.vectors, batch.vectors)
+        np.testing.assert_array_equal(picked.mask, batch.mask[picks])
+        np.testing.assert_array_equal(picked.degenerate, batch.degenerate[picks])
+        assert len(picked) == 5
 
     def test_no_texts_give_an_empty_batch(self, static_model, ctx_model):
         pairs = ((StaticFeaturizer, static_model), (ContextualFeaturizer, ctx_model))
@@ -322,4 +369,7 @@ class TestFeatureBatch:
             flat = featurizer(model, mode="pooled").featurize([])
             assert flat.vectors.shape == (0, d) and flat.degenerate.shape == (0,)
             sequence = featurizer(model, mode="sequence").featurize([])
-            assert sequence.vectors.shape == (0, 1, d) and sequence.mask.shape == (0, 1)
+            assert sequence.vectors.shape == (0, d) and sequence.mask.shape == (0, 1)
+            assert len(sequence) == 0 and sequence.dimension == d
+            vectors, mask = sequence.padded()
+            assert vectors.shape == (0, 1, d) and mask.shape == (0, 1)

@@ -268,6 +268,31 @@ class TestFusedGrads:
         bias = rng.uniform(-0.5, 0.5, (4,))
         check_vjp(layer_norm, [x, gain, bias])
 
+    def test_layer_norm_backward_has_the_bits_of_the_plain_composition(self, rng):
+        """Backward reuses one scratch array; its gradients are the bits of
+        the composition that forms each product as a new array."""
+        data = rng.uniform(-3.0, 3.0, (6, 5, 16))
+        x, gain, bias = (parameter(a) for a in (data, rng.uniform(0.5, 1.5, (16,)),
+                                                 rng.uniform(-0.5, 0.5, (16,))))
+        grad = rng.normal(0.0, 1.0, data.shape)
+        layer_norm(x, gain, bias).backward(grad)
+        xhat = data - data.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat *= inv
+        dxhat = grad * gain.data
+        proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dxhat -= dxhat.mean(axis=-1, keepdims=True)
+        dxhat -= xhat * proj
+        dxhat *= inv
+        assert_same_bits(gain.grad, (grad * xhat).sum(axis=0).sum(axis=0))
+        assert_same_bits(bias.grad, grad.sum(axis=0).sum(axis=0))
+        assert_same_bits(x.grad, dxhat)
+
+    def test_layer_norm_gain_as_large_as_x_keeps_its_gradient(self, rng):
+        data = rng.uniform(-0.5, 0.5, (3, 4))
+        check_vjp(layer_norm, [data, rng.uniform(0.5, 1.5, (3, 4)),
+                               rng.uniform(-0.5, 0.5, (4,))])
+
     def test_layer_norm_output_standardized(self, rng):
         x = Tensor(rng.uniform(-3.0, 3.0, (5, 8)))
         out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).numpy()
@@ -407,19 +432,48 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout(Tensor(np.ones(3)), 1.0, rng)
 
-    def test_mask_is_bool_and_gives_the_bits_of_a_float_mask(self, rng):
-        data = rng.normal(0.0, 1.0, (40, 30))
+    @pytest.mark.parametrize("shape", [(40, 30), (1,), (GELU_BLOCK - 1,), (GELU_BLOCK + 1,),
+                                       (3 * GELU_BLOCK + 5,)])
+    def test_mask_is_bool_and_gives_the_bits_of_a_float_mask(self, rng, shape):
+        """The mask, drawn a block at a time, is the whole-array draw's, and
+        the stream is left where the whole-array draw leaves it."""
+        data = rng.normal(0.0, 1.0, shape)
         x = parameter(data)
-        out = dropout(x, 0.3, RngStream(8))
+        stream, whole = RngStream(8), RngStream(8)
+        out = dropout(x, 0.3, stream)
         saved = [cell.cell_contents for cell in out._backward.__closure__
                  if isinstance(cell.cell_contents, np.ndarray)]
         assert [array.dtype for array in saved] == [np.dtype(bool)]
-        keep = (RngStream(8).random(data.shape) >= 0.3).astype(np.float64)
+        keep = (whole.random(data.shape) >= 0.3).astype(np.float64)
+        assert_same_bits(stream.random(3), whole.random(3))
         scale = 1.0 / 0.7
         assert_same_bits(out.data, data * keep * scale)
         cotangent = rng.normal(0.0, 1.0, data.shape)
         out.backward(cotangent)
         assert_same_bits(x.grad, cotangent * keep * scale)
+
+    def test_no_float_array_of_uniforms_is_held(self):
+        """The uniforms are drawn a block at a time: at each draw the bytes
+        held are the bool mask and one block of doubles, where a whole-array
+        draw would hold a float array as large as x. (The forward's peak is
+        the same either way: the value array is that large too.)"""
+        held = []
+
+        class Spy(RngStream):
+            def random(self, shape=None):
+                draw = super().random(shape)
+                held.append(tracemalloc.get_traced_memory()[0])
+                return draw
+
+        x = Tensor(RngStream(5).normal(0.0, 1.0, (64, 4096)))
+        rng = Spy(6)
+        tracemalloc.start()
+        try:
+            dropout(x, 0.1, rng)
+        finally:
+            tracemalloc.stop()
+        bound = x.size + 8 * GELU_BLOCK + 64 * 1024
+        assert len(held) == x.size // GELU_BLOCK and max(held) < bound, (held, bound)
 
 
 class TestGraphMechanics:
