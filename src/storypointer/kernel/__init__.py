@@ -10,11 +10,13 @@ from .tensor import (
     attention_scores,
     cross_entropy,
     dropout,
+    embed,
     layer_norm,
     linear,
     mse_loss,
     no_grad,
     parameter,
+    residual_layer_norm,
     softmax,
 )
 
@@ -29,6 +31,7 @@ __all__ = [
     "cross_entropy",
     "derive_seed",
     "dropout",
+    "embed",
     "glorot_uniform",
     "layer_norm",
     "linear",
@@ -36,6 +39,7 @@ __all__ = [
     "mse_loss",
     "no_grad",
     "parameter",
+    "residual_layer_norm",
     "save_checkpoint",
     "softmax",
 ]

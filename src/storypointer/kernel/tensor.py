@@ -11,10 +11,12 @@ The op set is the one the pipeline's models train with: `+` and `*`
 gelu, reshape, transpose and indexing (the one gather: integer-array
 indices pick rows, and duplicates accumulate in backward), plus the
 functions linear (x @ w + b), attention_scores (q @ kT * scale +
-mask_bias), softmax (last axis), layer_norm, dropout, cross_entropy and
-mse_loss. The tests check each op's vector-Jacobian product by seeding
-backward() with a fixed random cotangent and comparing the leaf
-gradients against central differences.
+mask_bias), softmax (last axis), layer_norm, dropout, residual_layer_norm
+(layer_norm(x + dropout(linear(h, w, b)))), embed (token[ids] +
+position[:seq] + segment[segment_ids]), cross_entropy and mse_loss. The
+tests check each op's vector-Jacobian product by seeding backward() with
+a fixed random cotangent and comparing the leaf gradients against
+central differences.
 
 A fused node saves only the arrays its backward reads: a node's value
 lives as long as a consumer holds it as a parent, so a composition would
@@ -24,10 +26,19 @@ the 2-D composition (x.reshape(-1, d) @ w + b).reshape(...), not of
 numpy's batched x @ w + b, which agrees to rounding. attention_scores runs
 the numpy operations of the composition it replaces, in the same order,
 so its bits are the composition's. Dropout's saved keep mask is bool.
-gelu runs its in-place passes over flat blocks of _GELU_BLOCK elements,
-which stay in cache from one pass to the next; every element sees the
-passes of one whole-array run, in the same order, so the bits are those
-of that run.
+residual_layer_norm is a transformer sub-layer's output: it keeps neither
+the projection, nor its dropout, nor the residual sum, only h and w as
+parents, xhat, the inverse deviation and the mask. embed keeps none of
+its gathers, only the id arrays. Both are bitwise their compositions:
+the affine map, the layer norm's forward and backward and the mask draw
+are private helpers that linear, layer_norm, dropout and
+residual_layer_norm all call, so there is one copy of that math, and
+residual_layer_norm hands x its gradient when its closure runs, where
+the composition's residual sum did, so the order in which x's gradients
+accumulate is kept too. gelu runs its in-place passes over flat blocks
+of _GELU_BLOCK elements, which stay in cache from one pass to the next;
+every element sees the passes of one whole-array run, in the same order,
+so the bits are those of that run.
 
 backward() frees the graph as it walks it: once an interior node's closure
 has run, the node drops its `.grad`, its closure and its parents, so the
@@ -298,17 +309,21 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         out = _result(self.data[idx], (self,))
         if out.requires_grad:
-            def backward(grad):
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, grad)
-                self._accumulate(full)
-            out._backward = backward
+            out._backward = lambda grad: self._accumulate(_scatter(self.data, idx, grad))
         return out
 
 
 def _blocks(size: int):
     """Slices that cover range(size) in order, _GELU_BLOCK elements at most."""
     return [slice(start, start + _GELU_BLOCK) for start in range(0, size, _GELU_BLOCK)]
+
+
+def _scatter(table: np.ndarray, idx, grad: np.ndarray) -> np.ndarray:
+    """The gradient of table[idx]: grad added into zeros at idx, so a
+    repeated index accumulates."""
+    full = np.zeros_like(table)
+    np.add.at(full, idx, grad)
+    return full
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -352,6 +367,24 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b as one 2-D GEMM over x's rows, the bias added in place."""
+    value = x.reshape(-1, x.shape[-1]) @ w
+    value += b
+    return value.reshape(x.shape[:-1] + value.shape[-1:])
+
+
+def _affine_backward(grad: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+    """Accumulate the gradients of x @ w + b, reading only x and w."""
+    g2 = grad.reshape(-1, grad.shape[-1])
+    if b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+    if x.requires_grad:
+        x._accumulate((g2 @ w.data.T).reshape(x.shape))
+    if w.requires_grad:
+        w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The affine map x @ w + b as one node, for x of shape (..., d), w of
     shape (d, h) and b of shape (h,).
@@ -366,20 +399,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     reads only x and w (taking x's rows from x.data again), so neither the
     bare product nor the sum is kept for it.
     """
-    d = x.shape[-1]
-    value = x.data.reshape(-1, d) @ w.data
-    value += b.data
-    out = _result(value.reshape(x.shape[:-1] + value.shape[-1:]), (x, w, b))
+    out = _result(_affine(x.data, w.data, b.data), (x, w, b))
     if out.requires_grad:
-        def backward(grad):
-            g2 = grad.reshape(-1, grad.shape[-1])
-            if b.requires_grad:
-                b._accumulate(g2.sum(axis=0))
-            if x.requires_grad:
-                x._accumulate((g2 @ w.data.T).reshape(x.shape))
-            if w.requires_grad:
-                w._accumulate(x.data.reshape(-1, d).T @ g2)
-        out._backward = backward
+        out._backward = lambda grad: _affine_backward(grad, x, w, b)
     return out
 
 
@@ -406,48 +428,78 @@ def attention_scores(q: Tensor, k: Tensor, scale: float, mask_bias: np.ndarray) 
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray,
+                        bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """layer_norm's value, and the xhat and inverse deviation its backward reads."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    value = gain.data * xhat
-    value += bias.data
+    value = gain * xhat
+    value += bias
+    return value, xhat, inv
+
+
+def _layer_norm_backward(grad: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor,
+                         bias: Tensor, need_dx: bool) -> Optional[np.ndarray]:
+    """Accumulate the gain and bias gradients; return the input's gradient
+    if `need_dx`, else None."""
+    # one scratch array holds grad * xhat, then dxhat * xhat, then xhat * proj
+    scratch = grad * xhat
+    if gain.requires_grad:
+        # a copy: unbroadcast returns scratch itself when gain is as large as x
+        gain._accumulate(unbroadcast(scratch, gain.shape).copy())
+    if bias.requires_grad:
+        bias._accumulate(unbroadcast(grad, bias.shape))
+    if not need_dx:
+        return None
+    dxhat = grad * gain.data
+    proj = np.multiply(dxhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= np.multiply(xhat, proj, out=scratch)
+    dxhat *= inv
+    return dxhat
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    value, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
     out = _result(value, (x, gain, bias))
     if out.requires_grad:
         def backward(grad):
-            # one scratch array holds grad * xhat, then dxhat * xhat, then xhat * proj
-            scratch = grad * xhat
-            if gain.requires_grad:
-                # a copy: unbroadcast returns scratch itself when gain is as large as x
-                gain._accumulate(unbroadcast(scratch, gain.shape).copy())
-            if bias.requires_grad:
-                bias._accumulate(unbroadcast(grad, bias.shape))
-            if x.requires_grad:
-                dxhat = grad * gain.data
-                proj = np.multiply(dxhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
-                dxhat -= dxhat.mean(axis=-1, keepdims=True)
-                dxhat -= np.multiply(xhat, proj, out=scratch)
-                dxhat *= inv
-                x._accumulate(dxhat)
+            dx = _layer_norm_backward(grad, xhat, inv, gain, bias, x.requires_grad)
+            if dx is not None:
+                x._accumulate(dx)
         out._backward = backward
     return out
 
 
-def dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; rate 0 is the identity."""
-    if rate <= 0.0:
-        return x
+def _keep_mask(shape: Tuple[int, ...], rate: float, rng) -> Optional[np.ndarray]:
+    """Dropout's bool keep mask for `rate` in [0, 1), None at rate 0.
+
+    The rate is checked before anything else, so an invalid one is refused
+    even where it would otherwise mean the identity. The mask is an eighth
+    of a float mask's bytes; its uniforms are drawn a block at a time, so no
+    whole float array of them exists (the stream gives the same doubles as
+    one whole-array draw and is left where that draw leaves it).
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    # bool: an eighth of a float mask's bytes; drawn a block at a time, so no
-    # whole float array of uniforms exists (the stream gives the same doubles)
-    keep = np.empty(x.shape, dtype=bool)
+    if rate == 0.0:
+        return None
+    keep = np.empty(shape, dtype=bool)
     flat = keep.reshape(-1)
     for block in _blocks(flat.size):
         part = flat[block]
         np.greater_equal(rng.random(part.size), rate, out=part)
+    return keep
+
+
+def dropout(x: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout; rate 0 is the identity."""
+    keep = _keep_mask(x.shape, rate, rng)
+    if keep is None:
+        return x
     scale = 1.0 / (1.0 - rate)
     value = x.data * keep
     value *= scale
@@ -457,6 +509,73 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
             local = grad * keep
             local *= scale
             x._accumulate(local)
+        out._backward = backward
+    return out
+
+
+def residual_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
+                        rate: float, rng) -> Tensor:
+    """A transformer sub-layer's output, layer_norm(x + dropout(linear(h, w,
+    b), rate, rng), gain, bias), as one node.
+
+    h is (..., d) with the leading shape of x, and w is (d, H) for x's
+    last axis H. The composition would hold the projection, its dropout
+    and the residual sum only as parents of the next op; this node holds
+    none of them. Backward reads h and w (as parents), xhat, the inverse
+    deviation and the bool keep mask. The projection, mask draw, residual
+    sum and layer norm run the numpy operations of the composition, in
+    the same order, so the value and every gradient are its bits, and the
+    mask takes the same draws from `rng`.
+    """
+    y = _affine(h.data, w.data, b.data)
+    keep = _keep_mask(y.shape, rate, rng)
+    scale = 1.0 / (1.0 - rate)
+    if keep is not None:
+        y *= keep
+        y *= scale
+    y += x.data  # x + y: the residual sum, which commutes bitwise
+    value, xhat, inv = _layer_norm_forward(y, gain.data, bias.data)
+    out = _result(value, (x, h, w, b, gain, bias))
+    if out.requires_grad:
+        def backward(grad):
+            need_dy = h.requires_grad or w.requires_grad or b.requires_grad
+            ds = _layer_norm_backward(grad, xhat, inv, gain, bias, x.requires_grad or need_dy)
+            if x.requires_grad:
+                x._accumulate(ds)
+            if need_dy:
+                if keep is not None:
+                    ds = ds * keep
+                    ds *= scale
+                _affine_backward(ds, h, w, b)
+        out._backward = backward
+    return out
+
+
+def embed(token: Tensor, ids: np.ndarray, position: Tensor, segment: Tensor,
+          segment_ids: np.ndarray) -> Tensor:
+    """The encoder's embedding sum token[ids] + position[:seq] +
+    segment[segment_ids] as one node, added in that order.
+
+    `ids` and `segment_ids` are (batch, seq) integer arrays. The
+    composition would hold the three gathers and the first sum only as
+    parents; this node holds none of them, and its backward reads only the
+    two id arrays. Each table's gradient is scattered with np.add.at into
+    zeros, as indexing's backward does, so repeated ids accumulate and the
+    bits are the composition's.
+    """
+    seq = ids.shape[-1]
+    value = token.data[ids]
+    value += position.data[:seq]
+    value += segment.data[segment_ids]
+    out = _result(value, (token, position, segment))
+    if out.requires_grad:
+        def backward(grad):
+            if token.requires_grad:
+                token._accumulate(_scatter(token.data, ids, grad))
+            if position.requires_grad:
+                position._accumulate(_scatter(position.data, slice(None, seq), grad.sum(axis=0)))
+            if segment.requires_grad:
+                segment._accumulate(_scatter(segment.data, segment_ids, grad))
         out._backward = backward
     return out
 

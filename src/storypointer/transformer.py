@@ -20,9 +20,11 @@ from .kernel import (
     Tensor,
     attention_scores,
     dropout,
+    embed,
     layer_norm,
     linear,
     parameter,
+    residual_layer_norm,
     softmax,
 )
 from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
@@ -166,11 +168,8 @@ class TransformerModel:
             raise ValueError("training-mode encode needs an rng for dropout")
         p = self.params
 
-        embedded = (
-            p["emb.token"][token_ids]
-            + p["emb.position"][:seq_len]
-            + p["emb.segment"][segment_ids]
-        )
+        embedded = embed(p["emb.token"], token_ids, p["emb.position"], p["emb.segment"],
+                         segment_ids)
         outputs = [embedded]
         x = layer_norm(embedded, p["emb.ln.gain"], p["emb.ln.bias"])
         x = dropout(x, rate, rng)
@@ -195,17 +194,11 @@ class TransformerModel:
         scores = attention_scores(q, k, 1.0 / math.sqrt(head_dim), mask_bias)
         probs = dropout(softmax(scores), rate, rng)
         context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq_len, hidden)
-        attn_out = linear(context, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"])
-        x = layer_norm(
-            x + dropout(attn_out, rate, rng),
-            p[f"layer{i}.attn.ln.gain"], p[f"layer{i}.attn.ln.bias"],
-        )
+        x = residual_layer_norm(x, context, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"],
+                                p[f"layer{i}.attn.ln.gain"], p[f"layer{i}.attn.ln.bias"], rate, rng)
         ff = linear(x, p[f"layer{i}.ff.w1"], p[f"layer{i}.ff.b1"]).gelu()
-        ff = linear(ff, p[f"layer{i}.ff.w2"], p[f"layer{i}.ff.b2"])
-        return layer_norm(
-            x + dropout(ff, rate, rng),
-            p[f"layer{i}.ff.ln.gain"], p[f"layer{i}.ff.ln.bias"],
-        )
+        return residual_layer_norm(x, ff, p[f"layer{i}.ff.w2"], p[f"layer{i}.ff.b2"],
+                                   p[f"layer{i}.ff.ln.gain"], p[f"layer{i}.ff.ln.bias"], rate, rng)
 
     # ---- heads --------------------------------------------------------
 

@@ -17,17 +17,19 @@ from storypointer.kernel import (
     attention_scores,
     cross_entropy,
     dropout,
+    embed,
     layer_norm,
     linear,
     mse_loss,
     no_grad,
     parameter,
+    residual_layer_norm,
     softmax,
 )
 from storypointer.kernel.tensor import _GELU_BLOCK as GELU_BLOCK
 from storypointer.kernel.tensor import logistic
 
-from gradcheck import fd_grad
+from gradcheck import fd_grad, grad_check
 
 
 def check_vjp(f, arrays, rtol=1e-5, atol=1e-7):
@@ -293,6 +295,18 @@ class TestFusedGrads:
         check_vjp(layer_norm, [data, rng.uniform(0.5, 1.5, (3, 4)),
                                rng.uniform(-0.5, 0.5, (4,))])
 
+    def test_layer_norm_of_a_constant_gives_only_gain_and_bias_gradients(self, rng):
+        arrays = [rng.uniform(-0.5, 0.5, (3, 4)), rng.uniform(0.5, 1.5, (4,)),
+                  rng.uniform(-0.5, 0.5, (4,))]
+        cotangent = rng.normal(0.0, 1.0, (3, 4))
+        x, gain, bias = (parameter(a) for a in arrays)
+        layer_norm(x, gain, bias).backward(cotangent)
+        const, const_gain, const_bias = Tensor(arrays[0]), parameter(arrays[1]), parameter(arrays[2])
+        layer_norm(const, const_gain, const_bias).backward(cotangent)
+        assert const.grad is None
+        assert_same_bits(const_gain.grad, gain.grad)
+        assert_same_bits(const_bias.grad, bias.grad)
+
     def test_layer_norm_output_standardized(self, rng):
         x = Tensor(rng.uniform(-3.0, 3.0, (5, 8)))
         out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).numpy()
@@ -408,6 +422,124 @@ class TestFusedAffineAndScores:
             assert not any(isinstance(value, np.ndarray) for value in saved), saved
 
 
+def saved_arrays(out):
+    """The arrays a node's backward closure keeps, besides its parents."""
+    return [cell.cell_contents for cell in out._backward.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+class TestResidualLayerNorm:
+    """`residual_layer_norm` is one node with the value, gradients, bits and
+    draws of layer_norm(x + dropout(linear(h, w, b), rate, rng), gain, bias)."""
+
+    @staticmethod
+    def arrays(rng):
+        return [rng.normal(0.0, 1.0, (3, 5, 8)), rng.normal(0.0, 1.0, (3, 5, 12)),
+                rng.normal(0.0, 0.5, (12, 8)), rng.normal(0.0, 0.5, (8,)),
+                rng.uniform(0.5, 1.5, (8,)), rng.uniform(-0.5, 0.5, (8,))]
+
+    @staticmethod
+    def composition(x, h, w, b, gain, bias, rate, rng):
+        return layer_norm(x + dropout(linear(h, w, b), rate, rng), gain, bias)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_grad_check(self, rng, rate):
+        names = ["x", "h", "w", "b", "gain", "bias"]
+        params = dict(zip(names, (parameter(a) for a in self.arrays(rng))))
+        target = rng.normal(0.0, 1.0, (3, 5, 8))
+        # a fresh stream per call, so every evaluation drops the same entries
+        report = grad_check(
+            lambda: mse_loss(residual_layer_norm(*params.values(), rate, RngStream(4)), target),
+            params)
+        assert report.max_rel_error < 1e-6, str(report)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_value_gradients_and_draws_are_the_compositions_bits(self, rng, rate):
+        arrays = self.arrays(rng)
+        cotangent = rng.normal(0.0, 1.0, (3, 5, 8))
+        runs = []
+        for f in (residual_layer_norm, self.composition):
+            leaves = [parameter(a) for a in arrays]
+            stream = RngStream(11)
+            out = f(*leaves, rate, stream)
+            out.backward(cotangent)
+            runs.append((out.data, [leaf.grad for leaf in leaves], stream.random(4)))
+        (fused, fused_grads, fused_next), (plain, plain_grads, plain_next) = runs
+        assert_same_bits(fused, plain)
+        for got, want in zip(fused_grads, plain_grads):
+            assert_same_bits(got, want)
+        assert_same_bits(fused_next, plain_next)
+
+    def test_no_grad_value_at_rate_zero_is_the_compositions_bits(self, rng):
+        arrays = [Tensor(a) for a in self.arrays(rng)]
+        streams = [RngStream(12), RngStream(12)]
+        with no_grad():
+            fused = residual_layer_norm(*arrays, 0.0, streams[0])
+            plain = self.composition(*arrays, 0.0, streams[1])
+        assert not fused.requires_grad
+        assert_same_bits(fused.data, plain.data)
+        assert_same_bits(streams[0].random(4), streams[1].random(4))
+
+    def test_backward_saves_xhat_inv_and_a_bool_mask(self, rng):
+        leaves = [parameter(a) for a in self.arrays(rng)]
+        out = residual_layer_norm(*leaves, 0.1, RngStream(2))
+        saved = sorted((a.dtype.str, a.shape) for a in saved_arrays(out))
+        # keep, xhat and the inverse deviation
+        assert saved == sorted([("|b1", (3, 5, 8)), ("<f8", (3, 5, 8)), ("<f8", (3, 5, 1))])
+
+    @pytest.mark.parametrize("rate", [1.0, -0.5])
+    def test_invalid_rate_rejected(self, rng, rate):
+        with pytest.raises(ValueError, match="dropout rate"):
+            residual_layer_norm(*[Tensor(a) for a in self.arrays(rng)], rate, rng)
+
+
+class TestEmbed:
+    """`embed` is one node with the value, gradients and bits of
+    token[ids] + position[:seq] + segment[segment_ids]."""
+
+    IDS = np.array([[1, 4, 4, 0], [2, 1, 5, 5]])  # repeats within and across rows
+    SEGMENTS = np.array([[0, 0, 1, 1], [0, 1, 1, 1]])
+
+    @staticmethod
+    def tables(rng):
+        return [rng.normal(0.0, 1.0, (6, 3)), rng.normal(0.0, 1.0, (7, 3)),
+                rng.normal(0.0, 1.0, (2, 3))]
+
+    def fused(self, token, position, segment):
+        return embed(token, self.IDS, position, segment, self.SEGMENTS)
+
+    def composition(self, token, position, segment):
+        return token[self.IDS] + position[:4] + segment[self.SEGMENTS]
+
+    def test_grad_check(self, rng):
+        params = dict(zip(["token", "position", "segment"],
+                          (parameter(a) for a in self.tables(rng))))
+        target = rng.normal(0.0, 1.0, (2, 4, 3))
+        report = grad_check(lambda: mse_loss(self.fused(*params.values()), target), params)
+        assert report.max_rel_error < 1e-6, str(report)
+
+    def test_value_and_gradients_are_the_compositions_bits(self, rng):
+        tables = self.tables(rng)
+        cotangent = rng.normal(0.0, 1.0, (2, 4, 3))
+        runs = []
+        for f in (self.fused, self.composition):
+            leaves = [parameter(a) for a in tables]
+            out = f(*leaves)
+            out.backward(cotangent)
+            runs.append((out.data, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (plain, plain_grads) = runs
+        assert_same_bits(fused, plain)
+        for got, want in zip(fused_grads, plain_grads):
+            assert_same_bits(got, want)
+        with no_grad():
+            assert_same_bits(self.fused(*map(Tensor, tables)).data,
+                             self.composition(*map(Tensor, tables)).data)
+
+    def test_backward_saves_only_the_ids(self, rng):
+        out = self.fused(*(parameter(a) for a in self.tables(rng)))
+        assert all(np.issubdtype(a.dtype, np.integer) for a in saved_arrays(out))
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         x = Tensor(rng.uniform(-1.0, 1.0, (4, 4)))
@@ -428,9 +560,11 @@ class TestDropout:
         assert np.all(x.grad[~mask] == 0.0)
         np.testing.assert_allclose(x.grad[mask], np.full(mask.sum(), 2.0))
 
-    def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, rng)
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_invalid_rate_rejected(self, rng, rate):
+        # a negative rate is refused too, not taken for the identity
+        with pytest.raises(ValueError, match="dropout rate"):
+            dropout(Tensor(np.ones(3)), rate, rng)
 
     @pytest.mark.parametrize("shape", [(40, 30), (1,), (GELU_BLOCK - 1,), (GELU_BLOCK + 1,),
                                        (3 * GELU_BLOCK + 5,)])

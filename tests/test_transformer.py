@@ -370,21 +370,20 @@ class TestGradients:
         ff F, P = batch * heads * seq * seq attention weights, m masked
         positions and V pieces, counted in float64 values (a bool dropout
         mask is 1/8 of one):
-        - embedding: two gathers and two sums (4 nH), layer_norm's value
-          and xhat (2 nH) and inverse deviation (n), dropout (9/8 nH);
+        - embedding: the embed node's sum (nH), layer_norm's value and
+          xhat (2 nH) and inverse deviation (n), dropout (9/8 nH);
         - each layer, in nH: q, k, v (3), probs @ v and its reshape copy
-          (2), the output projection and the ff2 output (2), their dropouts
-          (2 * 9/8), two residual sums (2) and two layer_norms (4); in nF:
-          ff1, gelu's value and its saved tanh (3); in P: the score array,
-          the softmax and its dropout (1 + 1 + 9/8); two inverse
-          deviations (2 n);
+          (2), and two residual_layer_norm nodes, each its value, xhat and
+          bool mask (2 * 17/8); in nF: ff1, gelu's value and its saved tanh
+          (3); in P: the score array, the softmax and its dropout (1 + 1 +
+          9/8); two inverse deviations (2 n);
         - heads: the MLM gather, dense, gelu (2) and layer_norm (2) (6 mH,
           plus m), logits and saved log-probabilities (2 mV); the NSP pooler
           and tanh (2 bH), logits and log-probabilities (4 b);
         plus 128 KiB for the nodes' Python objects and the id arrays.
-        A node that kept a bare product beside its sum, three score arrays
-        before the softmax or a float64 dropout mask would exceed it: that
-        graph holds about 1.4 times the arrays counted here.
+        The composition these nodes replace, which kept each sub-layer's
+        projection, its dropout and the residual sum, and the embedding's
+        three gathers and first sum, holds about 1.25 times this bound.
         """
         layers, hidden, heads, ff = 2, 32, 2, 64
         model = tiny_model(layers=layers, hidden=hidden, heads=heads, ff=ff, max_len=24,
@@ -393,8 +392,8 @@ class TestGradients:
         b, s = pad_batch([e.token_ids for e in examples]).shape
         n, p = b * s, b * heads * s * s
         m = sum(len(e.masked_positions) for e in examples)
-        per_layer = 15.25 * n * hidden + 3 * n * ff + 3.125 * p + 2 * n
-        embedding = 7.125 * n * hidden + n
+        per_layer = 9.25 * n * hidden + 3 * n * ff + 3.125 * p + 2 * n
+        embedding = 4.125 * n * hidden + n
         outputs = 6 * m * hidden + m + 2 * m * len(model.vocab) + 2 * b * hidden + 4 * b
         bound = 8 * (layers * per_layer + embedding + outputs) + 128 * 1024
         tracemalloc.start()
