@@ -35,6 +35,7 @@ from .kernel import (
 )
 from .kernel.checkpoint import (config_from_meta, load_checkpoint, require_kind, require_params,
                                 save_checkpoint)
+from .kernel.optim import require_learning_rate
 from .metrics import mae
 
 OUTPUTS = ("linear", "softmax")  # one unit, or one class per bucket
@@ -66,6 +67,7 @@ class HeadConfig:
             raise ValueError(f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        require_learning_rate(self.learning_rate)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable
 
 import numpy as np
@@ -15,8 +16,16 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+def require_learning_rate(lr: float) -> None:
+    """Refuse a learning rate that is not positive and finite: a negative
+    one would train by gradient ascent, and zero would not train at all."""
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+
+
 class Adam:
     def __init__(self, params: Dict[str, Tensor], lr: float = 0.002):
+        require_learning_rate(lr)
         self.params = dict(params)
         self.lr = lr
         self.t = 0

@@ -35,7 +35,11 @@ are private helpers that linear, layer_norm, dropout and
 residual_layer_norm all call, so there is one copy of that math, and
 residual_layer_norm hands x its gradient when its closure runs, where
 the composition's residual sum did, so the order in which x's gradients
-accumulate is kept too. gelu runs its in-place passes over flat blocks
+accumulate is kept too. dropout and residual_layer_norm can apply a
+mask to some rows of a sequence only: they draw it at the sequence's
+full shape and keep the named rows, so a node that computes those rows
+alone takes the same draws, and applies the same mask values, as one
+that computes them all. gelu runs its in-place passes over flat blocks
 of _GELU_BLOCK elements, which stay in cache from one pass to the next;
 every element sees the passes of one whole-array run, in the same order,
 so the bits are those of that run.
@@ -474,30 +478,44 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def _keep_mask(shape: Tuple[int, ...], rate: float, rng) -> Optional[np.ndarray]:
-    """Dropout's bool keep mask for `rate` in [0, 1), None at rate 0.
+def _keep_mask(shape: Tuple[int, ...], rate: float, rng,
+               rows: Optional[Tuple[np.ndarray, int]] = None) -> Optional[np.ndarray]:
+    """Dropout's bool keep mask of `shape` for `rate` in [0, 1), None at rate 0.
 
     The rate is checked before anything else, so an invalid one is refused
     even where it would otherwise mean the identity. The mask is an eighth
     of a float mask's bytes; its uniforms are drawn a block at a time, so no
     whole float array of them exists (the stream gives the same doubles as
     one whole-array draw and is left where that draw leaves it).
+
+    `rows`, if given, is (at, seq_len) with `at` a (batch, m) array of
+    positions: for each index i of axis 0, axis -2 of `shape` holds the
+    rows at[i] of a sequence of seq_len. The mask is then drawn at the full
+    shape, with seq_len on that axis, and only those rows are returned, so
+    a node that computes only some rows draws, and applies at them, what a
+    node computing every row would.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return None
+    if rows is not None:
+        shape = shape[:-2] + (rows[1], shape[-1])
     keep = np.empty(shape, dtype=bool)
     flat = keep.reshape(-1)
     for block in _blocks(flat.size):
         part = flat[block]
         np.greater_equal(rng.random(part.size), rate, out=part)
-    return keep
+    if rows is None:
+        return keep
+    at = rows[0]  # keep[i, ..., at[i, j], :] for every (i, j)
+    index = at.reshape(at.shape[:1] + (1,) * (keep.ndim - 3) + at.shape[1:] + (1,))
+    return np.take_along_axis(keep, index, axis=-2)
 
 
-def dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; rate 0 is the identity."""
-    keep = _keep_mask(x.shape, rate, rng)
+def dropout(x: Tensor, rate: float, rng, rows: Optional[Tuple[np.ndarray, int]] = None) -> Tensor:
+    """Inverted dropout; rate 0 is the identity. `rows` is as in _keep_mask."""
+    keep = _keep_mask(x.shape, rate, rng, rows)
     if keep is None:
         return x
     scale = 1.0 / (1.0 - rate)
@@ -514,7 +532,7 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
 
 
 def residual_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
-                        rate: float, rng) -> Tensor:
+                        rate: float, rng, rows: Optional[Tuple[np.ndarray, int]] = None) -> Tensor:
     """A transformer sub-layer's output, layer_norm(x + dropout(linear(h, w,
     b), rate, rng), gain, bias), as one node.
 
@@ -525,10 +543,10 @@ def residual_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor
     deviation and the bool keep mask. The projection, mask draw, residual
     sum and layer norm run the numpy operations of the composition, in
     the same order, so the value and every gradient are its bits, and the
-    mask takes the same draws from `rng`.
+    mask takes the same draws from `rng`. `rows` is as in _keep_mask.
     """
     y = _affine(h.data, w.data, b.data)
-    keep = _keep_mask(y.shape, rate, rng)
+    keep = _keep_mask(y.shape, rate, rng, rows)
     scale = 1.0 / (1.0 - rate)
     if keep is not None:
         y *= keep

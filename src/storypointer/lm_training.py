@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import UnlabeledCorpus
 from .kernel import Adam, RngStream, Tensor, clip_gradients, cross_entropy, no_grad
+from .kernel.optim import require_learning_rate
 from .pretrain_data import PretrainExample, create_pretraining_data
 from .transformer import TransformerModel, pad_batch
 
@@ -33,12 +34,22 @@ class PretrainHistory:
         self.nsp.append(nsp)
 
 
-def _masked_targets(batch: Sequence[PretrainExample]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch rows, positions and original labels of every masked token."""
-    targets = [(row, pos, label) for row, example in enumerate(batch)
-               for pos, label in zip(example.masked_positions, example.masked_labels)]
-    rows, positions, labels = np.array(targets, dtype=np.int64).reshape(-1, 3).T
-    return rows, positions, labels
+def _head_targets(
+    batch: Sequence[PretrainExample],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The positions the heads read, and the (row, slot, label) of every masked token.
+
+    The positions are the encoder's `at`: slot 0 of each row is [CLS],
+    which the NSP head reads, and slots 1.. are the row's masked positions;
+    a row with fewer of them than the longest is padded with position 0.
+    """
+    at = np.zeros((len(batch), 1 + max(len(e.masked_positions) for e in batch)), dtype=np.int64)
+    targets = []
+    for row, example in enumerate(batch):
+        at[row, 1:1 + len(example.masked_positions)] = example.masked_positions
+        targets += [(row, 1 + slot, label) for slot, label in enumerate(example.masked_labels)]
+    rows, slots, labels = np.array(targets, dtype=np.int64).reshape(-1, 3).T
+    return at, rows, slots, labels
 
 
 def batch_loss(
@@ -47,17 +58,19 @@ def batch_loss(
     train: bool = False,
     rng: Optional[RngStream] = None,
 ) -> Tuple[Tensor, float, float]:
-    """Joint loss tensor plus float MLM and NSP components."""
+    """Joint loss tensor plus float MLM and NSP components.
+
+    The encoder's last block runs only at the positions the heads read.
+    """
     if not batch:
         raise ValueError("empty batch")
-    ids = pad_batch([e.token_ids for e in batch])
-    segments = pad_batch([e.segment_ids for e in batch])
-    final = model.encode(ids, segments, train=train, rng=rng)[-1]
-
-    rows, positions, labels = _masked_targets(batch)
+    at, rows, slots, labels = _head_targets(batch)
     if not labels.size:
         raise ValueError("batch contains no masked positions")
-    mlm = cross_entropy(model.mlm_logits(final, rows, positions), labels)
+    ids = pad_batch([e.token_ids for e in batch])
+    segments = pad_batch([e.segment_ids for e in batch])
+    final = model.encode(ids, segments, train=train, rng=rng, at=at)[-1]
+    mlm = cross_entropy(model.mlm_logits(final, rows, slots), labels)
 
     nsp_labels = np.array([1 if e.is_next else 0 for e in batch], dtype=np.int64)
     nsp = cross_entropy(model.nsp_logits(final), nsp_labels)
@@ -132,8 +145,10 @@ def finetune_lm(
 ) -> PretrainHistory:
     """Continue pretraining on a new corpus with the vocabulary frozen.
 
-    Zero epochs is a no-op that leaves every parameter bitwise intact.
+    Zero epochs is a no-op that leaves every parameter bitwise intact; the
+    learning rate is checked all the same.
     """
+    require_learning_rate(learning_rate)
     if epochs == 0:
         return PretrainHistory()
     examples = create_pretraining_data(

@@ -29,6 +29,7 @@ from .corpus import (
     tokenize_words,
 )
 from .kernel import RngStream, parameter
+from .kernel.optim import require_learning_rate
 from .kernel.tensor import logistic
 from .kernel.checkpoint import config_from_meta, load_checkpoint, require_kind, save_checkpoint
 
@@ -60,6 +61,7 @@ class StaticTrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+        require_learning_rate(self.learning_rate)
 
 
 class StaticEmbeddingModel:

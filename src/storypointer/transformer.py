@@ -5,6 +5,11 @@ sum; layers 1..L are the encoder block outputs. Padding enters
 attention as a -1e9 additive bias on padded keys, so appending pads
 never changes the representation of real tokens. The MLM decoder is
 tied to the token embedding table.
+
+A caller that reads only some positions of the last layer names them
+(`encode`'s `at`), and the last block runs at those rows alone, past
+its keys and values: pretraining's heads read [CLS] and the masked
+positions, a few rows in each sequence.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ class TransformerConfig:
             raise ValueError("max_len must leave room for [CLS] and [SEP]")
         if self.layers < 1 or self.vocab_size <= N_SPECIALS:
             raise ValueError("need at least 1 layer and a non-trivial vocabulary")
+        if self.ff < 1:
+            raise ValueError(f"ff must be >= 1, got {self.ff}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -141,6 +148,7 @@ class TransformerModel:
         train: bool = False,
         rng: Optional[RngStream] = None,
         layers: Optional[int] = None,
+        at: Optional[np.ndarray] = None,
     ) -> List[Tensor]:
         """Layer outputs: [embedding sum, encoder 1, ..., encoder `layers`].
 
@@ -149,6 +157,15 @@ class TransformerModel:
         encoding, so a caller that reads a lower layer runs no block above it.
         `token_ids` and `segment_ids` are (batch, seq), as `pad_batch` builds
         them; [PAD] positions are masked out of attention.
+
+        `at`, a (batch, m) integer array of positions, is where a caller
+        reads the last block run. That block then computes keys and values
+        at every position, and everything else (queries, attention output,
+        feed-forward, both layer norms) at the `at` rows alone, and its
+        output is (batch, m, hidden): row i, slot j is what a full encoding
+        holds at (i, at[i, j]), to rounding. A position may repeat. In
+        training mode each dropout mask is drawn at its full shape, as
+        without `at`, so `rng` is left where a full encoding leaves it.
         """
         c = self.config
         if layers is None:
@@ -156,9 +173,18 @@ class TransformerModel:
         elif not 0 <= layers <= c.layers:
             raise ValueError(f"layers must be in 0..{c.layers}, got {layers}")
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        _, seq_len = token_ids.shape
+        batch, seq_len = token_ids.shape
         if seq_len > c.max_len:
             raise ValueError(f"sequence length {seq_len} exceeds max_len {c.max_len}")
+        if at is not None:
+            at = np.asarray(at)
+            if layers == 0:
+                raise ValueError("at selects rows of the last block, and layers=0 runs none")
+            if at.ndim != 2 or at.shape[0] != batch or not np.issubdtype(at.dtype, np.integer):
+                raise ValueError(f"at must be integer positions of shape (batch {batch}, m), "
+                                 f"got {at.dtype} of shape {at.shape}")
+            if at.size and not 0 <= at.min() <= at.max() < seq_len:
+                raise ValueError(f"at holds a position outside the sequence of {seq_len}")
         segment_ids = (np.zeros_like(token_ids) if segment_ids is None
                        else np.asarray(segment_ids, dtype=np.int64))
         attention_mask = (token_ids != PAD_ID).astype(np.float64)
@@ -175,42 +201,52 @@ class TransformerModel:
         x = dropout(x, rate, rng)
         mask_bias = (1.0 - attention_mask)[:, None, None, :] * -1e9
         for i in range(layers):
-            x = self._block(x, i, mask_bias, rate, rng)
+            x = self._block(x, i, mask_bias, rate, rng, at if i == layers - 1 else None)
             outputs.append(x)
         return outputs
 
-    def _block(self, x: Tensor, i: int, mask_bias: np.ndarray, rate: float, rng) -> Tensor:
+    def _block(self, x: Tensor, i: int, mask_bias: np.ndarray, rate: float, rng,
+               at: Optional[np.ndarray] = None) -> Tensor:
+        """Block i over x, with queries and all that follows them at the
+        `at` rows of x (see `encode`), or at every row if `at` is None."""
         p = self.params
         c = self.config
         batch, seq_len, hidden = x.shape
         head_dim = hidden // c.heads
+        rows = None if at is None else (at, seq_len)
+        xq = x if at is None else x[np.arange(batch)[:, None], at]
 
         def heads(t: Tensor) -> Tensor:
-            return t.reshape(batch, seq_len, c.heads, head_dim).transpose(0, 2, 1, 3)
+            return t.reshape(batch, t.shape[1], c.heads, head_dim).transpose(0, 2, 1, 3)
 
-        q = heads(linear(x, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"]))
+        q = heads(linear(xq, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"]))
         k = heads(linear(x, p[f"layer{i}.attn.wk"], p[f"layer{i}.attn.bk"]))
         v = heads(linear(x, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"]))
         scores = attention_scores(q, k, 1.0 / math.sqrt(head_dim), mask_bias)
-        probs = dropout(softmax(scores), rate, rng)
-        context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq_len, hidden)
-        x = residual_layer_norm(x, context, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"],
-                                p[f"layer{i}.attn.ln.gain"], p[f"layer{i}.attn.ln.bias"], rate, rng)
+        probs = dropout(softmax(scores), rate, rng, rows)
+        context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, xq.shape[1], hidden)
+        x = residual_layer_norm(xq, context, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"],
+                                p[f"layer{i}.attn.ln.gain"], p[f"layer{i}.attn.ln.bias"], rate, rng,
+                                rows)
         ff = linear(x, p[f"layer{i}.ff.w1"], p[f"layer{i}.ff.b1"]).gelu()
         return residual_layer_norm(x, ff, p[f"layer{i}.ff.w2"], p[f"layer{i}.ff.b2"],
-                                   p[f"layer{i}.ff.ln.gain"], p[f"layer{i}.ff.ln.bias"], rate, rng)
+                                   p[f"layer{i}.ff.ln.gain"], p[f"layer{i}.ff.ln.bias"], rate, rng,
+                                   rows)
 
     # ---- heads --------------------------------------------------------
 
-    def mlm_logits(self, final_layer: Tensor, rows: np.ndarray, positions: np.ndarray) -> Tensor:
-        """Vocabulary logits at the (row, position) pairs of `final_layer`."""
+    def mlm_logits(self, final_layer: Tensor, rows: np.ndarray, slots: np.ndarray) -> Tensor:
+        """Vocabulary logits at the (row, slot) pairs of `final_layer`'s first
+        two axes: positions of a full encoding, or slots of its `at`."""
         p = self.params
-        h = final_layer[rows, positions]
+        h = final_layer[rows, slots]
         h = linear(h, p["mlm.dense.w"], p["mlm.dense.b"]).gelu()
         h = layer_norm(h, p["mlm.ln.gain"], p["mlm.ln.bias"])
         return linear(h, p["emb.token"].transpose(1, 0), p["mlm.bias"])
 
     def nsp_logits(self, final_layer: Tensor) -> Tensor:
+        """Pair-label logits from slot 0 of each row: [CLS] in a full
+        encoding, and in one whose `at` starts with position 0."""
         p = self.params
         cls = final_layer[:, 0, :]
         pooled = linear(cls, p["nsp.pooler.w"], p["nsp.pooler.b"]).tanh()

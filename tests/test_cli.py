@@ -398,13 +398,49 @@ class TestPretrainingFlags:
         (["--max-len", "2"], "max_len must be at least 4, got 2"),
         (["--hidden", "0", "--heads", "2"], "hidden 0 is not a positive multiple of heads 2"),
         (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
-    ], ids=["max-len-2", "hidden-0", "batch-size-0"])
+        (["--ff", "0"], "ff must be >= 1, got 0"),
+    ], ids=["max-len-2", "hidden-0", "batch-size-0", "ff-0"])
     def test_pretrain_ctx_refuses_with_one_error_line(self, trained, tmp_path, capsys, flags, message):
         out = tmp_path / "encoder"
         code, text, err = run(["pretrain-ctx", "--unlabeled", trained / "docs.txt", "--layers", "1",
                                "--hidden", "8", "--heads", "2", "--ff", "8", "--vocab-size", "80",
                                "--epochs", "1", "--n-examples", "4", "--out", out] + flags, capsys)
         assert (code, text, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+
+class TestLearningRate:
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["pretrain-static", "pretrain-ctx", "finetune-ctx",
+                                         "train", "evaluate"])
+    def test_a_rate_not_positive_and_finite_is_one_error_line(self, trained, tmp_path, capsys,
+                                                              command, lr):
+        # at the parent of this check a negative rate trained by gradient ascent and exited 0
+        flags = {
+            "pretrain-static": ["--corpus", trained / "stories.csv", "--dimension", "6"],
+            "pretrain-ctx": ["--unlabeled", trained / "docs.txt", "--layers", "1", "--hidden", "8",
+                             "--heads", "2", "--ff", "8", "--vocab-size", "80", "--n-examples", "4"],
+            "finetune-ctx": ["--model", trained / "encoder.ckpt", "--unlabeled",
+                             trained / "docs.txt", "--n-examples", "4"],
+            "train": ["--corpus", trained / "stories.csv", "--embedding", trained / "static.ckpt",
+                      "--mode", "pooled"],
+            "evaluate": ["--corpus", trained / "stories.csv", "--embedding",
+                         trained / "static.ckpt", "--mode", "pooled", "--experiment", "E1",
+                         "--kfold", "2"],
+        }[command]
+        out = tmp_path / "out"
+        code, text, err = run([command, *flags, "--epochs", "1", "--lr", lr, "--out", out], capsys)
+        assert (code, text) == (1, "")
+        assert err == f"error: learning rate must be positive and finite, got {float(lr)}\n"
+        assert not out.exists()
+
+    def test_finetune_ctx_checks_the_rate_also_at_zero_epochs(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, text, err = run(["finetune-ctx", "--model", trained / "encoder.ckpt", "--unlabeled",
+                               trained / "docs.txt", "--epochs", "0", "--lr", "-1", "--out", out],
+                              capsys)
+        assert (code, text) == (1, "")
+        assert err == "error: learning rate must be positive and finite, got -1.0\n"
         assert not out.exists()
 
 

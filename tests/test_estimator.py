@@ -339,8 +339,9 @@ class TestTraining:
 
     def test_frozen_learning_stops_on_patience(self):
         batch, efforts = toy_regression(n=12, dim=4, seed=2)
+        # a step of this rate is below every weight's last bit, so no step moves one
         config = HeadConfig(mode="pooled", dense_sizes=(6, 3), epochs=50,
-                            patience=4, learning_rate=0.0, seed=0)
+                            patience=4, learning_rate=1e-300, seed=0)
         model = EstimatorModel(config, input_dim=4)
         history = train_estimator(model, batch, efforts, batch, efforts)
         assert history.stop_reason == "patience"

@@ -586,6 +586,21 @@ class TestDropout:
         out.backward(cotangent)
         assert_same_bits(x.grad, cotangent * keep * scale)
 
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (3, 2, 7, 7)])
+    def test_rows_take_the_full_draw_at_those_rows(self, rng, shape):
+        """With `rows`, x holds some rows of axis -2 of a full sequence: the
+        mask is the full-shape draw's at those rows, bitwise, and the stream
+        is left where the full draw leaves it."""
+        at = np.array([[0, 4, 4], [6, 1, 0], [2, 2, 2]])
+        full = rng.normal(0.0, 1.0, shape)
+        index = at.reshape((3,) + (1,) * (len(shape) - 3) + (3, 1))
+        x = parameter(np.take_along_axis(full, index, axis=-2))
+        stream, whole = RngStream(8), RngStream(8)
+        out = dropout(x, 0.3, stream, (at, 7))
+        reference = dropout(Tensor(full), 0.3, whole).numpy()
+        assert_same_bits(out.numpy(), np.take_along_axis(reference, index, axis=-2))
+        assert_same_bits(stream.random(3), whole.random(3))
+
     def test_no_float_array_of_uniforms_is_held(self):
         """The uniforms are drawn a block at a time: at each draw the bytes
         held are the bool mask and one block of doubles, where a whole-array

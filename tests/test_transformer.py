@@ -8,7 +8,7 @@ import pytest
 
 from storypointer import transformer
 from storypointer.corpus import UnlabeledCorpus, Vocabulary
-from storypointer.kernel import RngStream
+from storypointer.kernel import RngStream, cross_entropy, mse_loss
 from storypointer.kernel.checkpoint import load_checkpoint, save_checkpoint
 from storypointer.kernel.tensor import _result, unbroadcast
 from storypointer.lm_training import (
@@ -79,6 +79,17 @@ class TestConfig:
             TransformerConfig(vocab_size=3)
         with pytest.raises(ValueError):
             TransformerConfig(vocab_size=30, dropout=1.0)
+
+    def test_ff_below_one_is_refused_by_name_also_from_a_checkpoint(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^ff must be >= 1, got 0$"):
+            TransformerConfig(ff=0, vocab_size=30)
+        model = tiny_model()
+        path = tmp_path / "encoder.ckpt"
+        save_checkpoint(path, model.params, meta={
+            "kind": "transformer_lm", "config": {**dataclasses.asdict(model.config), "ff": 0}},
+            sections={"vocab": "\n".join(model.vocab.tokens) + "\n"})
+        with pytest.raises(ValueError, match=r"^ff must be >= 1, got 0$"):
+            load_transformer(path)
 
     def test_vocab_size_must_match_vocabulary(self):
         vocab = word_vocab()
@@ -184,6 +195,102 @@ class TestPaddingInvariance:
             a = layer_short.numpy()[0]
             b = layer_padded.numpy()[0][: a.shape[0]]
             assert np.max(np.abs(a - b)) <= 1e-6
+
+
+class TestSparseLastBlock:
+    """`encode(..., at=...)` runs the last block only at the `at` rows."""
+
+    @staticmethod
+    def full_last_block_loss(model, batch, rng):
+        """The joint pretraining loss with the last block run at every
+        position: the heads gather their rows from the full final layer."""
+        final = model.encode(pad_batch([e.token_ids for e in batch]),
+                             pad_batch([e.segment_ids for e in batch]), train=True, rng=rng)[-1]
+        rows, positions, labels = np.array(
+            [(row, pos, label) for row, e in enumerate(batch)
+             for pos, label in zip(e.masked_positions, e.masked_labels)]).T
+        nsp_labels = np.array([int(e.is_next) for e in batch])
+        return (cross_entropy(model.mlm_logits(final, rows, positions), labels)
+                + cross_entropy(model.nsp_logits(final), nsp_labels))
+
+    def test_training_step_matches_the_full_last_block(self):
+        """Loss and every gradient agree to rounding, and the dropout stream
+        ends where the full block leaves it.
+
+        Gradients are compared relative to the largest gradient entry too,
+        as in `test_training_step_matches_numpys_batched_linear_to_rounding`:
+        the key biases' gradient is zero in exact arithmetic.
+        """
+        runs = []
+        for loss_fn in (lambda m, b, r: batch_loss(m, b, train=True, rng=r)[0],
+                        self.full_last_block_loss):
+            model = tiny_model(layers=2, hidden=32, heads=2, ff=64, max_len=24, dropout=0.1)
+            examples = small_examples(model.vocab, n=8, seed=3)
+            examples[0] = dataclasses.replace(  # rows with 1 and 2 masked positions
+                examples[0], masked_positions=(1, 2),
+                masked_labels=(examples[0].token_ids[1], examples[0].token_ids[2]))
+            rng = RngStream(1)
+            joint = loss_fn(model, examples, rng)
+            joint.backward()
+            runs.append((joint.item(), {name: t.grad for name, t in model.params.items()},
+                         rng.random(4)))
+        (loss, grads, after), (ref_loss, ref_grads, ref_after) = runs
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        np.testing.assert_array_equal(after, ref_after)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    def test_inference_reads_the_full_encoding_at_the_at_rows(self):
+        model = tiny_model(layers=2, max_len=12)
+        ids = np.vstack([framed([5, 6, 7, 8]), framed([9], max_len=6)])
+        at = np.array([[0, 3, 3, 1], [0, 2, 0, 0]])
+        full = model.encode(ids)
+        sparse = model.encode(ids, at=at)
+        for below, reference in zip(sparse[:-1], full[:-1]):
+            np.testing.assert_array_equal(below.numpy(), reference.numpy())
+        np.testing.assert_allclose(sparse[-1].numpy(),
+                                   full[-1].numpy()[np.arange(2)[:, None], at],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_gradients_match_central_differences(self):
+        # a duplicate slot, and a short row whose pads are position 0
+        model = tiny_model(layers=2, hidden=8, heads=2, ff=16, max_len=6)
+        ids = np.array([[CLS_ID, 5, 6, SEP_ID, 7, SEP_ID], [CLS_ID, 8, SEP_ID, PAD_ID, PAD_ID, PAD_ID]])
+        segments = np.array([[0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0]])
+        at = np.array([[0, 2, 4, 2], [0, 1, 0, 0]])
+        target = RngStream(5).normal(0.0, 1.0, (2, 4, 8))
+
+        def loss_fn():
+            return mse_loss(model.encode(ids, segments, at=at)[-1], target)
+
+        report = grad_check(loss_fn, model.params, h=1e-5, max_coords_per_param=6,
+                            rng=RngStream(13))
+        assert report.max_rel_error < 1e-3, str(report)
+
+    def test_appended_padding_leaves_the_at_rows_unchanged(self):
+        model = tiny_model(layers=2, max_len=12)
+        real = [5, 6, 7, 8]
+        at = np.array([[0, 2, 4, 2]])
+        short = model.encode(framed(real), at=at)[-1].numpy()
+        padded = model.encode(framed(real, max_len=12), at=at)[-1].numpy()
+        assert np.max(np.abs(short - padded)) <= 1e-6
+
+    @pytest.mark.parametrize("at, layers, message", [
+        ([[0, 1]], None, r"^at must be integer positions of shape \(batch 2, m\)"),
+        ([[0, 1], [0, 1.0]], None, r"^at must be integer positions"),
+        ([0, 1], None, r"^at must be integer positions"),
+        ([[0, 1], [0, 5]], None, r"^at holds a position outside the sequence of 5$"),
+        ([[0, 1], [0, -1]], None, r"^at holds a position outside the sequence of 5$"),
+        ([[0, 1], [0, 1]], 0, r"^at selects rows of the last block, and layers=0 runs none$"),
+    ], ids=["batch", "float", "rank", "beyond", "negative", "layers-0"])
+    def test_a_malformed_at_is_one_value_error(self, at, layers, message):
+        model = tiny_model(layers=2)
+        ids = np.vstack([framed([5, 6, 7]), framed([8], max_len=5)])
+        with pytest.raises(ValueError, match=message):
+            model.encode(ids, at=np.array(at), layers=layers)
 
 
 def small_examples(vocab, n=24, seed=0):
@@ -366,36 +473,45 @@ class TestGradients:
         bound counted from the shapes.
 
         What a forward leaves is every node's value plus the arrays its
-        backward closure saves. With n = batch * seq positions, hidden H,
-        ff F, P = batch * heads * seq * seq attention weights, m masked
-        positions and V pieces, counted in float64 values (a bool dropout
-        mask is 1/8 of one):
+        backward closure saves. With n = batch * seq positions, r = batch *
+        slots rows that the heads read (the encoder's `at`: [CLS] and each
+        row's masked positions, padded), hidden H, ff F, P = batch * heads *
+        seq * seq attention weights and R = batch * heads * slots * seq of
+        them at the read rows, m masked positions and V pieces, counted in
+        float64 values (a bool dropout mask is 1/8 of one):
         - embedding: the embed node's sum (nH), layer_norm's value and
           xhat (2 nH) and inverse deviation (n), dropout (9/8 nH);
-        - each layer, in nH: q, k, v (3), probs @ v and its reshape copy
-          (2), and two residual_layer_norm nodes, each its value, xhat and
-          bool mask (2 * 17/8); in nF: ff1, gelu's value and its saved tanh
-          (3); in P: the score array, the softmax and its dropout (1 + 1 +
-          9/8); two inverse deviations (2 n);
+        - each layer below the last, in nH: q, k, v (3), probs @ v and its
+          reshape copy (2), and two residual_layer_norm nodes, each its
+          value, xhat and bool mask (2 * 17/8); in nF: ff1, gelu's value and
+          its saved tanh (3); in P: the score array, the softmax and its
+          dropout (1 + 1 + 9/8); two inverse deviations (2 n);
+        - the last layer: k and v at every position (2 nH); the rest of a
+          layer's terms at the read rows, r in place of n and R in place of
+          P, with the gather of the query rows (1 rH) added to them;
         - heads: the MLM gather, dense, gelu (2) and layer_norm (2) (6 mH,
           plus m), logits and saved log-probabilities (2 mV); the NSP pooler
           and tanh (2 bH), logits and log-probabilities (4 b);
         plus 128 KiB for the nodes' Python objects and the id arrays.
-        The composition these nodes replace, which kept each sub-layer's
-        projection, its dropout and the residual sum, and the embedding's
-        three gathers and first sum, holds about 1.25 times this bound.
+        The same forward with its last block run at every position holds
+        about 1.24 times this bound; this one holds about 0.88 of it.
         """
         layers, hidden, heads, ff = 2, 32, 2, 64
         model = tiny_model(layers=layers, hidden=hidden, heads=heads, ff=ff, max_len=24,
                            dropout=0.1)
         examples = small_examples(model.vocab, n=8, seed=3)
         b, s = pad_batch([e.token_ids for e in examples]).shape
-        n, p = b * s, b * heads * s * s
+        slots = 1 + max(len(e.masked_positions) for e in examples)
+        n, p, r = b * s, b * heads * s * s, b * slots
         m = sum(len(e.masked_positions) for e in examples)
-        per_layer = 9.25 * n * hidden + 3 * n * ff + 3.125 * p + 2 * n
+
+        def layer(n, p):
+            return 9.25 * n * hidden + 3 * n * ff + 3.125 * p + 2 * n
+
+        last = layer(r, b * heads * slots * s) + r * hidden + 2 * n * hidden
         embedding = 4.125 * n * hidden + n
         outputs = 6 * m * hidden + m + 2 * m * len(model.vocab) + 2 * b * hidden + 4 * b
-        bound = 8 * (layers * per_layer + embedding + outputs) + 128 * 1024
+        bound = 8 * ((layers - 1) * layer(n, p) + last + embedding + outputs) + 128 * 1024
         tracemalloc.start()
         try:
             joint, _, _ = batch_loss(model, examples, train=True, rng=RngStream(1))
