@@ -1,9 +1,9 @@
 """Effort estimation head: LSTM or dense stack over embedded requirements.
 
-Sequence inputs, each batch padded to its own longest text just before
-it runs, go through a masked LSTM, which returns only each row's final
-state, and that state feeds two nonlinear dense layers; pooled inputs
-skip straight to the dense stack.
+Sequence inputs go through an LSTM that reads each text's token rows as
+the batch stores them, with no padding, and returns only each text's
+final state, which feeds two nonlinear dense layers; pooled inputs skip
+straight to the dense stack.
 The output is either a single linear unit or a 9-way softmax over the
 Planning-Poker buckets. `forward` takes a `FeatureBatch` of the head's
 mode and returns the raw outputs; `predict` turns them into one effort
@@ -63,10 +63,11 @@ class HeadConfig:
             raise ValueError(f"unknown output head {self.output!r}")
         if any(size <= 0 for size in self.dense_sizes) or self.lstm_hidden <= 0:
             raise ValueError("layer sizes must be positive")
-        if self.patience > self.epochs:
-            raise ValueError(f"patience {self.patience} exceeds epochs {self.epochs}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        if not 1 <= self.patience <= self.epochs:
+            raise ValueError(f"patience must be from 1 to epochs ({self.epochs}), "
+                             f"got {self.patience}")
         require_learning_rate(self.learning_rate)
 
 
@@ -127,8 +128,7 @@ class EstimatorModel:
                 raise ValueError(f"sequence mode expects (R, {self.input_dim}) rows, one per real "
                                  f"step of an (n, t) mask, got rows {rows.shape} and mask "
                                  f"{None if mask is None else mask.shape}")
-            x, mask = batch.padded()
-            h = self.lstm(Tensor(x), mask)
+            h = self.lstm(Tensor(rows), np.count_nonzero(mask > 0, axis=1))
         else:
             h = Tensor(np.asarray(batch.vectors, dtype=np.float64))
             if h.data.ndim != 2 or h.shape[-1] != self.input_dim:

@@ -51,6 +51,8 @@ def carve_validation(
     records: Sequence[RequirementRecord], fraction: float, seed: int,
 ) -> Tuple[List[int], List[int]]:
     """Index split of a training portion into (train, validation)."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"the validation fraction must be between 0 and 1, got {fraction}")
     n = len(records)
     if n < 2:
         raise ValueError("training portion too small to carve validation from")

@@ -15,9 +15,8 @@ layer, on chunks of texts taken in length order so that each chunk pads
 little; every result is put back at its text's input index.
 
 A sequence batch stores only real token rows, each text's in text
-order, and pads nowhere: `FeatureBatch.padded` scatters the rows of
-whatever batch the head runs into zeros, trimmed to that batch's longest
-text, so no padded copy of a corpus, a fold or a minibatch is ever held.
+order, and pads nowhere: the head's LSTM reads the rows as they are
+stored, so no corpus, fold or minibatch is ever copied into zeros.
 
 A text is degenerate when nothing usable survives. It is flagged in
 `FeatureBatch.degenerate` and still gets a vector: its fallback row
@@ -27,7 +26,7 @@ when pooled, an all-padding mask row (and no rows) in sequence mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -74,16 +73,6 @@ class FeatureBatch:
             mask=None if self.mask is None else self.mask[idx],
             degenerate=self.degenerate[idx],
         )
-
-    def padded(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sequence mode: the (n, s, d) inputs and (n, s) mask of the batch, its
-        rows scattered into zeros under mask > 0 and s the longest text's
-        length, at least 1. The one place head inputs are padded."""
-        real = self.mask > 0
-        steps = max(1, int(np.count_nonzero(real, axis=1).max(initial=0)))
-        vectors = np.zeros((len(self), steps, self.dimension))
-        vectors[real[:, :steps]] = self.vectors
-        return vectors, self.mask[:, :steps]
 
 
 def _check_mode(mode: str) -> str:

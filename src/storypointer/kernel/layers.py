@@ -7,7 +7,7 @@ the `parameters()` mapping.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -45,21 +45,20 @@ class Dense:
 
 
 class LSTM:
-    """Single-layer LSTM over (batch, time, features) inputs.
+    """Single-layer LSTM over ragged rows of steps, stored one row after another.
 
     Gate order in the stacked weight matrices is input, forget, cell,
-    output. Each row's final state is the state after its last real step,
-    read at its length, so trailing pads cannot change it.
+    output. Each row's final state is the state after its last step, read
+    at its length.
 
-    A whole sequence is one autograd node whose value is each row's final
-    state, run packed: the rows are sorted longest first and their real
-    steps laid out time-major, so step t runs on the prefix of rows whose
-    length exceeds t and no pad step is ever computed. The input
-    projection of every real step is one matmul before the time loop, the
-    loop runs in plain numpy and writes each step's gate activations over
-    its projected input, and the backward pass is hand-written
-    backpropagation through time over the same prefixes, whose weight
-    gradients are one matmul over the packed steps.
+    A whole batch is one autograd node whose value is each row's final
+    state, run packed: the rows are sorted longest first and their steps
+    gathered time-major, so step t runs on the prefix of rows whose length
+    exceeds t. The input projection of every step is one matmul before the
+    time loop, the loop runs in plain numpy and writes each step's gate
+    activations over its projected input, and the backward pass is
+    hand-written backpropagation through time over the same prefixes,
+    whose weight gradients are one matmul over the packed steps.
     """
 
     def __init__(self, rng: RngStream, n_in: int, n_hidden: int):
@@ -87,18 +86,17 @@ class LSTM:
         np.tanh(c_new, out=tanh_c)
         return o * tanh_c, c_new
 
-    def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        """Run the full sequence; returns the (batch, hidden) final states.
+    def __call__(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+        """Run every row; returns the (batch, hidden) final states.
 
-        mask has shape (batch, time): each row is its real steps (nonzero)
-        followed by trailing pads (0.0), and None means every step is real.
-        The final state of a row is its state after its last real step, or
-        the zero initial state for a row of pads only.
+        x is (sum(lengths), features): row 0's steps in order, then row 1's,
+        and so on, with no pads. The final state of a row is its state after
+        its last step, or the zero initial state for a row of length 0.
         """
-        batch, steps, n_in = x.shape
+        lengths = np.asarray(lengths, dtype=np.int64)
+        batch, steps = len(lengths), int(lengths.max(initial=0))
         n = self.n_hidden
         w_x, w_h = self.w_x.data, self.w_h.data
-        lengths = np.full(batch, steps) if mask is None else np.count_nonzero(mask, axis=1)
         # the packed layout: rows longest first, then step t holds the
         # sizes[t] rows whose length exceeds t, at packed positions
         # offsets[t]:offsets[t + 1]
@@ -107,8 +105,9 @@ class LSTM:
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         times = np.repeat(np.arange(steps), sizes)
         ranks = np.arange(offsets[-1]) - offsets[times]
-        rows = order[ranks]  # the batch row of each packed position
-        x_packed = x.data[rows, times]
+        # the row of x each packed position reads: its batch row's first step, plus t
+        rows = (np.cumsum(lengths) - lengths)[order[ranks]] + times
+        x_packed = x.data[rows]
         xw = x_packed @ w_x
         xw += self.bias.data
 
@@ -135,7 +134,7 @@ class LSTM:
                                              tanh_c[k:k + s])
             if keep:
                 cells[here:here + s] = c
-        # rank r's final state is at start[length] + r: its zero initial state if all pads
+        # rank r's final state is at start[length] + r: its zero initial state at length 0
         final[order] = hs[start[lengths[order]] + np.arange(batch)]
 
         if keep:
@@ -170,7 +169,7 @@ class LSTM:
                     self.bias._accumulate(d_gates.sum(axis=0))
                 if x.requires_grad:
                     dx = np.zeros(x.shape)
-                    dx[rows, times] = d_gates @ w_x.T
+                    dx[rows] = d_gates @ w_x.T
                     x._accumulate(dx)
             node._backward = backward
         return node

@@ -444,6 +444,42 @@ class TestLearningRate:
         assert not out.exists()
 
 
+class TestHeadFlags:
+    FLAGS = {
+        "train": ["--mode", "pooled"],
+        "evaluate": ["--mode", "pooled", "--experiment", "E1", "--kfold", "2"],
+    }
+
+    def head_run(self, trained, tmp_path, capsys, command, *flags):
+        out = tmp_path / "out"
+        result = run([command, "--corpus", trained / "stories.csv", "--embedding",
+                      trained / "static.ckpt", *self.FLAGS[command], *flags, "--out", out], capsys)
+        assert not out.exists()
+        return result
+
+    @pytest.mark.parametrize("patience", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_patience_below_one_is_one_error_line(self, trained, tmp_path, capsys, command,
+                                                  patience):
+        # unchecked, 0 and -3 stopped after epoch 1 "(patience)" and exited 0
+        code, text, err = self.head_run(trained, tmp_path, capsys, command, "--epochs", "5",
+                                        "--patience", patience)
+        assert (code, text) == (1, "")
+        assert err == f"error: patience must be from 1 to epochs (5), got {patience}\n"
+
+    @pytest.mark.parametrize("fraction", ["0", "1", "7", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_val_fraction_outside_zero_to_one_is_one_error_line(self, trained, tmp_path, capsys,
+                                                                  command, fraction):
+        # unchecked, 7 trained on one row and exited 0, and nan ended in a message about
+        # converting NaN to an integer
+        code, text, err = self.head_run(trained, tmp_path, capsys, command, "--epochs", "1",
+                                        "--val-fraction", fraction)
+        assert (code, text) == (1, "")
+        assert err == ("error: the validation fraction must be between 0 and 1, "
+                       f"got {float(fraction)}\n")
+
+
 # Well-formed containers whose model meta does not describe a model.
 META_FLAWS = {
     "config-unknown-key": lambda meta: meta["config"].update(bogus=1),
@@ -585,8 +621,9 @@ class TestCheckpointErrors:
         lambda header: header["meta"].update(source="static"),
         lambda header: [e.update(shape=e["shape"][::-1]) for e in header["params"]
                         if e["name"] == "dense1.weight"],
+        lambda header: header["meta"]["config"].update(patience=0),
     ], ids=["input-dim-mistyped", "no-input-dim", "one-dense-size", "float-dense-size",
-            "source-not-object", "transposed-weight"])
+            "source-not-object", "transposed-weight", "patience-zero"])
     def test_bad_estimator_meta_is_one_error_line(self, trained, tmp_path, capsys, edit):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(rewrite_header((trained / "estimator.ckpt").read_bytes(), edit))

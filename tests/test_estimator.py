@@ -71,6 +71,8 @@ class TestConfig:
         {"dense_sizes": (0, 10)},
         {"epochs": 0},
         {"patience": 30},
+        {"patience": 0},
+        {"patience": -3},
     ])
     def test_invalid_settings_are_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -234,9 +236,9 @@ class TestSequenceRowsAndPads:
                                    rtol=0, atol=1e-12)
 
     def test_a_prediction_has_the_same_bits_alone_and_beside_a_long_text(self):
-        """The head pads each batch to its own longest text: beside a
-        100-step text a row is padded to 100 steps, alone to its length,
-        and its prediction does not move by a bit."""
+        """The LSTM runs each row to its own length only: beside a 100-step
+        text a row's steps share their GEMMs with the long text's, alone they
+        do not, and its prediction does not move by a bit."""
         rng = np.random.default_rng(8)
         mask = np.zeros((len(self.LENGTHS) + 1, 100))
         mask[:-1, :5] = self.mask
@@ -314,6 +316,27 @@ class TestSequenceMemory:
         whole = peak(featurize_and_train)
         bound = 8 * (2 * sum(lengths) * d + 2 * n * max(lengths)) + 512 * 1024
         assert whole - alone < bound, (whole, alone, bound)
+
+    def test_predict_holds_no_padded_copy_of_a_ragged_batch(self):
+        """One 100-step text beside 300 of 5 steps: R = 1,600 rows of
+        d = 100, whose bytes B = 8 * R * d are 1.28 MB. Prediction holds
+        their packed copy (B), its projection to the 4h = 200 gates (2B),
+        the states of every step, n + R of h = 50 (0.6B), and one step's
+        gate temporaries, n * 4h each (0.4B apiece): under 5B. An
+        (n, 100, d) padded copy of the input alone is 8 * n * 100 * d,
+        18.8B, so a peak under 6B holds none."""
+        d, lengths = 100, np.array([100] + [5] * 300)
+        mask = (np.arange(100) < lengths[:, None]) * 1.0
+        batch = FeatureBatch("sequence", np.random.default_rng(0).normal(size=(lengths.sum(), d)),
+                             mask, ~mask.any(axis=1))
+        model = EstimatorModel(HeadConfig(), input_dim=d)
+        tracemalloc.start()
+        try:
+            predict(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * batch.vectors.nbytes, (peak, batch.vectors.nbytes)
 
 
 class TestTraining:

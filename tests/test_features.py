@@ -143,10 +143,9 @@ class TestStaticFeaturizer:
             if mode == "pooled":
                 np.testing.assert_array_equal(batch.vectors[0], np.zeros(8))
                 continue
-            # no rows and an all-padding mask row; the head pads it with zeros
+            # no rows and an all-padding mask row: the two rows are "query join"'s
             assert batch.mask.tolist() == [[0.0, 0.0], [1.0, 1.0]]
             assert batch.vectors.shape == (2, 8)
-            np.testing.assert_array_equal(batch.padded()[0][0], np.zeros((2, 8)))
 
     def test_raw_and_cleaned_text_agree(self, static_model):
         featurizer = StaticFeaturizer(static_model, mode="pooled")
@@ -236,7 +235,6 @@ class TestContextualFeaturizer:
         assert batch.degenerate.tolist() == [False, True]
         assert batch.mask.tolist() == [[1.0], [0.0]]
         assert batch.vectors.shape == (1, 16)  # the one row of "query"
-        np.testing.assert_array_equal(batch.padded()[0][1], np.zeros((1, 16)))
 
     def test_featurize_builds_no_graph(self, ctx_model, monkeypatch):
         assert ctx_model.encode(np.array([[1, 5, 2]]))[-1].requires_grad  # the spy can tell
@@ -295,15 +293,14 @@ class TestContextualFeaturizer:
             np.testing.assert_allclose(batch.vectors, [a.vectors[0] for a in alone],
                                        rtol=0, atol=1e-12)
             return
-        vectors, mask = batch.padded()
-        np.testing.assert_allclose(vectors, backward.padded()[0][::-1], rtol=0, atol=1e-12)
+        reversed_back = backward.select(np.arange(len(backward))[::-1])
+        np.testing.assert_allclose(batch.vectors, reversed_back.vectors, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(batch.mask, backward.mask[::-1])
         for i, a in enumerate(alone):
             steps = a.mask.shape[1]
             np.testing.assert_array_equal(batch.mask[i, :steps], a.mask[0])
             assert not batch.mask[i, steps:].any()
-            np.testing.assert_allclose(vectors[i, :steps], a.padded()[0][0], rtol=0, atol=1e-12)
-            assert not vectors[i, steps:].any()
+            np.testing.assert_allclose(batch.select([i]).vectors, a.vectors, rtol=0, atol=1e-12)
 
     def test_long_text_is_truncated_to_window(self, ctx_model):
         long_text = " ".join(["query join table index schema"] * 20)
@@ -339,14 +336,14 @@ class TestFeatureBatch:
 
     @pytest.mark.parametrize("picks", [[0, 1, 2, 3, 4, 5, 6, 7], [3, 0], [2, 7, 2], [1, 4], [],
                                        [7, 6, 5, 4, 3, 2, 1, 0]])
-    def test_padded_is_the_corpus_padding_trimmed_to_the_batch(self, static_model, picks):
+    def test_select_is_the_corpus_padding_of_the_picks_under_their_mask(self, static_model,
+                                                                        picks):
         batch = StaticFeaturizer(static_model, mode="sequence").featurize(MIXED_LENGTHS)
         vectors, mask = corpus_padded(static_model, MIXED_LENGTHS)
-        longest = max([1] + [int(mask[i].sum()) for i in picks])
-        got_vectors, got_mask = batch.select(picks).padded()
-        assert got_vectors.tobytes() == vectors[picks, :longest].tobytes()
-        assert got_vectors.shape == (len(picks), longest, 8)
-        np.testing.assert_array_equal(got_mask, mask[picks, :longest])
+        picked = batch.select(picks)
+        assert picked.vectors.tobytes() == vectors[picks][mask[picks] > 0].tobytes()
+        assert picked.vectors.shape == (int(mask[picks].sum()), 8)
+        np.testing.assert_array_equal(picked.mask, mask[picks])
 
     def test_select_subsets_rows(self, static_model):
         """In the order picked, copying the chosen texts' real rows only."""
@@ -371,5 +368,3 @@ class TestFeatureBatch:
             sequence = featurizer(model, mode="sequence").featurize([])
             assert sequence.vectors.shape == (0, d) and sequence.mask.shape == (0, 1)
             assert len(sequence) == 0 and sequence.dimension == d
-            vectors, mask = sequence.padded()
-            assert vectors.shape == (0, 1, d) and mask.shape == (0, 1)

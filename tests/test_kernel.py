@@ -74,7 +74,8 @@ class TestDense:
 
 def reference_lstm(cell, x, mask):
     """The cell composed step by step from Tensor ops, as the LSTM ran before
-    it became one autograd node; returns the final hidden states."""
+    it became one autograd node, over padded (batch, time, features) inputs
+    and their (batch, time) mask; returns the final hidden states."""
     n = cell.n_hidden
     batch, steps, _ = x.shape
     h = Tensor(np.zeros((batch, n)))
@@ -93,13 +94,19 @@ def reference_lstm(cell, x, mask):
     return h
 
 
-# Mixed lengths: full, trailing pads, all pad, one real step.
-MIXED_MASK = np.array([
-    [1.0, 1.0, 1.0, 1.0, 1.0],
-    [1.0, 1.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, 0.0, 0.0],
-])
+def scattered(rows, lengths):
+    """Ragged LSTM input in the layout `reference_lstm` reads: each row's
+    steps at the front of a zero (batch, longest, features) array, and the
+    (batch, longest) mask of those steps."""
+    lengths = np.asarray(lengths)
+    mask = (np.arange(lengths.max(initial=0)) < lengths[:, None]) * 1.0
+    x = np.zeros(mask.shape + rows.shape[1:])
+    x[mask > 0] = rows
+    return x, mask
+
+
+# Mixed lengths: full, shorter, empty, one step.
+MIXED_LENGTHS = np.array([5, 3, 0, 1])
 
 
 class TestLSTM:
@@ -115,77 +122,70 @@ class TestLSTM:
 
     def test_final_state_is_the_state_at_each_rows_length(self, rng):
         cell = LSTM(rng, 3, 4)
-        x = rng.uniform(-0.5, 0.5, (4, 5, 3))
-        final = cell(Tensor(x), mask=MIXED_MASK)
+        rows = rng.uniform(-0.5, 0.5, (MIXED_LENGTHS.sum(), 3))
+        final = cell(Tensor(rows), MIXED_LENGTHS)
         # the reference carries each row's last state through its pads, and
-        # the all-pad row keeps the zero initial state
-        np.testing.assert_allclose(final.numpy(), reference_lstm(cell, Tensor(x), MIXED_MASK).numpy(),
+        # the empty row keeps the zero initial state
+        x, mask = scattered(rows, MIXED_LENGTHS)
+        np.testing.assert_allclose(final.numpy(), reference_lstm(cell, Tensor(x), mask).numpy(),
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(final.numpy()[2], np.zeros(4))
-        # whatever the pad steps hold, they cannot reach the final state
-        noisy = np.where(MIXED_MASK[:, :, None] > 0, x, rng.uniform(-9.0, 9.0, x.shape))
-        final_noisy = cell(Tensor(noisy), mask=MIXED_MASK)
-        np.testing.assert_array_equal(final_noisy.numpy(), final.numpy())
 
-    @pytest.mark.parametrize("mask", [MIXED_MASK, None], ids=["mixed", "no-mask"])
-    def test_the_node_is_the_final_states_alone(self, rng, mask):
+    @pytest.mark.parametrize("lengths", [MIXED_LENGTHS, [5, 5, 5, 5]], ids=["mixed", "equal"])
+    def test_the_node_is_the_final_states_alone(self, rng, lengths):
         cell = LSTM(rng, 3, 4)
-        x = Tensor(rng.uniform(-0.5, 0.5, (4, 5, 3)))
-        final = cell(x, mask=mask)
+        x = Tensor(rng.uniform(-0.5, 0.5, (int(np.sum(lengths)), 3)))
+        final = cell(x, lengths)
         assert isinstance(final, Tensor) and final.shape == (4, 4)
         assert final._parents == (x, cell.w_x, cell.w_h, cell.bias)
 
-    def test_trailing_pads_leave_final_state_fixed(self, rng):
+    def test_a_rows_final_state_does_not_depend_on_longer_rows_beside_it(self, rng):
         cell = LSTM(rng, 2, 3)
-        x = rng.uniform(-0.5, 0.5, (1, 5, 2))
-        mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        final_masked = cell(Tensor(x), mask=mask)
-        final_short = cell(Tensor(x[:, :3, :]), mask=mask[:, :3])
-        np.testing.assert_allclose(final_masked.numpy(), final_short.numpy(), atol=1e-12)
+        rows = rng.uniform(-0.5, 0.5, (8, 2))
+        beside = cell(Tensor(rows), [3, 5])
+        alone = cell(Tensor(rows[:3]), [3])
+        np.testing.assert_allclose(beside.numpy()[:1], alone.numpy(), atol=1e-12)
 
     def test_two_step_sequence_gradients_match_fd(self, rng):
         cell = LSTM(rng, 2, 3)
         x = rng.uniform(-0.5, 0.5, (2, 2, 2))
         target = rng.uniform(-0.5, 0.5, (2, 3))
         report = grad_check(
-            lambda: mse_loss(cell(Tensor(x)), target),
+            lambda: mse_loss(cell(Tensor(x.reshape(4, 2)), [2, 2]), target),
             cell.parameters(),
         )
         assert report.max_rel_error < 1e-4
 
-    def test_masked_mixed_length_gradients_match_fd(self, rng):
+    def test_mixed_length_gradients_match_fd_also_on_the_inputs(self, rng):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
-        x = parameter(rng.uniform(-0.5, 0.5, (4, 5, 3)))
+        x = parameter(rng.uniform(-0.5, 0.5, (MIXED_LENGTHS.sum(), 3)))
         target = rng.uniform(-0.5, 0.5, (4, 4))
-        report = grad_check(lambda: mse_loss(cell(x, mask=MIXED_MASK), target),
+        report = grad_check(lambda: mse_loss(cell(x, MIXED_LENGTHS), target),
                             {**cell.parameters(), "x": x})
         assert report.max_rel_error < 1e-4
-        # the all-pad row's final state is the initial one, so its inputs get no gradient
-        np.testing.assert_array_equal(x.grad[2], np.zeros((5, 3)))
+        assert np.abs(x.grad).min(axis=1).all()  # every row is a real step, so each gets a gradient
 
-    @pytest.mark.parametrize("steps, lengths", [
-        (5, [5, 3, 0, 1]),         # MIXED_MASK: full, trailing pads, all pad, one step
-        (5, [2, 5, 2, 4, 5, 1]),   # unsorted, with ties
-        (5, [3, 0, 5]),            # an all-pad row
-        (4, None),                 # mask=None: every step is real
-        (6, [3, 1, 3, 2]),         # no row reaches the last step
-        (5, [3]),                  # a batch of one row
-    ], ids=["mixed", "unsorted-ties", "all-pad-row", "no-mask", "none-reach-steps", "one-row"])
-    def test_fused_matches_stepwise_tensor_reference(self, rng, steps, lengths):
+    @pytest.mark.parametrize("lengths", [
+        [5, 3, 0, 1],         # MIXED_LENGTHS: full, shorter, empty, one step
+        [2, 5, 2, 4, 5, 1],   # unsorted, with ties
+        [3, 0, 5],            # an empty row
+        [4, 4, 4],            # equal lengths
+        [3],                  # a batch of one row
+    ], ids=["mixed", "unsorted-ties", "empty-row", "equal", "one-row"])
+    def test_fused_matches_stepwise_tensor_reference(self, rng, lengths):
         cell = LSTM(rng.child("cell"), 3, 4)
         cell.bias.data[:] = rng.uniform(-0.5, 0.5, cell.bias.shape)
-        batch = 3 if lengths is None else len(lengths)
-        mask = None if lengths is None else (np.arange(steps) < np.array(lengths)[:, None]) * 1.0
-        real = np.ones((batch, steps)) if mask is None else mask
-        x = rng.uniform(-1.0, 1.0, (batch, steps, 3))
-        target = rng.uniform(-0.5, 0.5, (batch, 4))
+        rows = rng.uniform(-1.0, 1.0, (sum(lengths), 3))
+        x, mask = scattered(rows, lengths)
+        target = rng.uniform(-0.5, 0.5, (len(lengths), 4))
         runs = []
-        for forward in (cell, lambda x_, m: reference_lstm(cell, x_, real)):
+        for forward, inputs in ((lambda x_: cell(x_, lengths), rows),
+                                (lambda x_: reference_lstm(cell, x_, mask), x)):
             for p in cell.parameters().values():
                 p.grad = None
-            xt = parameter(x)
-            final = forward(xt, mask)
+            xt = parameter(inputs)
+            final = forward(xt)
             mse_loss(final, target).backward()
             grads = {name: p.grad.copy() for name, p in cell.parameters().items()}
             runs.append((final.numpy().copy(), grads, xt.grad.copy()))
@@ -196,13 +196,25 @@ class TestLSTM:
         np.testing.assert_allclose(final, ref_final, **tol)
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], **tol)
-        np.testing.assert_allclose(dx, ref_dx, **tol)
+        # the reference's pads get no gradient; its steps get the rows' own
+        np.testing.assert_array_equal(ref_dx[mask == 0], 0.0)
+        np.testing.assert_allclose(dx, ref_dx[mask > 0], **tol)
 
-    @pytest.mark.parametrize("grad", [True, False], ids=["train", "inference"])
-    def test_each_step_runs_only_the_rows_inside_their_length(self, rng, monkeypatch, grad):
+    def test_rows_all_of_length_zero_keep_zero_states_and_get_zero_gradients(self, rng):
         cell = LSTM(rng, 3, 4)
-        lengths = np.array([2, 0, 4, 2, 1])
-        mask = (np.arange(6) < lengths[:, None]) * 1.0
+        x = parameter(np.zeros((0, 3)))
+        final = cell(x, [0, 0, 0])
+        np.testing.assert_array_equal(final.numpy(), np.zeros((3, 4)))
+        mse_loss(final, rng.uniform(-0.5, 0.5, (3, 4))).backward()
+        assert x.grad.shape == (0, 3)
+        for name, p in cell.parameters().items():
+            np.testing.assert_array_equal(p.grad, np.zeros(p.shape), err_msg=name)
+
+    @pytest.mark.parametrize("lengths", [[2, 0, 4, 2, 1], [0, 0]], ids=["mixed", "all-empty"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["train", "inference"])
+    def test_each_step_runs_only_the_rows_inside_their_length(self, rng, monkeypatch, grad,
+                                                              lengths):
+        cell = LSTM(rng, 3, 4)
         rows_per_step = []
         step = LSTM.step
 
@@ -213,9 +225,11 @@ class TestLSTM:
 
         monkeypatch.setattr(LSTM, "step", spy)
         with contextlib.nullcontext() if grad else no_grad():
-            final = cell(Tensor(rng.uniform(-0.5, 0.5, (5, 6, 3))), mask=mask)
+            final = cell(Tensor(rng.uniform(-0.5, 0.5, (sum(lengths), 3))), lengths)
         assert final.requires_grad == grad
-        assert rows_per_step == [int(np.count_nonzero(lengths > t)) for t in range(6)]
+        # one step per time up to the longest row, each on the rows still running
+        assert rows_per_step == [int(np.count_nonzero(np.array(lengths) > t))
+                                 for t in range(max(lengths))]
 
 
 class TestAdam:
@@ -336,9 +350,10 @@ class TestGradCheckHarness:
 
     def test_three_step_lstm_fragment_passes(self, rng):
         cell = LSTM(rng, 3, 4)
-        x = rng.uniform(-0.5, 0.5, (2, 3, 3))
+        x = rng.uniform(-0.5, 0.5, (2, 3, 3))  # two rows of three steps
         target = rng.uniform(-0.5, 0.5, (2, 4))
-        report = grad_check(lambda: mse_loss(cell(Tensor(x)), target), cell.parameters())
+        report = grad_check(lambda: mse_loss(cell(Tensor(x.reshape(6, 3)), [3, 3]), target),
+                            cell.parameters())
         assert report.max_rel_error < 1e-4
 
     def test_sampling_coordinates_needs_an_rng(self, rng):
